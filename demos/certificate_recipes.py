@@ -5,7 +5,7 @@ parts of size at least 2 such that no way of drawing gcd-sharing
 contributions from the parts sums to m.  Each recipe handles a shape of
 (m, n) with a different piece of number theory: Bertrand primes, ternary
 Goldbach triples, Fermat primes, prime divisors.  Every emitted
-certificate is re-verified by the subset-sum engine before you see it.
+certificate is verified by the subset-sum engine before you see it.
 """
 
 from ramseychoice import blocks, build_certificate
@@ -50,13 +50,14 @@ def main():
 
     print("\neven n, a prime in the gap above m")
     show(recipe_even_gap(4, 10))
-    show(recipe_even_gap(6, 16, p=7))
+    show(recipe_even_gap(8, 128))
+    show(recipe_even_gap(10, 1250))
 
     print("\neven n with m crowding n: the dense cascade")
-    show(recipe_even_dense(20, 26))
-    show(recipe_even_dense(20, 32))
+    show(recipe_even_dense(48, 54))
+    show(recipe_even_dense(116, 128))
 
-    print("\nthe dispatcher picks the first recipe whose preconditions hold:")
+    print("\nthe dispatcher picks the first recipe that does not decline:")
     for m, n in [(7, 3), (6, 9), (2, 16), (4, 8), (10, 16), (12, 14)]:
         tr = build_certificate(m, n)
         print(f"  ({m:>2},{n:>2}) -> {str(tr.decomposition):>8}  via {tr.recipe.value}")

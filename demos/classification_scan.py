@@ -7,7 +7,7 @@ and this script shows the certificate picked for each small pair.
 """
 
 from ramseychoice import classify
-from ramseychoice.cli import run_scan
+from ramseychoice.scan import run_scan
 
 
 def grid(limit):

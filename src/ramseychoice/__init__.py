@@ -26,12 +26,10 @@ from .certificates import Recipe, RecipeTrace, build_certificate
 from .errors import (
     BadSubset,
     BoundExceeded,
-    BranchExhausted,
     CapExceeded,
     CertificateSearchFailed,
     EmptyResult,
     InvalidPart,
-    NoSuchPrime,
     NotBlocking,
     OracleDisagreement,
     PreconditionViolated,
@@ -46,6 +44,7 @@ from .numtheory import (
     primes_up_to,
 )
 from .rc24 import PairChoice, ScoreProfile, check_equivariance, choose4, score, verify_rc24
+from .scan import ScanReport, ScanRow, run_scan
 from .selector_models import (
     CyclicAutomorphism,
     SelectorModel,
@@ -68,7 +67,6 @@ __all__ = [
     "AdmissibleSumSet",
     "BadSubset",
     "BoundExceeded",
-    "BranchExhausted",
     "CapExceeded",
     "CertificateSearchFailed",
     "Classification",
@@ -79,7 +77,6 @@ __all__ = [
     "GOLDBACH_SEARCH_BOUND",
     "GoldbachTriple",
     "InvalidPart",
-    "NoSuchPrime",
     "NotBlocking",
     "OracleDisagreement",
     "PairChoice",
@@ -88,6 +85,8 @@ __all__ = [
     "Reason",
     "Recipe",
     "RecipeTrace",
+    "ScanReport",
+    "ScanRow",
     "ScoreProfile",
     "SelectorModel",
     "StageCaps",
@@ -114,6 +113,7 @@ __all__ = [
     "primes_up_to",
     "provable_by_theorem",
     "run_fraisse_stages",
+    "run_scan",
     "score",
     "verify_equivariance",
     "verify_gcd_claim",

@@ -1,10 +1,14 @@
 """Constructive blocking certificates, one recipe per proof case.
 
-Every recipe follows the same policy: replay the arithmetic of its case to
-propose a decomposition, then re-verify the proposal with the blocking test
-before emitting it.  A branch whose proposal fails verification is simply
-abandoned and the next branch (or the exhaustive fallback) takes over, so a
-wrong guess can cost completeness but never soundness.
+Every recipe has the signature recipe_*(m, n) -> RecipeTrace | None.  A
+recipe replays the arithmetic of its case to propose decompositions and
+checks each proposal with exactly one blocking test; it returns the first
+trace that blocks m, or None when (m, n) is not its case or no branch
+verified.  A wrong guess can therefore cost completeness but never
+soundness.  The four recipes whose theorem guarantees blocking (greater,
+prime divisor, prime power, Fermat shift) and the exhaustive fallback go
+through RecipeTrace.verified, which raises instead of declining: a failure
+there is a bug, not a decline.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from itertools import permutations
 
 from .decomposition import (
     EXHAUSTIVE_BOUND,
@@ -19,13 +24,7 @@ from .decomposition import (
     blocks,
     find_blocking_decomposition,
 )
-from .errors import (
-    BoundExceeded,
-    BranchExhausted,
-    CertificateSearchFailed,
-    NoSuchPrime,
-    PreconditionViolated,
-)
+from .errors import CertificateSearchFailed, PreconditionViolated
 from .numtheory import bertrand_prime, goldbach_triples, is_prime, primes_up_to
 
 logger = logging.getLogger(__name__)
@@ -75,44 +74,35 @@ class RecipeTrace:
         }
 
 
-def _candidate(m: int, parts) -> Decomposition | None:
-    """Build and verify a proposed decomposition; None when it fails."""
-    parts = tuple(parts)
-    if any(p < 2 for p in parts) or not parts:
-        return None
+def _trace_if_blocking(m, n, recipe, parts, narrative, success) -> RecipeTrace | None:
+    """Test one proposal: its trace, ending with the success line, or None."""
     d = Decomposition(parts)
-    return d if blocks(d, m) else None
+    if not blocks(d, m):
+        return None
+    return RecipeTrace(m, n, recipe, d, (*narrative, success))
 
 
-def recipe_greater(m: int, n: int) -> RecipeTrace:
+def recipe_greater(m: int, n: int) -> RecipeTrace | None:
     """m > n: the single part {n} admits only sums up to n < m."""
     if not (m > n >= 2):
-        raise PreconditionViolated(f"recipe_greater needs m > n >= 2, got ({m}, {n})")
-    d = _candidate(m, (n,))
-    if d is None:
-        raise RuntimeError(f"single part {n} failed to block {m}; impossible for m > n")
-    return RecipeTrace.verified(m, n, Recipe.GREATER, d, [f"m = {m} exceeds n = {n}; single part blocks"])
+        return None
+    return RecipeTrace.verified(
+        m, n, Recipe.GREATER, Decomposition((n,)), [f"m = {m} exceeds n = {n}; single part blocks"]
+    )
 
 
-def recipe_prime_divisor(m: int, n: int) -> RecipeTrace:
+def recipe_prime_divisor(m: int, n: int) -> RecipeTrace | None:
     """Some prime p divides n but not m: split n into n/p copies of p."""
-    if n < 2:
-        raise PreconditionViolated(f"recipe_prime_divisor needs n >= 2, got ({m}, {n})")
     p = next((q for q in primes_up_to(n) if n % q == 0 and m % q != 0), None)
     if p is None:
-        raise NoSuchPrime(f"every prime divisor of {n} also divides {m}")
-    d = _candidate(m, (p,) * (n // p))
-    if d is None:
-        raise RuntimeError(f"{n // p} copies of {p} failed to block {m}; impossible for p not dividing m")
+        return None
     return RecipeTrace.verified(
-        m, n, Recipe.PRIME_DIVISOR, d,
+        m, n, Recipe.PRIME_DIVISOR, Decomposition((p,) * (n // p)),
         [f"prime {p} divides n = {n} but not m = {m}", f"emit {n // p} copies of {p}"],
     )
 
 
 def _prime_power_exponent(m: int, n: int) -> int | None:
-    if m < 2:
-        return None
     k, power = 0, 1
     while power < n:
         power *= m
@@ -120,33 +110,28 @@ def _prime_power_exponent(m: int, n: int) -> int | None:
     return k if power == n and k >= 2 else None
 
 
-def recipe_prime_power(m: int, n: int) -> RecipeTrace:
+def recipe_prime_power(m: int, n: int) -> RecipeTrace | None:
     """m prime and n = m^k: split off a prime p with m < p < 2m.
 
     Both parts p and n - p then admit no contribution equal to m.  The split
     needs n - p >= 2, which excludes exactly the pair (2, 4): that implication
-    really is provable, so the rejection is correct, not a gap.
+    really is provable, so the decline is correct, not a gap.
     """
     if not is_prime(m):
-        raise PreconditionViolated(f"recipe_prime_power needs prime m, got m = {m}")
+        return None
     k = _prime_power_exponent(m, n)
     if k is None:
-        raise PreconditionViolated(f"n = {n} is not a proper power of m = {m}")
+        return None
     p = bertrand_prime(m)
     if n - p < 2:
-        raise PreconditionViolated(
-            f"split ({p}, {n - p}) leaves a part below 2; ({m}, {n}) has no certificate here"
-        )
-    d = _candidate(m, (p, n - p))
-    if d is None:
-        raise RuntimeError(f"split ({p}, {n - p}) failed to block prime m = {m}")
+        return None
     return RecipeTrace.verified(
-        m, n, Recipe.PRIME_POWER, d,
+        m, n, Recipe.PRIME_POWER, Decomposition((p, n - p)),
         [f"n = {m}^{k}", f"bertrand prime {p} in ({m}, {2 * m})", f"split {n} = {p} + {n - p}"],
     )
 
 
-def recipe_odd(m: int, n: int, triple=None) -> RecipeTrace:
+def recipe_odd(m: int, n: int) -> RecipeTrace | None:
     """Odd n >= 7: branch over its Goldbach triples.
 
     Per triple (p1, p2, p3) the branches are tried in proof order: the triple
@@ -154,58 +139,31 @@ def recipe_odd(m: int, n: int, triple=None) -> RecipeTrace:
     the single part {n}; and finally the regrouped split (pj + pk) + pi over
     the orderings with pk < pi and pk dividing pi + pj.  The first branch that
     verifies wins; a triple with no verified branch is recorded and the next
-    triple is tried.  An optional explicit triple pins the branch walk for
-    regression tests.
+    triple is tried.
     """
     if n % 2 == 0 or n < 7:
-        raise PreconditionViolated(f"recipe_odd needs odd n >= 7, got ({m}, {n})")
-    if m == n:
-        raise PreconditionViolated("recipe_odd needs m != n")
-    triples = [triple] if triple is not None else goldbach_triples(n, all_odd_preferred=True)
+        return None
     narrative = []
-    for t in triples:
-        p1, p2, p3 = t.as_tuple() if hasattr(t, "as_tuple") else tuple(t)
+    for t in goldbach_triples(n, all_odd_preferred=True):
+        p1, p2, p3 = t.as_tuple()
         narrative.append(f"goldbach triple ({p1}, {p2}, {p3})")
-
-        d = _candidate(m, (p1, p2, p3))
-        if d is not None:
-            narrative.append("triple blocks m directly")
-            return RecipeTrace.verified(m, n, Recipe.ODD, d, narrative)
-
-        if p1 == p2 == p3 and p1 > 2:
-            d = _candidate(m, (3 * p1 - 2, 2))
-            if d is not None:
-                narrative.append(f"all-equal case: split {n} = {3 * p1 - 2} + 2")
-                return RecipeTrace.verified(m, n, Recipe.ODD, d, narrative)
-
-        d = _candidate(m, (n,))
-        if d is not None:
-            narrative.append(f"single part {n} blocks m")
-            return RecipeTrace.verified(m, n, Recipe.ODD, d, narrative)
-
-        for a, b, c in _orderings(p1, p2, p3):
+        proposals = [((p1, p2, p3), "triple blocks m directly")]
+        if p1 == p2 == p3:
+            proposals.append(((3 * p1 - 2, 2), f"all-equal case: split {n} = {3 * p1 - 2} + 2"))
+        proposals.append(((n,), f"single part {n} blocks m"))
+        for a, b, c in dict.fromkeys(permutations((p1, p2, p3))):
             if c < a and (a + b) % c == 0:
-                d = _candidate(m, (b + c, a))
-                if d is not None:
-                    narrative.append(
-                        f"regrouped: {c} < {a} and {c} divides {a} + {b}; split {n} = {b + c} + {a}"
-                    )
-                    return RecipeTrace.verified(m, n, Recipe.ODD, d, narrative)
+                line = f"regrouped: {c} < {a} and {c} divides {a} + {b}; split {n} = {b + c} + {a}"
+                proposals.append(((b + c, a), line))
+        for parts, success in proposals:
+            trace = _trace_if_blocking(m, n, Recipe.ODD, parts, narrative, success)
+            if trace is not None:
+                return trace
         narrative.append("no branch verified for this triple")
-    raise BranchExhausted(f"no odd-case branch blocks ({m}, {n}); narrative: {narrative}")
+    return None
 
 
-def _orderings(p1, p2, p3):
-    seen = set()
-    from itertools import permutations
-
-    for perm in permutations((p1, p2, p3)):
-        if perm not in seen:
-            seen.add(perm)
-            yield perm
-
-
-def recipe_fermat_shift(m: int, n: int) -> RecipeTrace:
+def recipe_fermat_shift(m: int, n: int) -> RecipeTrace | None:
     """Even m > 2 with n = m + 2^k and 2^k + 1 prime: split (m - 1) + (2^k + 1).
 
     The prime part forces any nonzero contribution to be all of 2^k + 1, and
@@ -213,171 +171,97 @@ def recipe_fermat_shift(m: int, n: int) -> RecipeTrace:
     for even m.
     """
     gap = n - m
-    if m % 2 != 0 or m <= 2:
-        raise PreconditionViolated(f"recipe_fermat_shift needs even m > 2, got m = {m}")
-    if gap < 2 or gap & (gap - 1) != 0:
-        raise PreconditionViolated(f"n - m = {gap} is not a power of two >= 2")
+    if m % 2 != 0 or m <= 2 or gap < 2 or gap & (gap - 1) != 0:
+        return None
     q = gap + 1
     if not is_prime(q):
-        raise PreconditionViolated(f"2^k + 1 = {q} is not prime")
-    d = _candidate(m, (m - 1, q))
-    if d is None:
-        raise RuntimeError(f"split ({m - 1}, {q}) failed to block {m}")
+        return None
     k = gap.bit_length() - 1
     return RecipeTrace.verified(
-        m, n, Recipe.FERMAT_SHIFT, d,
+        m, n, Recipe.FERMAT_SHIFT, Decomposition((m - 1, q)),
         [f"n - m = 2^{k}", f"2^{k} + 1 = {q} is prime", f"split {n} = {m - 1} + {q}"],
     )
 
 
-def _even_gap_candidates(m: int, n: int) -> list[int]:
-    # Odd primes p with m < p < n and n > p + 1; descending, so small n - p first.
-    return [p for p in range(n - 3, m, -2) if is_prime(p)]
-
-
-def recipe_even_gap(m: int, n: int, p: int | None = None) -> RecipeTrace:
+def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
     """Even m < n with an odd prime strictly between them (and below n - 1).
 
-    For each candidate p: when n - p is 3 or 5 the two-part split works at
+    The odd primes p with m < p < n - 1 are tried in descending order, so
+    small n - p first.  When n - p is 3 or 5 the two-part split works at
     once; otherwise n - p is split by a Goldbach triple, and if that fails
     with n - p >= m the odd-case machinery handles (m, n - p) and p is
-    appended to its certificate.  An explicit p pins the candidate.
+    appended to its certificate.
     """
     if m % 2 != 0 or n % 2 != 0:
-        raise PreconditionViolated(f"recipe_even_gap needs even m and n, got ({m}, {n})")
-    candidates = [p] if p is not None else _even_gap_candidates(m, n)
-    if not candidates:
-        raise PreconditionViolated(f"no odd prime p with {m} < p < {n} - 1")
+        return None
     narrative = []
-    for q in candidates:
-        if not (is_prime(q) and q % 2 == 1 and m < q < n - 1):
-            raise PreconditionViolated(f"p = {q} is not an odd prime with m < p < n - 1")
-        narrative.append(f"prime {q} between m = {m} and n = {n}")
-        if n - q in (3, 5):
-            d = _candidate(m, (q, n - q))
-            if d is not None:
-                narrative.append(f"split {n} = {q} + {n - q}")
-                return RecipeTrace.verified(m, n, Recipe.EVEN_GAP, d, narrative)
+    for p in range(n - 3, m, -2):
+        if not is_prime(p):
+            continue
+        narrative.append(f"prime {p} between m = {m} and n = {n}")
+        if n - p in (3, 5):
+            trace = _trace_if_blocking(
+                m, n, Recipe.EVEN_GAP, (p, n - p), narrative, f"split {n} = {p} + {n - p}"
+            )
+            if trace is not None:
+                return trace
         else:
-            for t in goldbach_triples(n - q, all_odd_preferred=True):
-                d = _candidate(m, (q,) + t.as_tuple())
-                if d is not None:
-                    narrative.append(f"split {n} = {q} + {t.p1} + {t.p2} + {t.p3}")
-                    return RecipeTrace.verified(m, n, Recipe.EVEN_GAP, d, narrative)
-            if n - q >= m:
-                try:
-                    inner = recipe_odd(m, n - q)
-                except (PreconditionViolated, BranchExhausted):
-                    pass
-                else:
-                    d = _candidate(m, (q,) + inner.decomposition.parts)
-                    if d is not None:
-                        narrative.append(
-                            f"odd-case certificate {inner.decomposition} for ({m}, {n - q}); append {q}"
-                        )
-                        return RecipeTrace.verified(m, n, Recipe.EVEN_GAP, d, narrative)
-        narrative.append(f"no branch verified for p = {q}")
-    raise BranchExhausted(f"no even-gap branch blocks ({m}, {n}); narrative: {narrative}")
-
-
-def _smallest_prime_in(lo: int, hi: int) -> int | None:
-    """Smallest prime p with lo < p < hi."""
-    for c in range(lo + 1, hi):
-        if is_prime(c):
-            return c
+            for t in goldbach_triples(n - p, all_odd_preferred=True):
+                trace = _trace_if_blocking(
+                    m, n, Recipe.EVEN_GAP, (p,) + t.as_tuple(), narrative,
+                    f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}",
+                )
+                if trace is not None:
+                    return trace
+            inner = recipe_odd(m, n - p) if n - p >= m else None
+            if inner is not None:
+                trace = _trace_if_blocking(
+                    m, n, Recipe.EVEN_GAP, (p,) + inner.decomposition.parts, narrative,
+                    f"odd-case certificate {inner.decomposition} for ({m}, {n - p}); append {p}",
+                )
+                if trace is not None:
+                    return trace
+        narrative.append(f"no branch verified for p = {p}")
     return None
 
 
-def recipe_even_dense(m: int, n: int) -> RecipeTrace:
-    """Even pair with n/2 <= m < n: the dense cascade.
+def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
+    """Even pair with n/2 <= m < n - 4: the dense cascade.
 
-    A gap n - m of 2 or 4 reduces to the power-of-two shift.  Otherwise a
-    prime p just above n/2 is selected (re-selected from above n/2 - 1 when
-    the first choice is n - 1) and the cascade tries, in order: the direct
-    split p + (n - p); when m - p is an odd prime p' and n - p is a power of
-    p', the three-part regroupings p + y + (x + z) of a Goldbach triple of
-    n - p; when n - p is divisible by some other prime p'', the split into p
-    plus copies of p''; and with no usable p', the four-part Goldbach splits
-    and the power-of-two shift.  Every proposal is verified before emission.
+    Take the prime p just above n/2; when p < m, try the direct split
+    p + (n - p) if m - p is an odd prime, and otherwise the four-part splits
+    p plus a Goldbach triple of n - p.  The n - m > 4 guard keeps n - p >= 7,
+    the smallest odd target goldbach_triples accepts.
+
+    Cases this recipe declines, because dispatch never sends them here:
+    - a gap n - m that is a power of two with 2^k + 1 prime (2, 4, 16, ...)
+      is the Fermat shift case, which runs earlier and always succeeds;
+    - p = n - 1 happens only for n <= 6, below the guard;
+    - p >= m makes p an even-gap candidate, and the even-gap recipe won
+      every such pair with n <= 4000;
+    - when m - p is an odd prime dividing n - p the direct split admits m;
+      no even pair with n <= 4000 reaches this recipe in that state.
     """
-    if m % 2 != 0 or n % 2 != 0:
-        raise PreconditionViolated(f"recipe_even_dense needs even m and n, got ({m}, {n})")
-    if not (3 <= n // 2 <= m < n):
-        raise PreconditionViolated(f"recipe_even_dense needs 3 <= n/2 <= m < n, got ({m}, {n})")
-    narrative = []
-
-    if n - m <= 4:
-        k = (n - m).bit_length() - 1
-        narrative.append(f"gap n - m = {n - m} <= 4; power-of-two shift with k = {k}")
-        d = _candidate(m, (m - 1, n - m + 1))
-        if d is not None:
-            narrative.append(f"split {n} = {m - 1} + {n - m + 1}")
-            return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, d, narrative)
-        narrative.append("shift split failed verification")
-
+    if m % 2 != 0 or n % 2 != 0 or not (n // 2 <= m < n - 4):
+        return None
     p = bertrand_prime(n // 2)
-    if p == n - 1:
-        reselected = _smallest_prime_in(n // 2 - 1, n - 2)
-        narrative.append(f"prime {p} is n - 1; re-selected {reselected} above n/2 - 1")
-        if reselected is None:
-            raise BranchExhausted(f"no prime in ({n // 2 - 1}, {n - 2}) for ({m}, {n})")
-        p = reselected
-    else:
-        narrative.append(f"prime {p} just above n/2 = {n // 2}")
-
     if p >= m:
-        d = _candidate(m, (p, n - p))
-        if d is not None:
-            narrative.append(f"p >= m; direct split {n} = {p} + {n - p}")
-            return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, d, narrative)
-        narrative.append(f"direct split {p} + {n - p} failed")
-        raise BranchExhausted(f"dense cascade found no verified split for ({m}, {n})")
-
-    pp = m - p
-    if pp > 2 and is_prime(pp):
-        narrative.append(f"m - p = {pp} is an odd prime")
-        d = _candidate(m, (p, n - p))
-        if d is not None:
-            narrative.append(f"direct split {n} = {p} + {n - p}")
-            return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, d, narrative)
-        rem = n - p
-        if _is_prime_power_of(rem, pp):
-            narrative.append(f"n - p = {rem} is a power of {pp}; regroup a triple")
-            for t in goldbach_triples(rem, all_odd_preferred=True):
-                for x, y, z in _orderings(*t.as_tuple()):
-                    d = _candidate(m, (p, y, x + z))
-                    if d is not None:
-                        narrative.append(f"split {n} = {p} + {y} + ({x} + {z})")
-                        return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, d, narrative)
-        else:
-            q = next((f for f in primes_up_to(rem) if rem % f == 0 and f != pp), None)
-            if q is not None:
-                d = _candidate(m, (p,) + (q,) * (rem // q))
-                if d is not None:
-                    narrative.append(f"n - p = {rem} splits into {rem // q} copies of {q}")
-                    return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, d, narrative)
-    else:
-        narrative.append(f"m - p = {pp} is not an odd prime; four-part splits")
-        for t in goldbach_triples(n - p, all_odd_preferred=True):
-            d = _candidate(m, (p,) + t.as_tuple())
-            if d is not None:
-                narrative.append(f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}")
-                return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, d, narrative)
-        gap = n - m
-        if gap >= 2 and gap & (gap - 1) == 0 and is_prime(gap + 1):
-            d = _candidate(m, (m - 1, gap + 1))
-            if d is not None:
-                narrative.append(f"power-of-two shift: split {n} = {m - 1} + {gap + 1}")
-                return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, d, narrative)
-    raise BranchExhausted(f"dense cascade found no verified split for ({m}, {n}); narrative: {narrative}")
-
-
-def _is_prime_power_of(value: int, base: int) -> bool:
-    if value < base:
-        return False
-    while value % base == 0:
-        value //= base
-    return value == 1
+        return None
+    narrative = [f"prime {p} just above n/2 = {n // 2}"]
+    if m - p > 2 and is_prime(m - p):
+        narrative.append(f"m - p = {m - p} is an odd prime")
+        return _trace_if_blocking(
+            m, n, Recipe.EVEN_DENSE, (p, n - p), narrative, f"direct split {n} = {p} + {n - p}"
+        )
+    narrative.append(f"m - p = {m - p} is not an odd prime; four-part splits")
+    for t in goldbach_triples(n - p, all_odd_preferred=True):
+        trace = _trace_if_blocking(
+            m, n, Recipe.EVEN_DENSE, (p,) + t.as_tuple(), narrative,
+            f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}",
+        )
+        if trace is not None:
+            return trace
+    return None
 
 
 # Dispatch follows the order in which the cases eliminate pairs: a larger m,
@@ -396,20 +280,18 @@ _DISPATCH = (
 def build_certificate(m: int, n: int, bound: int = EXHAUSTIVE_BOUND) -> RecipeTrace:
     """Produce a verified blocking certificate for a non-provable pair.
 
-    Recipes run in the fixed dispatch order; the first whose preconditions
-    hold and whose branches verify wins.  If every recipe declines, the
-    exhaustive partition scan (within bound) supplies the certificate, tagged
-    as the fallback.
+    Recipes run in the fixed dispatch order; the first that returns a trace
+    wins.  If every recipe declines, the exhaustive partition scan (within
+    bound) supplies the certificate, tagged as the fallback.
     """
     if m < 1 or n < 1:
         raise PreconditionViolated(f"need positive m and n, got ({m}, {n})")
     if m == n or (m, n) == (2, 4):
         raise PreconditionViolated(f"({m}, {n}) is provable; no blocking certificate exists")
     for recipe in _DISPATCH:
-        try:
-            return recipe(m, n)
-        except (PreconditionViolated, NoSuchPrime, BranchExhausted):
-            continue
+        trace = recipe(m, n)
+        if trace is not None:
+            return trace
     logger.warning("constructive recipes declined (%d, %d); falling back to exhaustive scan", m, n)
     if n <= bound:
         d = find_blocking_decomposition(m, n, bound=bound)

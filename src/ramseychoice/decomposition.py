@@ -11,13 +11,13 @@ the single sporadic pair (2, 4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator
 
 from .errors import BoundExceeded, CertificateSearchFailed, InvalidPart, OracleDisagreement
-from .numtheory import gcd
 
 # Largest n for which the exhaustive partition scan runs by default; the
 # partition count stays in the low millions up to here.
@@ -60,10 +60,6 @@ class AdmissibleSumSet:
     def __contains__(self, s: int) -> bool:
         return 0 <= s <= self.total and bool(self.bits >> s & 1)
 
-    @property
-    def achievable(self) -> tuple[bool, ...]:
-        return tuple(bool(self.bits >> s & 1) for s in range(self.total + 1))
-
     def values(self) -> list[int]:
         return [s for s in range(self.total + 1) if self.bits >> s & 1]
 
@@ -73,7 +69,7 @@ def allowed_contributions(part: int) -> frozenset[int]:
     """Contributions a part admits: zero, or any j <= part sharing a factor."""
     if part < 2:
         raise InvalidPart(f"part must be >= 2, got {part}")
-    return frozenset([0]) | frozenset(j for j in range(1, part + 1) if gcd(j, part) > 1)
+    return frozenset([0]) | frozenset(j for j in range(1, part + 1) if math.gcd(j, part) > 1)
 
 
 def admissible_sums(d: Decomposition) -> AdmissibleSumSet:

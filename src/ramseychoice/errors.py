@@ -21,16 +21,8 @@ class EmptyResult(RamseyChoiceError):
     """
 
 
-class NoSuchPrime(RamseyChoiceError):
-    """No prime with the required divisibility properties exists."""
-
-
 class PreconditionViolated(RamseyChoiceError):
-    """A recipe was invoked outside the case it handles."""
-
-
-class BranchExhausted(RamseyChoiceError):
-    """Every branch of a case analysis failed to produce a verified result."""
+    """A certificate was requested for a provable pair or a non-positive m or n."""
 
 
 class CertificateSearchFailed(RamseyChoiceError):

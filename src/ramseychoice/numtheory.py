@@ -7,7 +7,6 @@ candidate ranges directly instead of sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,13 +53,6 @@ def is_prime(x: int) -> bool:
         else:
             return False
     return True
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two non-negative integers; gcd(0, 0) = 0."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd expects non-negative arguments")
-    return math.gcd(a, b)
 
 
 def bertrand_prime(m: int) -> int:

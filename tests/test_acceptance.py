@@ -12,9 +12,9 @@ from ramseychoice.decomposition import (
     iter_decompositions,
     provable_by_theorem,
 )
-from ramseychoice.cli import run_scan
 from ramseychoice.errors import NotBlocking
 from ramseychoice.rc24 import check_equivariance, verify_rc24
+from ramseychoice.scan import run_scan
 from ramseychoice.selector_models import (
     build_cyclic_model,
     check_one_point_extension,

@@ -1,6 +1,7 @@
 import pytest
 
 from ramseychoice.certificates import (
+    _DISPATCH,
     Recipe,
     RecipeTrace,
     build_certificate,
@@ -19,11 +20,7 @@ from ramseychoice.decomposition import (
     iter_decompositions,
     provable_by_theorem,
 )
-from ramseychoice.errors import (
-    CertificateSearchFailed,
-    NoSuchPrime,
-    PreconditionViolated,
-)
+from ramseychoice.errors import CertificateSearchFailed, PreconditionViolated
 
 
 def test_every_recipe_output_is_verified_blocking():
@@ -59,10 +56,8 @@ def test_trace_json_shape():
 def test_recipe_greater():
     assert recipe_greater(5, 3).decomposition.parts == (3,)
     assert recipe_greater(17, 2).decomposition.parts == (2,)
-    with pytest.raises(PreconditionViolated):
-        recipe_greater(3, 5)
-    with pytest.raises(PreconditionViolated):
-        recipe_greater(4, 4)
+    assert recipe_greater(3, 5) is None
+    assert recipe_greater(4, 4) is None
 
 
 def test_recipe_prime_divisor():
@@ -70,12 +65,9 @@ def test_recipe_prime_divisor():
     assert recipe_prime_divisor(2, 6).decomposition.parts == (3, 3)
     assert recipe_prime_divisor(9, 10).decomposition.parts == (2, 2, 2, 2, 2)
     assert recipe_prime_divisor(12, 14).decomposition.parts == (7, 7)
-    with pytest.raises(NoSuchPrime):
-        recipe_prime_divisor(2, 4)
-    with pytest.raises(NoSuchPrime):
-        recipe_prime_divisor(6, 8)
-    with pytest.raises(NoSuchPrime):
-        recipe_prime_divisor(30, 8)
+    assert recipe_prime_divisor(2, 4) is None
+    assert recipe_prime_divisor(6, 8) is None
+    assert recipe_prime_divisor(30, 8) is None
 
 
 def test_recipe_prime_power():
@@ -84,37 +76,26 @@ def test_recipe_prime_power():
     assert recipe_prime_power(2, 32).decomposition.parts == (29, 3)
     assert recipe_prime_power(3, 9).decomposition.parts == (5, 4)
     # the (2, 4) corner has no room after the Bertrand prime
-    with pytest.raises(PreconditionViolated):
-        recipe_prime_power(2, 4)
-    with pytest.raises(PreconditionViolated):
-        recipe_prime_power(2, 12)
-    with pytest.raises(PreconditionViolated):
-        recipe_prime_power(4, 8)
+    assert recipe_prime_power(2, 4) is None
+    assert recipe_prime_power(2, 12) is None
+    assert recipe_prime_power(4, 8) is None
 
 
 def test_recipe_odd_branches():
     # triple used directly
     assert recipe_odd(6, 7).decomposition.parts == (3, 2, 2)
     assert recipe_odd(4, 9).decomposition.parts == (3, 3, 3)
+    assert recipe_odd(2, 13).decomposition.parts == (7, 3, 3)
     # all-equal triple shifted to 3p-2 plus 2
     assert recipe_odd(3, 9).decomposition.parts == (7, 2)
     assert recipe_odd(6, 9).decomposition.parts == (7, 2)
     # single part when m is coprime to everything below n
     assert recipe_odd(5, 11).decomposition.parts == (11,)
     assert recipe_odd(4, 7).decomposition.parts == (7,)
-    with pytest.raises(PreconditionViolated):
-        recipe_odd(4, 10)
-    with pytest.raises(PreconditionViolated):
-        recipe_odd(2, 5)
-
-
-def test_recipe_odd_explicit_triple():
-    from ramseychoice.numtheory import goldbach_triples
-
-    ts = goldbach_triples(13)
-    tr = recipe_odd(2, 13, triple=ts[0])
-    assert tr.decomposition.parts == (7, 3, 3)
-    assert blocks(tr.decomposition, 2)
+    # regrouped (p2 + p1) + p3 of the triple (3, 5, 7)
+    assert recipe_odd(3, 15).decomposition.parts == (10, 5)
+    assert recipe_odd(4, 10) is None
+    assert recipe_odd(2, 5) is None
 
 
 def test_recipe_fermat_shift():
@@ -122,54 +103,62 @@ def test_recipe_fermat_shift():
     assert recipe_fermat_shift(6, 8).decomposition.parts == (5, 3)
     assert recipe_fermat_shift(16, 32).decomposition.parts == (17, 15)
     assert recipe_fermat_shift(28, 32).decomposition.parts == (27, 5)
-    with pytest.raises(PreconditionViolated):
-        recipe_fermat_shift(3, 9)  # odd m
-    with pytest.raises(PreconditionViolated):
-        recipe_fermat_shift(2, 4)  # m - 1 below 2
-    with pytest.raises(PreconditionViolated):
-        recipe_fermat_shift(6, 12)  # gap 6 is not a power of two
-    with pytest.raises(PreconditionViolated):
-        recipe_fermat_shift(24, 56)  # gap 32, but 33 is composite
+    assert recipe_fermat_shift(3, 9) is None  # odd m
+    assert recipe_fermat_shift(2, 4) is None  # m - 1 below 2
+    assert recipe_fermat_shift(6, 12) is None  # gap 6 is not a power of two
+    assert recipe_fermat_shift(24, 56) is None  # gap 32, but 33 is composite
 
 
 def test_recipe_even_gap():
-    assert recipe_even_gap(4, 10, p=7).decomposition.parts == (7, 3)
-    assert recipe_even_gap(2, 10, p=5).decomposition.parts == (5, 5)
-    assert recipe_even_gap(6, 16, p=7).decomposition.parts == (7, 5, 2, 2)
-    # automatic mode prefers the largest usable prime
+    # the largest odd prime below n - 1 is tried first
     assert recipe_even_gap(4, 10).decomposition.parts == (7, 3)
     assert recipe_even_gap(10, 16).decomposition.parts == (13, 3)
-    with pytest.raises(PreconditionViolated):
-        recipe_even_gap(2, 4)
-    with pytest.raises(PreconditionViolated):
-        recipe_even_gap(4, 10, p=9)
-    with pytest.raises(PreconditionViolated):
-        recipe_even_gap(4, 10, p=11)
+    assert recipe_even_gap(6, 12).decomposition.parts == (7, 5)
+    assert recipe_even_gap(8, 128).decomposition.parts == (113, 5, 5, 5)
+    assert recipe_even_gap(10, 1250).decomposition.parts == (1237, 13)
+    assert recipe_even_gap(2, 4) is None  # no odd prime in (2, 3)
+    assert recipe_even_gap(3, 10) is None  # odd m
 
 
 def test_recipe_even_dense():
-    assert recipe_even_dense(6, 8).decomposition.parts == (5, 3)
-    assert recipe_even_dense(8, 14).decomposition.parts == (11, 3)
-    assert recipe_even_dense(10, 16).decomposition.parts == (11, 5)
-    assert recipe_even_dense(20, 26).decomposition.parts == (17, 7, 2)
-    assert recipe_even_dense(20, 32).decomposition.parts == (17, 5, 5, 5)
-    with pytest.raises(PreconditionViolated):
-        recipe_even_dense(4, 10)  # m below n/2
-    with pytest.raises(PreconditionViolated):
-        recipe_even_dense(5, 8)  # odd m
-    with pytest.raises(PreconditionViolated):
-        recipe_even_dense(8, 8)
+    assert recipe_even_dense(48, 54).decomposition.parts == (29, 25)
+    assert recipe_even_dense(116, 128).decomposition.parts == (67, 53, 5, 3)
+    # the prime above n/2 is not below m
+    assert recipe_even_dense(8, 14) is None
+    assert recipe_even_dense(10, 16) is None
+    # the direct split admits m: 20 = 17 + 3 with 3 dividing n - p
+    assert recipe_even_dense(20, 26) is None
+    assert recipe_even_dense(20, 32) is None
+    # gap n - m of at most 4
+    assert recipe_even_dense(6, 8) is None
+    assert recipe_even_dense(8, 12) is None
+    assert recipe_even_dense(4, 10) is None  # m below n/2
+    assert recipe_even_dense(5, 8) is None  # odd m
+    assert recipe_even_dense(8, 8) is None
 
 
 def test_dense_outputs_block_wherever_defined():
     for n in range(6, 65, 2):
         for m in range(2, n, 2):
-            try:
-                tr = recipe_even_dense(m, n)
-            except PreconditionViolated:
+            tr = recipe_even_dense(m, n)
+            if tr is None:
                 continue
             assert tr.decomposition.total == n
             assert blocks(tr.decomposition, m), (m, n)
+
+
+def test_every_recipe_returns_none_or_a_blocking_trace():
+    # recipes decline through their return value, on any pair at all
+    pairs = [(m, n) for m in range(1, 121) for n in range(1, 121)]
+    assert (8, 12) in pairs
+    for recipe in _DISPATCH:
+        for m, n in pairs:
+            tr = recipe(m, n)
+            if tr is None:
+                continue
+            assert (tr.m, tr.n) == (m, n)
+            assert sum(tr.decomposition.parts) == n, (recipe.__name__, m, n)
+            assert blocks(tr.decomposition, m), (recipe.__name__, m, n)
 
 
 def test_dispatch_frozen_choices():
@@ -186,6 +175,12 @@ def test_dispatch_frozen_choices():
         (10, 16): (Recipe.EVEN_GAP, (13, 3)),
         (4, 16): (Recipe.EVEN_GAP, (13, 3)),
         (5, 3): (Recipe.GREATER, (3,)),
+        (3, 15): (Recipe.ODD, (10, 5)),
+        (6, 12): (Recipe.EVEN_GAP, (7, 5)),
+        (8, 128): (Recipe.EVEN_GAP, (113, 5, 5, 5)),
+        (10, 1250): (Recipe.EVEN_GAP, (1237, 13)),
+        (48, 54): (Recipe.EVEN_DENSE, (29, 25)),
+        (116, 128): (Recipe.EVEN_DENSE, (67, 53, 5, 3)),
     }
     for (m, n), (recipe, parts) in table.items():
         tr = build_certificate(m, n)

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from ramseychoice.cli import ScanReport, ScanRow, build_parser, main, run_scan
+from ramseychoice.cli import build_parser, main
+from ramseychoice.scan import ScanReport, ScanRow, run_scan
 
 
 def run(capsys, *argv):

@@ -5,7 +5,6 @@ from ramseychoice.numtheory import (
     GOLDBACH_SEARCH_BOUND,
     GoldbachTriple,
     bertrand_prime,
-    gcd,
     goldbach_triples,
     is_prime,
     primes_up_to,
@@ -47,14 +46,6 @@ def test_is_prime_rejects_out_of_range():
         is_prime(2**63 + 1)
     assert is_prime(0) is False
     assert is_prime(1) is False
-
-
-def test_gcd_basics():
-    assert gcd(0, 0) == 0
-    assert gcd(0, 9) == 9
-    assert gcd(12, 18) == 6
-    with pytest.raises(ValueError):
-        gcd(-1, 3)
 
 
 def test_bertrand_prime_in_open_interval():
