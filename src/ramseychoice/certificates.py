@@ -25,7 +25,7 @@ from .decomposition import (
     find_blocking_decomposition,
 )
 from .errors import CertificateSearchFailed, PreconditionViolated
-from .numtheory import bertrand_prime, goldbach_triples, is_prime, primes_up_to
+from .numtheory import bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
 
 logger = logging.getLogger(__name__)
 
@@ -92,8 +92,11 @@ def recipe_greater(m: int, n: int) -> RecipeTrace | None:
 
 
 def recipe_prime_divisor(m: int, n: int) -> RecipeTrace | None:
-    """Some prime p divides n but not m: split n into n/p copies of p."""
-    p = next((q for q in primes_up_to(n) if n % q == 0 and m % q != 0), None)
+    """Some prime p divides n but not m: split n into n/p copies of p.
+
+    p is the smallest such prime; the factors of n come by trial division.
+    """
+    p = next((q for q in prime_factors(n) if m % q != 0), None)
     if p is None:
         return None
     return RecipeTrace.verified(
@@ -132,7 +135,7 @@ def recipe_prime_power(m: int, n: int) -> RecipeTrace | None:
 
 
 def recipe_odd(m: int, n: int) -> RecipeTrace | None:
-    """Odd n >= 7: branch over its Goldbach triples.
+    """Odd n >= 7: branch over its Goldbach triples, produced lazily.
 
     Per triple (p1, p2, p3) the branches are tried in proof order: the triple
     itself; for an all-equal triple (p, p, p) the shifted split (3p - 2) + 2;
@@ -144,7 +147,7 @@ def recipe_odd(m: int, n: int) -> RecipeTrace | None:
     if n % 2 == 0 or n < 7:
         return None
     narrative = []
-    for t in goldbach_triples(n, all_odd_preferred=True):
+    for t in iter_goldbach_triples(n, all_odd_preferred=True):
         p1, p2, p3 = t.as_tuple()
         narrative.append(f"goldbach triple ({p1}, {p2}, {p3})")
         proposals = [((p1, p2, p3), "triple blocks m directly")]
@@ -206,7 +209,7 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
             if trace is not None:
                 return trace
         else:
-            for t in goldbach_triples(n - p, all_odd_preferred=True):
+            for t in iter_goldbach_triples(n - p, all_odd_preferred=True):
                 trace = _trace_if_blocking(
                     m, n, Recipe.EVEN_GAP, (p,) + t.as_tuple(), narrative,
                     f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}",
@@ -231,7 +234,7 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
     Take the prime p just above n/2; when p < m, try the direct split
     p + (n - p) if m - p is an odd prime, and otherwise the four-part splits
     p plus a Goldbach triple of n - p.  The n - m > 4 guard keeps n - p >= 7,
-    the smallest odd target goldbach_triples accepts.
+    the smallest odd target iter_goldbach_triples accepts.
 
     Cases this recipe declines, because dispatch never sends them here:
     - a gap n - m that is a power of two with 2^k + 1 prime (2, 4, 16, ...)
@@ -254,7 +257,7 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
             m, n, Recipe.EVEN_DENSE, (p, n - p), narrative, f"direct split {n} = {p} + {n - p}"
         )
     narrative.append(f"m - p = {m - p} is not an odd prime; four-part splits")
-    for t in goldbach_triples(n - p, all_odd_preferred=True):
+    for t in iter_goldbach_triples(n - p, all_odd_preferred=True):
         trace = _trace_if_blocking(
             m, n, Recipe.EVEN_DENSE, (p,) + t.as_tuple(), narrative,
             f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}",

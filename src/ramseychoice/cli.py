@@ -36,7 +36,7 @@ from .errors import (
     PreconditionViolated,
     RamseyChoiceError,
 )
-from .numtheory import GOLDBACH_SEARCH_BOUND, goldbach_triples
+from .numtheory import GOLDBACH_SEARCH_BOUND, iter_goldbach_triples
 from .rc24 import check_equivariance, verify_rc24
 from .scan import ScanReport, ScanRow, run_scan  # noqa: F401  (ScanReport, ScanRow: re-exported)
 from .selector_models import (
@@ -260,7 +260,7 @@ def cmd_verify(args) -> int:
     for n in range(7, args.max + 1, 2):
         checked += 1
         try:
-            goldbach_triples(n, bound=args.bound)
+            next(iter_goldbach_triples(n, bound=args.bound))
         except EmptyResult:
             failures.append(n)
     ok = not failures

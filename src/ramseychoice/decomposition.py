@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import BoundExceeded, CertificateSearchFailed, InvalidPart, OracleDisagreement
+from .numtheory import prime_factors
 
 # Largest n for which the exhaustive partition scan runs by default; the
 # partition count stays in the low millions up to here.
@@ -61,19 +62,36 @@ class AdmissibleSumSet:
         return 0 <= s <= self.total and bool(self.bits >> s & 1)
 
     def values(self) -> list[int]:
-        return [s for s in range(self.total + 1) if self.bits >> s & 1]
+        # One pass over the binary digits, lowest bit first.
+        return [s for s, digit in enumerate(bin(self.bits)[:1:-1]) if digit == "1"]
 
 
 @lru_cache(maxsize=1024)
 def allowed_contributions(part: int) -> frozenset[int]:
-    """Contributions a part admits: zero, or any j <= part sharing a factor."""
+    """Contributions a part admits: zero, or any j <= part sharing a factor.
+
+    Sharing a factor with part means being a multiple of one of its primes.
+    """
     if part < 2:
         raise InvalidPart(f"part must be >= 2, got {part}")
-    return frozenset([0]) | frozenset(j for j in range(1, part + 1) if math.gcd(j, part) > 1)
+    allowed = {0}
+    for q in prime_factors(part):
+        allowed.update(range(q, part + 1, q))
+    return frozenset(allowed)
+
+
+@lru_cache(maxsize=1024)
+def _contributions_up_to(part: int, m: int) -> tuple[int, ...]:
+    """The nonzero contributions of part up to m, for m <= part."""
+    return tuple(j for j in range(1, m + 1) if math.gcd(j, part) > 1)
 
 
 def admissible_sums(d: Decomposition) -> AdmissibleSumSet:
-    """Subset-sum table over the per-part allowed contributions."""
+    """Full subset-sum table over the per-part allowed contributions.
+
+    This is the reporting view (every sum up to d.total); the blocking test
+    itself is blocks, which stops at m.
+    """
     bits = 1
     for part in d.parts:
         step = 0
@@ -87,11 +105,30 @@ def blocks(d: Decomposition, m: int) -> bool:
     """True when no admissible combination of contributions sums to m.
 
     Any m above the decomposition total is blocked automatically; m = 0 is
-    never blocked since every part may contribute nothing.
+    never blocked since every part may contribute nothing.  Only sums up to
+    m are tracked, so a part above m costs O(m), and the test stops as soon
+    as m is reached.  Equal parts are adjacent in the canonical order: once
+    one copy leaves the table unchanged, the rest of the run cannot change
+    it either (a part may always contribute 0), so those copies are skipped.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    return m not in admissible_sums(d)
+    if m > d.total:
+        return True
+    keep = (1 << m + 1) - 1
+    sums = 1
+    prev, stable = 0, False
+    for part in d.parts:
+        if stable and part == prev:
+            continue
+        step = sums
+        for j in _contributions_up_to(part, part if part < m else m):
+            step |= sums << j
+        step &= keep
+        if step >> m:
+            return False
+        prev, stable, sums = part, step == sums, step
+    return True
 
 
 def iter_decompositions(n: int) -> Iterator[Decomposition]:
@@ -142,14 +179,22 @@ class Reason(str, Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict for one implication RC_m => RC_n."""
+    """Verdict for one implication RC_m => RC_n.
+
+    achievable_for_certificate, the full admissible-sum table of the
+    certificate, is derived from the certificate on first access and then
+    kept; deciding the pair never builds it.
+    """
 
     m: int
     n: int
     verdict: Verdict
     reason: Reason
     certificate: Decomposition | None = None
-    achievable_for_certificate: AdmissibleSumSet | None = None
+
+    @cached_property
+    def achievable_for_certificate(self) -> AdmissibleSumSet | None:
+        return admissible_sums(self.certificate) if self.certificate is not None else None
 
     def to_json_obj(self) -> dict:
         obj = {"m": self.m, "n": self.n, "verdict": self.verdict.value, "reason": self.reason.value}
@@ -162,15 +207,12 @@ class Classification:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Classification":
         cert = obj.get("certificate")
-        d = Decomposition(cert["parts"]) if cert is not None else None
-        ach = admissible_sums(d) if d is not None else None
         return cls(
             m=obj["m"],
             n=obj["n"],
             verdict=Verdict(obj["verdict"]),
             reason=Reason(obj["reason"]),
-            certificate=d,
-            achievable_for_certificate=ach,
+            certificate=Decomposition(cert["parts"]) if cert is not None else None,
         )
 
 
@@ -207,18 +249,10 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHA
                 f"recipes produced a certificate for ({m}, {n}) "
                 "but the exhaustive scan found none"
             )
-    cert = trace.decomposition
-    return (
-        Classification(
-            m,
-            n,
-            Verdict.NOT_PROVABLE,
-            Reason.CERTIFICATE,
-            certificate=cert,
-            achievable_for_certificate=admissible_sums(cert),
-        ),
-        trace,
+    cls = Classification(
+        m, n, Verdict.NOT_PROVABLE, Reason.CERTIFICATE, certificate=trace.decomposition
     )
+    return cls, trace
 
 
 def _oracle_check_provable(m: int, n: int, oracle: bool, bound: int) -> None:

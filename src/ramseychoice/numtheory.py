@@ -2,13 +2,16 @@
 
 Everything here is deterministic: primality uses a fixed strong-pseudoprime
 base battery that is exact far beyond 63 bits, and the prime searches scan
-candidate ranges directly instead of sampling.
+candidate ranges directly instead of sampling.  Nothing a certificate recipe
+calls sieves: factors come from trial division and Goldbach triples from
+is_prime, one candidate at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import BoundExceeded, EmptyResult
 
@@ -53,6 +56,19 @@ def is_prime(x: int) -> bool:
         else:
             return False
     return True
+
+
+def prime_factors(n: int) -> Iterator[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            yield f
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        yield n
 
 
 def bertrand_prime(m: int) -> int:
@@ -113,33 +129,49 @@ class GoldbachTriple:
         return self.p1 != 2
 
 
-def goldbach_triples(
+def iter_goldbach_triples(
     n: int, all_odd_preferred: bool = False, bound: int = GOLDBACH_SEARCH_BOUND
-) -> list[GoldbachTriple]:
-    """All prime triples p1 <= p2 <= p3 with p1 + p2 + p3 = n, lexicographic.
+) -> Iterator[GoldbachTriple]:
+    """Prime triples p1 <= p2 <= p3 with p1 + p2 + p3 = n, lazily, lexicographic.
 
     With all_odd_preferred, triples avoiding the prime 2 come first (still in
-    lexicographic order within each group).  An empty result would falsify the
-    ternary Goldbach theorem in range and raises EmptyResult.
+    lexicographic order within each group).  Candidates are tested with
+    is_prime as they are reached, so a caller that stops at the first useful
+    triple pays only for the triples before it.  The target is checked when
+    this is called; the iterator raises EmptyResult only if it runs out
+    without yielding, which would falsify the ternary Goldbach theorem.
     """
     if n % 2 == 0 or n <= 5:
         raise ValueError(f"goldbach_triples needs an odd n > 5, got {n}")
     if n > bound:
         raise BoundExceeded(f"n = {n} exceeds the triple search bound {bound}")
-    primes = primes_up_to(n)
-    prime_set = set(primes)
-    triples = []
-    for i, p1 in enumerate(primes):
-        if 3 * p1 > n:
-            break
-        for p2 in primes[i:]:
-            p3 = n - p1 - p2
-            if p3 < p2:
-                break
-            if p3 in prime_set:
-                triples.append(GoldbachTriple(p1, p2, p3, n))
-    if not triples:
-        raise EmptyResult(f"no prime triple sums to {n}; ternary Goldbach violated in range")
+    return _walk_goldbach_triples(n, all_odd_preferred)
+
+
+def _walk_goldbach_triples(n: int, all_odd_preferred: bool) -> Iterator[GoldbachTriple]:
+    # p2 + p3 = n - 2 is odd, so (2, 2, n - 4) is the only triple holding a 2;
+    # every other triple has odd p1 <= n/3 and odd p2 <= (n - p1)/2.
+    with_two = (GoldbachTriple(2, 2, n - 4, n),) if is_prime(n - 4) else ()
+    if not all_odd_preferred:
+        yield from with_two
+    found = bool(with_two)
+    for p1 in filter(is_prime, range(3, n // 3 + 1, 2)):
+        for p2 in filter(is_prime, range(p1, (n - p1) // 2 + 1, 2)):
+            if is_prime(n - p1 - p2):
+                found = True
+                yield GoldbachTriple(p1, p2, n - p1 - p2, n)
     if all_odd_preferred:
-        triples.sort(key=lambda t: not t.all_odd)  # stable: keeps lex order per group
-    return triples
+        yield from with_two
+    if not found:
+        raise EmptyResult(f"no prime triple sums to {n}; ternary Goldbach violated in range")
+
+
+def goldbach_triples(
+    n: int, all_odd_preferred: bool = False, bound: int = GOLDBACH_SEARCH_BOUND
+) -> list[GoldbachTriple]:
+    """All prime triples summing to n, listed in iter_goldbach_triples order.
+
+    Kept for callers that want the whole set at once; an empty result raises
+    EmptyResult, as the iterator does.
+    """
+    return list(iter_goldbach_triples(n, all_odd_preferred, bound))

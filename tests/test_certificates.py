@@ -21,6 +21,7 @@ from ramseychoice.decomposition import (
     provable_by_theorem,
 )
 from ramseychoice.errors import CertificateSearchFailed, PreconditionViolated
+from ramseychoice.numtheory import primes_up_to
 
 
 def test_every_recipe_output_is_verified_blocking():
@@ -68,6 +69,17 @@ def test_recipe_prime_divisor():
     assert recipe_prime_divisor(2, 4) is None
     assert recipe_prime_divisor(6, 8) is None
     assert recipe_prime_divisor(30, 8) is None
+
+
+def test_recipe_prime_divisor_picks_the_smallest_prime():
+    # reference: the first prime up to n that divides n but not m
+    for n in range(2, 501):
+        primes = primes_up_to(n)
+        for m in range(2, 501):
+            want = next((q for q in primes if n % q == 0 and m % q != 0), None)
+            trace = recipe_prime_divisor(m, n)
+            got = None if trace is None else trace.decomposition.parts[0]
+            assert got == want, (m, n)
 
 
 def test_recipe_prime_power():

@@ -3,6 +3,8 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ramseychoice.decomposition import (
     EXHAUSTIVE_BOUND,
@@ -72,7 +74,7 @@ def test_allowed_contributions_small():
 
 
 def test_allowed_contributions_definition():
-    for part in range(2, 40):
+    for part in range(2, 300):
         want = {0} | {j for j in range(1, part + 1) if math.gcd(j, part) > 1}
         assert allowed_contributions(part) == frozenset(want)
 
@@ -101,6 +103,38 @@ def test_blocks_frozen_cases():
     assert not blocks(Decomposition([5, 3]), 0)
     with pytest.raises(ValueError):
         blocks(Decomposition([2]), -1)
+
+
+def test_blocks_is_membership_in_the_full_table():
+    for n in range(2, 23):
+        for d in iter_decompositions(n):
+            table = admissible_sums(d)
+            for m in range(0, n + 3):
+                assert blocks(d, m) == (m not in table), (d, m)
+
+
+def test_blocks_folds_runs_of_equal_parts():
+    cases = [(3,) * k for k in (1, 2, 7, 166, 167, 1999, 2000)]
+    cases += [(5,) * k + (2,) for k in (1, 3, 40, 400)]
+    cases += [(p, 3) for p in (10007, 1000003, 4194301)]
+    for parts in cases:
+        d = Decomposition(parts)
+        table = admissible_sums(d)
+        for m in [*range(0, 40), d.total - 3, d.total - 1, d.total, d.total + 1]:
+            assert blocks(d, m) == (m not in table), (parts[:3], len(parts), m)
+
+
+@given(st.lists(st.integers(2, 40), min_size=1, max_size=12), st.integers(0, 500))
+def test_blocks_is_membership_in_the_full_table_random(parts, m):
+    d = Decomposition(parts)
+    assert blocks(d, m) == (m not in admissible_sums(d))
+
+
+def test_values_on_a_sparse_wide_table():
+    table = admissible_sums(Decomposition((4194301, 3)))
+    assert table.values() == [0, 3, 4194301, 4194304]
+    dense = admissible_sums(Decomposition((12, 9, 4)))
+    assert dense.values() == [s for s in range(dense.total + 1) if dense.bits >> s & 1]
 
 
 def test_iter_decompositions_order_and_count():
@@ -202,6 +236,12 @@ def test_classification_json_round_trip():
         obj = c.to_json_obj()
         back = Classification.from_json_obj(obj)
         assert back == c
+        # the derived table survives the trip and matches the certificate
+        assert back.to_json_obj() == obj
+        if c.certificate is None:
+            assert back.achievable_for_certificate is None
+        else:
+            assert back.achievable_for_certificate == admissible_sums(c.certificate)
         # serialization is stable through the text form
         assert json.loads(json.dumps(obj)) == obj
 

@@ -7,6 +7,8 @@ from ramseychoice.numtheory import (
     bertrand_prime,
     goldbach_triples,
     is_prime,
+    iter_goldbach_triples,
+    prime_factors,
     primes_up_to,
 )
 
@@ -120,3 +122,51 @@ def test_goldbach_sweep_never_empty():
     # ternary Goldbach has no odd exceptions above 5 in this range
     for n in range(7, 2000, 2):
         assert goldbach_triples(n)
+
+
+def sieve_goldbach_triples(n, all_odd_preferred):
+    """Sieve-based enumeration: the reference for iter_goldbach_triples."""
+    primes = primes_up_to(n)
+    prime_set = set(primes)
+    triples = []
+    for i, p1 in enumerate(primes):
+        if 3 * p1 > n:
+            break
+        for p2 in primes[i:]:
+            p3 = n - p1 - p2
+            if p3 < p2:
+                break
+            if p3 in prime_set:
+                triples.append((p1, p2, p3))
+    if all_odd_preferred:
+        triples.sort(key=lambda t: t[0] == 2)
+    return triples
+
+
+def test_iter_goldbach_triples_matches_sieve_enumeration():
+    for n in range(7, 602, 2):
+        for preferred in (False, True):
+            got = [t.as_tuple() for t in iter_goldbach_triples(n, preferred)]
+            assert got == sieve_goldbach_triples(n, preferred), (n, preferred)
+            assert [t.as_tuple() for t in goldbach_triples(n, preferred)] == got
+
+
+def test_iter_goldbach_triples_checks_target_on_call():
+    # the target is validated before the first triple is asked for
+    with pytest.raises(ValueError):
+        iter_goldbach_triples(12)
+    with pytest.raises(BoundExceeded):
+        iter_goldbach_triples(9, bound=7)
+    # the first triple of a target near the bound comes without listing the rest
+    n = GOLDBACH_SEARCH_BOUND - 1
+    assert next(iter_goldbach_triples(n, all_odd_preferred=True)).as_tuple() == (3, 13, n - 16)
+    assert not any(is_prime(p) and is_prime(n - 3 - p) for p in range(3, 13, 2))
+
+
+def test_prime_factors_by_trial_division():
+    assert list(prime_factors(1)) == []
+    assert list(prime_factors(2**22)) == [2]
+    assert list(prime_factors(1_000_000)) == [2, 5]
+    assert list(prime_factors(4194301)) == [4194301]
+    for n in range(1, 600):
+        assert list(prime_factors(n)) == [p for p in primes_up_to(n) if n % p == 0], n
