@@ -1,14 +1,15 @@
 """Constructive blocking certificates, one recipe per proof case.
 
 Every recipe has the signature recipe_*(m, n) -> RecipeTrace | None.  A
-recipe replays the arithmetic of its case to propose decompositions and
-checks each proposal with exactly one blocking test; it returns the first
-trace that blocks m, or None when (m, n) is not its case or no branch
-verified.  A wrong guess can therefore cost completeness but never
-soundness.  The four recipes whose theorem guarantees blocking (greater,
-prime divisor, prime power, Fermat shift) and the exhaustive fallback go
-through RecipeTrace.verified, which raises instead of declining: a failure
-there is a bug, not a decline.
+recipe replays its proof once: it takes the case the proof picks (one
+Goldbach triple, one prime), proposes the decompositions of that case in
+proof order, and checks each proposal with exactly one blocking test.  It
+returns the first trace that blocks m, or None when (m, n) is not its case.
+A wrong guess can therefore cost completeness but never soundness.  Where
+the theorem guarantees blocking (greater, prime divisor, prime power, Fermat
+shift, the four-part dense split) and in the exhaustive fallback, the
+proposal goes through RecipeTrace.verified, which raises instead of
+declining: a failure there is a bug, not a decline.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .decomposition import (
     Decomposition,
     blocks,
     find_blocking_decomposition,
+    provable_by_theorem,
 )
 from .errors import CertificateSearchFailed, PreconditionViolated
 from .numtheory import bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
@@ -135,34 +137,32 @@ def recipe_prime_power(m: int, n: int) -> RecipeTrace | None:
 
 
 def recipe_odd(m: int, n: int) -> RecipeTrace | None:
-    """Odd n >= 7: branch over its Goldbach triples, produced lazily.
+    """Odd n >= 7: the first Goldbach triple (p1, p2, p3), all odd if possible.
 
-    Per triple (p1, p2, p3) the branches are tried in proof order: the triple
-    itself; for an all-equal triple (p, p, p) the shifted split (3p - 2) + 2;
-    the single part {n}; and finally the regrouped split (pj + pk) + pi over
-    the orderings with pk < pi and pk dividing pi + pj.  The first branch that
-    verifies wins; a triple with no verified branch is recorded and the next
-    triple is tried.
+    Branches in proof order: the triple; for (p, p, p) the split (3p - 2) + 2;
+    the single part {n}; the regroups (pj + pk) + pi with pk < pi, pk | pi + pj.
+    One triple settles every m != n.  The triple blocks m unless m is a
+    sub-sum, and {n} unless gcd(m, n) > 1; both fail only if some pi divides
+    pj + pk and m is pi or n - pi.  Then (3p - 2) + 2 blocks p and 2p, or some
+    a in {pj, pk} exceeds pi and the regroup with c = pi blocks m unless the
+    other prime b = c, which would force pi | a.  Nothing blocks m = n or 0.
     """
     if n % 2 == 0 or n < 7:
         return None
-    narrative = []
-    for t in iter_goldbach_triples(n, all_odd_preferred=True):
-        p1, p2, p3 = t.as_tuple()
-        narrative.append(f"goldbach triple ({p1}, {p2}, {p3})")
-        proposals = [((p1, p2, p3), "triple blocks m directly")]
-        if p1 == p2 == p3:
-            proposals.append(((3 * p1 - 2, 2), f"all-equal case: split {n} = {3 * p1 - 2} + 2"))
-        proposals.append(((n,), f"single part {n} blocks m"))
-        for a, b, c in dict.fromkeys(permutations((p1, p2, p3))):
-            if c < a and (a + b) % c == 0:
-                line = f"regrouped: {c} < {a} and {c} divides {a} + {b}; split {n} = {b + c} + {a}"
-                proposals.append(((b + c, a), line))
-        for parts, success in proposals:
-            trace = _trace_if_blocking(m, n, Recipe.ODD, parts, narrative, success)
-            if trace is not None:
-                return trace
-        narrative.append("no branch verified for this triple")
+    p1, p2, p3 = next(iter_goldbach_triples(n, all_odd_preferred=True)).as_tuple()
+    narrative = [f"goldbach triple ({p1}, {p2}, {p3})"]
+    proposals = [((p1, p2, p3), "triple blocks m directly")]
+    if p1 == p2 == p3:
+        proposals.append(((3 * p1 - 2, 2), f"all-equal case: split {n} = {3 * p1 - 2} + 2"))
+    proposals.append(((n,), f"single part {n} blocks m"))
+    for a, b, c in dict.fromkeys(permutations((p1, p2, p3))):
+        if c < a and (a + b) % c == 0:
+            line = f"regrouped: {c} < {a} and {c} divides {a} + {b}; split {n} = {b + c} + {a}"
+            proposals.append(((b + c, a), line))
+    for parts, success in proposals:
+        trace = _trace_if_blocking(m, n, Recipe.ODD, parts, narrative, success)
+        if trace is not None:
+            return trace
     return None
 
 
@@ -189,59 +189,58 @@ def recipe_fermat_shift(m: int, n: int) -> RecipeTrace | None:
 def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
     """Even m < n with an odd prime strictly between them (and below n - 1).
 
-    The odd primes p with m < p < n - 1 are tried in descending order, so
-    small n - p first.  When n - p is 3 or 5 the two-part split works at
-    once; otherwise n - p is split by a Goldbach triple, and if that fails
-    with n - p >= m the odd-case machinery handles (m, n - p) and p is
-    appended to its certificate.
+    Only the largest such prime p is tried: for m >= 2 it always verifies.
+    p > m contributes 0.  If n - p is 3 or 5, the split p + (n - p) blocks
+    the even m.  Otherwise p plus each Goldbach triple of n - p is tried, and
+    the first blocks any m > n - p.  If none blocks, m < n - p (m is even,
+    n - p odd), and recipe_odd(m, n - p) never declines, so its certificate
+    with p appended blocks m.
     """
     if m % 2 != 0 or n % 2 != 0:
         return None
-    narrative = []
-    for p in range(n - 3, m, -2):
-        if not is_prime(p):
-            continue
-        narrative.append(f"prime {p} between m = {m} and n = {n}")
-        if n - p in (3, 5):
-            trace = _trace_if_blocking(
-                m, n, Recipe.EVEN_GAP, (p, n - p), narrative, f"split {n} = {p} + {n - p}"
-            )
-            if trace is not None:
-                return trace
-        else:
-            for t in iter_goldbach_triples(n - p, all_odd_preferred=True):
-                trace = _trace_if_blocking(
-                    m, n, Recipe.EVEN_GAP, (p,) + t.as_tuple(), narrative,
-                    f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}",
-                )
-                if trace is not None:
-                    return trace
-            inner = recipe_odd(m, n - p) if n - p >= m else None
-            if inner is not None:
-                trace = _trace_if_blocking(
-                    m, n, Recipe.EVEN_GAP, (p,) + inner.decomposition.parts, narrative,
-                    f"odd-case certificate {inner.decomposition} for ({m}, {n - p}); append {p}",
-                )
-                if trace is not None:
-                    return trace
-        narrative.append(f"no branch verified for p = {p}")
-    return None
+    p = next((q for q in range(n - 3, m, -2) if is_prime(q)), None)
+    if p is None:
+        return None
+    narrative = [f"prime {p} between m = {m} and n = {n}"]
+    if n - p in (3, 5):
+        return _trace_if_blocking(
+            m, n, Recipe.EVEN_GAP, (p, n - p), narrative, f"split {n} = {p} + {n - p}"
+        )
+    for t in iter_goldbach_triples(n - p, all_odd_preferred=True):
+        trace = _trace_if_blocking(
+            m, n, Recipe.EVEN_GAP, (p,) + t.as_tuple(), narrative,
+            f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}",
+        )
+        if trace is not None:
+            return trace
+    inner = recipe_odd(m, n - p)
+    if inner is None:
+        return None
+    return _trace_if_blocking(
+        m, n, Recipe.EVEN_GAP, (p,) + inner.decomposition.parts, narrative,
+        f"odd-case certificate {inner.decomposition} for ({m}, {n - p}); append {p}",
+    )
 
 
 def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
     """Even pair with n/2 <= m < n - 4: the dense cascade.
 
     Take the prime p just above n/2; when p < m, try the direct split
-    p + (n - p) if m - p is an odd prime, and otherwise the four-part splits
-    p plus a Goldbach triple of n - p.  The n - m > 4 guard keeps n - p >= 7,
-    the smallest odd target iter_goldbach_triples accepts.
+    p + (n - p) if m - p is an odd prime, and otherwise the four-part split
+    p plus the first Goldbach triple of n - p.  The n - m > 4 guard keeps
+    n - p >= 7, the smallest odd target iter_goldbach_triples accepts.
+
+    The four-part split always blocks: n - p < n/2 <= m, so p must
+    contribute and the triple supply the odd m - p, here 1 or composite; but
+    each odd sub-sum of the first triple (all odd, or (2, 2, 3) for n - p = 7)
+    is a prime or n - p, and m - p = n - p would mean m = n.
 
     Cases this recipe declines, because dispatch never sends them here:
     - a gap n - m that is a power of two with 2^k + 1 prime (2, 4, 16, ...)
       is the Fermat shift case, which runs earlier and always succeeds;
     - p = n - 1 happens only for n <= 6, below the guard;
-    - p >= m makes p an even-gap candidate, and the even-gap recipe won
-      every such pair with n <= 4000;
+    - p >= m makes p an odd prime in (m, n - 1), and with one of those the
+      even-gap recipe never declines (see its proof);
     - when m - p is an odd prime dividing n - p the direct split admits m;
       no even pair with n <= 4000 reaches this recipe in that state.
     """
@@ -257,14 +256,11 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
             m, n, Recipe.EVEN_DENSE, (p, n - p), narrative, f"direct split {n} = {p} + {n - p}"
         )
     narrative.append(f"m - p = {m - p} is not an odd prime; four-part splits")
-    for t in iter_goldbach_triples(n - p, all_odd_preferred=True):
-        trace = _trace_if_blocking(
-            m, n, Recipe.EVEN_DENSE, (p,) + t.as_tuple(), narrative,
-            f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}",
-        )
-        if trace is not None:
-            return trace
-    return None
+    t = next(iter_goldbach_triples(n - p, all_odd_preferred=True))
+    narrative.append(f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}")
+    return RecipeTrace.verified(
+        m, n, Recipe.EVEN_DENSE, Decomposition((p,) + t.as_tuple()), narrative
+    )
 
 
 # Dispatch follows the order in which the cases eliminate pairs: a larger m,
@@ -289,7 +285,7 @@ def build_certificate(m: int, n: int, bound: int = EXHAUSTIVE_BOUND) -> RecipeTr
     """
     if m < 1 or n < 1:
         raise PreconditionViolated(f"need positive m and n, got ({m}, {n})")
-    if m == n or (m, n) == (2, 4):
+    if provable_by_theorem(m, n):
         raise PreconditionViolated(f"({m}, {n}) is provable; no blocking certificate exists")
     for recipe in _DISPATCH:
         trace = recipe(m, n)

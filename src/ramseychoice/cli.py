@@ -22,6 +22,7 @@ from .certificates import Recipe, build_certificate
 from .decomposition import (
     EXHAUSTIVE_BOUND,
     Decomposition,
+    Reason,
     Verdict,
     classify_detailed,
 )
@@ -61,7 +62,7 @@ def cmd_classify(args) -> int:
         _print_json(cls_.to_json_obj())
         return 0
     if cls_.verdict == Verdict.PROVABLE:
-        tag = "diagonal" if cls_.m == cls_.n else "pair-to-four construction"
+        tag = "diagonal" if cls_.reason == Reason.DIAGONAL else "pair-to-four construction"
         print(f"RC_{cls_.m} => RC_{cls_.n}: provable ({tag})")
     else:
         print(f"RC_{cls_.m} => RC_{cls_.n}: not provable (blocked by {cls_.certificate})")

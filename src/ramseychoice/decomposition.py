@@ -17,12 +17,15 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterator
 
-from .errors import BoundExceeded, CertificateSearchFailed, InvalidPart, OracleDisagreement
+from .errors import BoundExceeded, InvalidPart, OracleDisagreement
 from .numtheory import prime_factors
 
 # Largest n for which the exhaustive partition scan runs by default; the
 # partition count stays in the low millions up to here.
 EXHAUSTIVE_BOUND = 64
+
+# Largest len(parts) * total admissible_sums builds; admits classify 4 1000000 --json.
+TABLE_WORK_BOUND = 2**38
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,11 @@ def admissible_sums(d: Decomposition) -> AdmissibleSumSet:
     """Full subset-sum table over the per-part allowed contributions.
 
     This is the reporting view (every sum up to d.total); the blocking test
-    itself is blocks, which stops at m.
+    itself is blocks, which stops at m.  A table whose cost len(d.parts) *
+    d.total exceeds TABLE_WORK_BOUND raises BoundExceeded before any work.
     """
+    if len(d.parts) * d.total > TABLE_WORK_BOUND:
+        raise BoundExceeded(f"{len(d.parts)} parts of total {d.total} exceed the table work bound")
     bits = 1
     for part in d.parts:
         step = 0
@@ -216,53 +222,48 @@ class Classification:
         )
 
 
+def provable_reason(m: int, n: int) -> Reason | None:
+    """Why RC_m => RC_n is provable (diagonal, or the pair-to-four rule), else None."""
+    if m == n:
+        return Reason.DIAGONAL
+    return Reason.RC24 if (m, n) == (2, 4) else None
+
+
 def provable_by_theorem(m: int, n: int) -> bool:
-    """The closed-form provability predicate: m = n or (m, n) = (2, 4)."""
-    return m == n or (m, n) == (2, 4)
+    """True when provable_reason gives a reason for the pair."""
+    return provable_reason(m, n) is not None
 
 
 def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHAUSTIVE_BOUND):
     """Classify one pair and keep the recipe trace for reporting.
 
-    Returns (Classification, RecipeTrace | None).  With oracle=True the
-    exhaustive partition scan runs alongside the constructive recipes and any
-    disagreement is raised as a hard failure.
+    Returns (Classification, RecipeTrace | None).  With oracle=True and
+    n <= bound the exhaustive partition scan runs after the verdict, and a
+    disagreement (a blocking decomposition of a provable pair, or none for a
+    certified one) is raised as a hard failure.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need positive m and n, got ({m}, {n})")
-    if m == n:
-        cls = Classification(m, n, Verdict.PROVABLE, Reason.DIAGONAL)
-        _oracle_check_provable(m, n, oracle, bound)
-        return cls, None
-    if (m, n) == (2, 4):
-        cls = Classification(m, n, Verdict.PROVABLE, Reason.RC24)
-        _oracle_check_provable(m, n, oracle, bound)
-        return cls, None
+    reason = provable_reason(m, n)
+    if reason is not None:
+        cls, trace = Classification(m, n, Verdict.PROVABLE, reason), None
+    else:
+        from . import certificates  # deferred: certificates imports this module
 
-    from . import certificates  # deferred: certificates imports this module
-
-    trace = certificates.build_certificate(m, n, bound=bound)
+        trace = certificates.build_certificate(m, n, bound=bound)
+        cls = Classification(
+            m, n, Verdict.NOT_PROVABLE, Reason.CERTIFICATE, certificate=trace.decomposition
+        )
     if oracle and n <= bound:
-        exhaustive = find_blocking_decomposition(m, n, bound=bound)
-        if exhaustive is None:
+        witness = find_blocking_decomposition(m, n, bound=bound)
+        if (witness is None) != (trace is None):
             raise OracleDisagreement(
-                f"recipes produced a certificate for ({m}, {n}) "
+                f"({m}, {n}) should be provable but {witness} blocks m = {m}"
+                if trace is None
+                else f"recipes produced a certificate for ({m}, {n}) "
                 "but the exhaustive scan found none"
             )
-    cls = Classification(
-        m, n, Verdict.NOT_PROVABLE, Reason.CERTIFICATE, certificate=trace.decomposition
-    )
     return cls, trace
-
-
-def _oracle_check_provable(m: int, n: int, oracle: bool, bound: int) -> None:
-    if not oracle or n > bound:
-        return
-    witness = find_blocking_decomposition(m, n, bound=bound)
-    if witness is not None:
-        raise OracleDisagreement(
-            f"({m}, {n}) should be provable but {witness} blocks m = {m}"
-        )
 
 
 def classify(m: int, n: int, *, oracle: bool = False, bound: int = EXHAUSTIVE_BOUND) -> Classification:

@@ -11,7 +11,7 @@ import io
 from dataclasses import dataclass
 
 from .certificates import Recipe
-from .decomposition import EXHAUSTIVE_BOUND, Verdict, classify_detailed
+from .decomposition import EXHAUSTIVE_BOUND, Reason, Verdict, classify_detailed, provable_reason
 from .errors import OracleDisagreement
 
 
@@ -23,12 +23,6 @@ class ScanRow:
     reason: str
     recipe: str | None = None
     parts: tuple[int, ...] | None = None
-
-
-def _reason_for(m: int, n: int, verdict: str) -> str:
-    if verdict == Verdict.PROVABLE.value:
-        return "diagonal" if m == n else "rc24"
-    return "certificate"
 
 
 @dataclass
@@ -101,19 +95,22 @@ class ScanReport:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, max_m: int, max_n: int) -> "ScanReport":
+    def from_csv(cls, text: str) -> "ScanReport":
+        """Read a to_csv table back; max_m and max_n are the largest m and n in it."""
         reader = csv.reader(text.splitlines())
-        header = next(reader)
+        header = next(reader, None)
         if header != ["m", "n", "verdict", "recipe", "parts"]:
             raise ValueError(f"unexpected CSV header {header}")
         rows = []
         for raw in reader:
             m, n = int(raw[0]), int(raw[1])
-            verdict = raw[2]
+            reason = provable_reason(m, n) or Reason.CERTIFICATE
             recipe = raw[3] or None
             parts = tuple(int(x) for x in raw[4].split("+")) if raw[4] else None
-            rows.append(ScanRow(m, n, verdict, _reason_for(m, n, verdict), recipe, parts))
-        return cls(max_m, max_n, rows)
+            rows.append(ScanRow(m, n, raw[2], reason.value, recipe, parts))
+        if not rows:
+            raise ValueError("the CSV holds no rows, so the grid size is unknown")
+        return cls(max(r.m for r in rows), max(r.n for r in rows), rows)
 
     def summary_lines(self) -> list[str]:
         lines = [

@@ -21,7 +21,7 @@ from ramseychoice.decomposition import (
     provable_by_theorem,
 )
 from ramseychoice.errors import CertificateSearchFailed, PreconditionViolated
-from ramseychoice.numtheory import primes_up_to
+from ramseychoice.numtheory import bertrand_prime, is_prime, primes_up_to
 
 
 def test_every_recipe_output_is_verified_blocking():
@@ -110,6 +110,16 @@ def test_recipe_odd_branches():
     assert recipe_odd(2, 5) is None
 
 
+def test_recipe_odd_needs_one_triple():
+    # the proof in recipe_odd: the first triple settles every m < n
+    for n in range(7, 302, 2):
+        for m in range(1, n):
+            tr = recipe_odd(m, n)
+            assert tr is not None, (m, n)
+            assert sum(line.startswith("goldbach triple") for line in tr.narrative) == 1
+        assert recipe_odd(n, n) is None
+
+
 def test_recipe_fermat_shift():
     assert recipe_fermat_shift(4, 8).decomposition.parts == (5, 3)
     assert recipe_fermat_shift(6, 8).decomposition.parts == (5, 3)
@@ -130,6 +140,32 @@ def test_recipe_even_gap():
     assert recipe_even_gap(10, 1250).decomposition.parts == (1237, 13)
     assert recipe_even_gap(2, 4) is None  # no odd prime in (2, 3)
     assert recipe_even_gap(3, 10) is None  # odd m
+
+
+def test_recipe_even_gap_needs_one_prime():
+    # the proof in recipe_even_gap: the largest odd prime in (m, n - 1) verifies
+    for n in range(4, 301, 2):
+        for m in range(2, n, 2):
+            if not any(is_prime(p) for p in range(m + 1, n - 1)):
+                assert recipe_even_gap(m, n) is None, (m, n)
+                continue
+            tr = recipe_even_gap(m, n)
+            assert tr is not None, (m, n)
+            assert sum(line.startswith("prime ") for line in tr.narrative) == 1
+
+
+def test_recipe_even_dense_four_part_split_always_blocks():
+    # the proof in recipe_even_dense: the first Goldbach triple of n - p blocks
+    checked = 0
+    for n in range(6, 301, 2):
+        p = bertrand_prime(n // 2)
+        for m in range(n // 2 + n // 2 % 2, n - 4, 2):
+            if p < m and not (m - p > 2 and is_prime(m - p)):
+                tr = recipe_even_dense(m, n)
+                assert tr is not None, (m, n)
+                assert len(tr.decomposition.parts) == 4
+                checked += 1
+    assert checked > 1000
 
 
 def test_recipe_even_dense():

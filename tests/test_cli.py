@@ -130,6 +130,36 @@ def test_scan_oracle_agreement_line(capsys):
     assert out.rstrip().endswith("oracle agreement: 49/49")
 
 
+def _oracle_finds_nothing(monkeypatch):
+    import ramseychoice.decomposition as dm
+
+    monkeypatch.setattr(dm, "find_blocking_decomposition", lambda m, n, bound: None)
+
+
+def test_scan_records_oracle_disagreements(monkeypatch):
+    clean, _ = run_scan(3, 3)
+    _oracle_finds_nothing(monkeypatch)
+    report, disagreements = run_scan(3, 3, oracle=True)
+    # every row is still emitted, exactly as without the oracle
+    assert report == clean
+    assert disagreements == [
+        (m, n, f"recipes produced a certificate for ({m}, {n}) but the exhaustive scan found none")
+        for m, n in [(2, 3), (3, 2)]
+    ]
+
+
+def test_scan_oracle_disagreement_exits_one(capsys, monkeypatch):
+    _oracle_finds_nothing(monkeypatch)
+    code, out, err = run(capsys, "scan", "3", "3", "--oracle")
+    assert code == 1
+    assert out.rstrip().endswith("oracle agreement: 2/4")
+    assert err.splitlines() == [
+        f"oracle disagreement at ({m},{n}): recipes produced a certificate for ({m}, {n}) "
+        "but the exhaustive scan found none"
+        for m, n in [(2, 3), (3, 2)]
+    ]
+
+
 def test_scan_constructive_only_clean(capsys):
     code, out, _ = run(capsys, "scan", "12", "12", "--constructive-only")
     assert code == 0
@@ -145,10 +175,17 @@ def test_scan_json_round_trip():
 
 def test_scan_csv_round_trip():
     report, _ = run_scan(9, 9)
-    back = ScanReport.from_csv(report.to_csv(), 9, 9)
+    back = ScanReport.from_csv(report.to_csv())
     assert back == report
+    # the grid size comes from the rows, so a non-square grid survives too
+    report, _ = run_scan(3, 6)
+    assert ScanReport.from_csv(report.to_csv()) == report
     with pytest.raises(ValueError):
-        ScanReport.from_csv("a,b\n1,2\n", 2, 2)
+        ScanReport.from_csv("a,b\n1,2\n")
+    with pytest.raises(ValueError):
+        ScanReport.from_csv("m,n,verdict,recipe,parts\n")
+    with pytest.raises(ValueError):
+        ScanReport.from_csv("")
 
 
 def test_scan_row_counts():
@@ -237,6 +274,21 @@ def test_verify_goldbach_bound_exits_three(capsys):
     code, _, err = run(capsys, "verify", "goldbach", "--max", "11", "--bound", "7")
     assert code == 3
     assert err
+
+
+def test_classify_json_refuses_huge_tables(capsys):
+    # the text verdict is cheap; the full admissible-sum table is not
+    code, out, _ = run(capsys, "classify", "4", "1099511627776")
+    assert code == 0
+    assert out.startswith("RC_4 => RC_1099511627776: not provable (blocked by ")
+    # two parts summing to 2^40: the table alone would need 2^40 bits
+    code, out, err = run(capsys, "classify", "4", "1099511627776", "--json")
+    assert (code, out) == (3, "")
+    assert "table work bound" in err
+    # 10^6 parts of 3: the table would take minutes
+    code, out, err = run(capsys, "classify", "4", "3000000", "--json")
+    assert (code, out) == (3, "")
+    assert "1000000 parts of total 3000000" in err
 
 
 def test_classify_bad_args_exit_two(capsys):

@@ -20,11 +20,13 @@ from ramseychoice.decomposition import (
     find_blocking_decomposition,
     iter_decompositions,
     provable_by_theorem,
+    provable_reason,
 )
 from ramseychoice.errors import (
     BoundExceeded,
     CertificateSearchFailed,
     InvalidPart,
+    OracleDisagreement,
 )
 
 
@@ -192,6 +194,14 @@ def test_provable_by_theorem():
     assert not provable_by_theorem(4, 2)
     assert not provable_by_theorem(2, 5)
     assert not provable_by_theorem(3, 9)
+    # provable_reason is the one home of the closed form; classify reports it
+    for m in range(1, 40):
+        for n in range(1, 40):
+            want = Reason.DIAGONAL if m == n else Reason.RC24 if (m, n) == (2, 4) else None
+            assert provable_reason(m, n) is want, (m, n)
+            assert provable_by_theorem(m, n) == (want is not None)
+            if n >= 2:
+                assert classify(m, n).reason == (want or Reason.CERTIFICATE)
 
 
 def test_classify_verdicts():
@@ -213,6 +223,33 @@ def test_classify_oracle_mode_agrees_everywhere():
             b = classify(m, n, oracle=True)
             assert a.verdict == b.verdict
             assert a.certificate == b.certificate
+
+
+def test_oracle_disagreement_on_a_provable_pair(monkeypatch):
+    import ramseychoice.decomposition as dm
+
+    monkeypatch.setattr(dm, "find_blocking_decomposition", lambda m, n, bound: Decomposition((n,)))
+    with pytest.raises(OracleDisagreement) as info:
+        classify_detailed(4, 4, oracle=True)
+    assert str(info.value) == "(4, 4) should be provable but 4 blocks m = 4"
+    with pytest.raises(OracleDisagreement) as info:
+        classify(2, 4, oracle=True)
+    assert str(info.value) == "(2, 4) should be provable but 4 blocks m = 2"
+    # the oracle only runs when asked, and only within its bound
+    assert classify(4, 4).verdict == Verdict.PROVABLE
+    assert classify(70, 70, oracle=True).verdict == Verdict.PROVABLE
+
+
+def test_oracle_disagreement_on_a_certified_pair(monkeypatch):
+    import ramseychoice.decomposition as dm
+
+    monkeypatch.setattr(dm, "find_blocking_decomposition", lambda m, n, bound: None)
+    with pytest.raises(OracleDisagreement) as info:
+        classify_detailed(3, 7, oracle=True)
+    assert str(info.value) == (
+        "recipes produced a certificate for (3, 7) but the exhaustive scan found none"
+    )
+    assert classify(3, 7).certificate.parts == (7,)
 
 
 def test_classify_rejects_nonpositive():
@@ -244,6 +281,22 @@ def test_classification_json_round_trip():
             assert back.achievable_for_certificate == admissible_sums(c.certificate)
         # serialization is stable through the text form
         assert json.loads(json.dumps(obj)) == obj
+
+
+def test_admissible_sums_estimates_its_work_first(monkeypatch):
+    import ramseychoice.decomposition as dm
+
+    # classify 4 1000000 --json (200,000 parts of 5) is admitted, and
+    # classify 4 3000000 --json (10^6 parts of 3) is not
+    assert 200_000 * 10**6 <= dm.TABLE_WORK_BOUND < 10**6 * 3 * 10**6
+    d = Decomposition((5, 3))  # 2 parts, total 8: work 16
+    monkeypatch.setattr(dm, "TABLE_WORK_BOUND", 16)
+    assert admissible_sums(d).values() == [0, 3, 5, 8]
+    monkeypatch.setattr(dm, "TABLE_WORK_BOUND", 15)
+    with pytest.raises(BoundExceeded):
+        admissible_sums(d)
+    # the blocking test never builds the table
+    assert blocks(d, 4)
 
 
 def test_classification_json_key_order():
