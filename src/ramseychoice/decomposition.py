@@ -240,7 +240,7 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHA
     Returns (Classification, RecipeTrace | None).  With oracle=True and
     n <= bound the exhaustive partition scan runs after the verdict, and a
     disagreement (a blocking decomposition of a provable pair, or none for a
-    certified one) is raised as a hard failure.
+    certified one) is raised as a hard failure that carries the recipe result.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need positive m and n, got ({m}, {n})")
@@ -261,7 +261,8 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHA
                 f"({m}, {n}) should be provable but {witness} blocks m = {m}"
                 if trace is None
                 else f"recipes produced a certificate for ({m}, {n}) "
-                "but the exhaustive scan found none"
+                "but the exhaustive scan found none",
+                result=(cls, trace),
             )
     return cls, trace
 

@@ -30,7 +30,15 @@ class CertificateSearchFailed(RamseyChoiceError):
 
 
 class OracleDisagreement(RamseyChoiceError):
-    """Two independent computations of the same fact disagreed."""
+    """Two independent computations of the same fact disagreed.
+
+    Carries the pair's recipe result as `result`: the (Classification,
+    RecipeTrace | None) that classify_detailed would have returned.
+    """
+
+    def __init__(self, message, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 class NotBlocking(RamseyChoiceError):

@@ -141,7 +141,7 @@ def run_scan(max_m: int, max_n: int, *, bound: int = EXHAUSTIVE_BOUND, oracle: b
                 cls_, trace = classify_detailed(m, n, oracle=oracle, bound=bound)
             except OracleDisagreement as exc:
                 disagreements.append((m, n, str(exc)))
-                cls_, trace = classify_detailed(m, n, oracle=False, bound=bound)
+                cls_, trace = exc.result
             recipe = trace.recipe.value if trace is not None else None
             parts = trace.decomposition.parts if trace is not None else None
             rows.append(

@@ -15,10 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 
 from .decomposition import Decomposition
 from .errors import BoundExceeded, CapExceeded, NotBlocking
+
+# build_cyclic_model refuses tables of more atoms (m-subsets times m) before any
+# work; atoms, not subsets, because m near the domain gives few, huge subsets.
+MODEL_ATOM_BOUND = 10**6
 
 
 @dataclass(frozen=True, eq=True)
@@ -69,15 +73,21 @@ def find_embeddings(sub: SelectorModel, target: SelectorModel) -> list[tuple[int
     """
     if sub.m != target.m:
         raise ValueError("arity mismatch")
-    out = []
-    for images in permutations(target.domain, len(sub.domain)):
-        phi = dict(zip(sub.domain, images))
-        if all(
-            target.sel[tuple(sorted(phi[a] for a in P))] == phi[x]
-            for P, x in sub.sel.items()
-        ):
-            out.append(images)
-    return out
+    return [
+        images
+        for images in permutations(target.domain, len(sub.domain))
+        if _carries(dict(zip(sub.domain, images)), sub.sel, target.sel, sub.m)
+    ]
+
+
+def _image(phi, P) -> tuple[int, ...]:
+    """The subset phi(P), sorted; phi maps atoms by indexing (tuple or dict)."""
+    return tuple(sorted([phi[a] for a in P]))
+
+
+def _carries(phi: dict, sel, target_sel, m: int) -> bool:
+    """Is target_sel[phi(P)] = phi(sel[P]) for every m-subset P of phi's atoms?"""
+    return all(target_sel[_image(phi, P)] == phi[sel[P]] for P in combinations(sorted(phi), m))
 
 
 def are_isomorphic(a: SelectorModel, b: SelectorModel) -> bool:
@@ -103,12 +113,6 @@ class CyclicAutomorphism:
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles)) if self.cycles else 1
 
-    def apply(self, x: int) -> int:
-        return self.sigma[x]
-
-    def apply_subset(self, P) -> tuple[int, ...]:
-        return tuple(sorted(self.sigma[a] for a in P))
-
     def dump(self) -> str:
         s_line = "S={%s}" % ",".join(map(str, self.fixed))
         cyc = ";".join("(%s)" % ",".join(map(str, c)) for c in self.cycles)
@@ -127,56 +131,55 @@ def build_cyclic_model(m: int, S_size: int, d: Decomposition) -> CyclicAutomorph
     decomposition fails to block m; that is reported as NotBlocking, making
     this construction an independent oracle for the blocking test.  If m
     exceeds the domain size there are no m-subsets and the model is valid
-    vacuously.
+    vacuously.  BoundExceeded is raised before any work when the m-subsets
+    hold more than MODEL_ATOM_BOUND atoms in all.
     """
     if m < 1:
         raise ValueError(f"arity must be >= 1, got {m}")
     if S_size < 0:
         raise ValueError(f"S_size must be >= 0, got {S_size}")
-    domain = tuple(range(S_size + d.total))
-    sigma = list(range(len(domain)))
+    N = S_size + d.total
+    # C(N, m) >= 2^min(m, N - m); testing that first spares a huge exact binomial
+    if 2 ** min(m, N - m) > MODEL_ATOM_BOUND or math.comb(N, m) * m > MODEL_ATOM_BOUND:
+        raise BoundExceeded(f"C({N}, {m}) m-subsets hold more than {MODEL_ATOM_BOUND} atoms")
+    domain = tuple(range(N))
+    sigma = list(domain)
+    cycle_of = [None] * S_size  # atom -> index of its cycle
     cycles = []
-    start = S_size
-    for length in d.parts:
+    for start, length in zip(accumulate(d.parts, initial=S_size), d.parts):
         block = tuple(range(start, start + length))
         for i, a in enumerate(block):
             sigma[a] = block[(i + 1) % length]
+        cycle_of.extend([len(cycles)] * length)
         cycles.append(block)
-        start += length
 
     sel: dict[tuple[int, ...], int] = {}
     for P in combinations(domain, m):
         if P in sel:
             continue
-        in_s = [a for a in P if a < S_size]
-        if in_s:
-            sel[P] = in_s[0]
+        if P[0] < S_size:
+            sel[P] = P[0]  # the least S-element
             continue
-        chosen = None
-        meets = []
-        for block, length in zip(cycles, d.parts):
-            inter = [a for a in P if block[0] <= a <= block[-1]]
-            meets.append(len(inter))
-            if chosen is None and math.gcd(len(inter), length) == 1:
-                chosen = inter[0]
+        meets: dict[int, list[int]] = {}  # P n C per cycle C met, in cycle order
+        for a in P:
+            meets.setdefault(cycle_of[a], []).append(a)
+        coprime = (xs[0] for i, xs in meets.items() if math.gcd(len(xs), d.parts[i]) == 1)
+        chosen = next(coprime, None)
         if chosen is None:
+            sizes = tuple(len(meets.get(i, ())) for i in range(len(cycles)))
             raise NotBlocking(
-                f"subset {P} meets the cycles in sizes {tuple(meets)}, each sharing a "
+                f"subset {P} meets the cycles in sizes {sizes}, each sharing a "
                 f"factor with its cycle length; {d} admits m = {m}"
             )
         sel[P] = chosen
-        # Push the choice around the orbit of P; the closure check is the
-        # well-definedness of the construction.
-        Q = tuple(sorted(sigma[a] for a in P))
-        v = sigma[chosen]
+        # Push the choice around the orbit of P.  No Q on the way is filled
+        # yet: sigma fixes S, so orbits meeting S never reach here, and the
+        # other orbits are filled whole, so the first unfilled P starts an
+        # unfilled orbit.  The closure check is the gcd claim at work.
+        Q, v = _image(sigma, P), sigma[chosen]
         while Q != P:
-            if Q in sel:
-                if sel[Q] != v:
-                    raise RuntimeError(f"orbit conflict at {Q}: {sel[Q]} vs {v}")
-            else:
-                sel[Q] = v
-            Q = tuple(sorted(sigma[a] for a in Q))
-            v = sigma[v]
+            sel[Q] = v
+            Q, v = _image(sigma, Q), sigma[v]
         if v != chosen:
             raise RuntimeError(f"orbit of {P} closes on a different selection {v}")
 
@@ -185,17 +188,16 @@ def build_cyclic_model(m: int, S_size: int, d: Decomposition) -> CyclicAutomorph
 
 
 def verify_equivariance(c: CyclicAutomorphism):
-    """Check sel(sigma^t P) = sigma^t(sel P) for every subset and power.
+    """Check sel(sigma P) = sigma(sel P) for every subset P.
 
-    Returns (True, None) or (False, (P, t)) with the first counterexample.
+    One step per subset suffices: by induction on t it gives
+    sel(sigma^t P) = sigma^t(sel P) for every power t.  Returns (True, None),
+    or (False, P) with the first subset P, in sel order, where the step fails.
     """
-    for P, x in c.model.sel.items():
-        Q, v = P, x
-        for t in range(1, c.order):
-            Q = c.apply_subset(Q)
-            v = c.sigma[v]
-            if c.model.sel.get(Q) != v:
-                return False, (P, t)
+    sel, sigma = c.model.sel, c.sigma
+    for P, x in sel.items():
+        if sel.get(_image(sigma, P)) != sigma[x]:
+            return False, P
     return True, None
 
 
@@ -251,7 +253,13 @@ def _catalog_tables(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     if n_subsets and m**n_subsets > 2_000_000:
         raise BoundExceeded(f"{m}^{n_subsets} selector assignments exceed the catalog guard")
     index = {s: i for i, s in enumerate(subsets)}
-    perms = list(permutations(range(k)))
+    # source[j]: the subset that perm relabels into slot j, found once per perm.
+    actions = []
+    for perm in permutations(range(k)):
+        source = [0] * n_subsets
+        for i, s in enumerate(subsets):
+            source[index[_image(perm, s)]] = i
+        actions.append((perm, source))
     seen = set()
     reps = []
     # Assignments arrive in lexicographic order, so the first member of each
@@ -260,12 +268,8 @@ def _catalog_tables(m: int, k: int) -> tuple[tuple[int, ...], ...]:
         if table in seen:
             continue
         reps.append(table)
-        for perm in perms:
-            relabeled = [0] * n_subsets
-            for i, s in enumerate(subsets):
-                target = tuple(sorted(perm[x] for x in s))
-                relabeled[index[target]] = perm[table[i]]
-            seen.add(tuple(relabeled))
+        for perm, source in actions:
+            seen.add(tuple([perm[table[i]] for i in source]))
     return tuple(reps)
 
 
@@ -306,11 +310,12 @@ def build_fraisse_stage(m: int, prev: SelectorModel, caps: StageCaps) -> Selecto
     cataloged structure R on |A| + 1 atoms, and every embedding of A's induced
     substructure into R, a fresh atom realizes R over A.  Selections inside
     A u {witness} are pulled back through the embedding; every remaining new
-    m-subset selects its largest element.  Embeddings are consumed in reverse
-    lexicographic order of their image tuples: under the max-element
-    completion the highest fresh atoms win all unconstrained comparisons, so
-    the last witnesses are the ones pinned down as dominated, which keeps
-    every one-point extension type realized at small stage counts.
+    m-subset selects its largest element.  So every one-point extension over
+    such an A is realized; A holding new atoms gets no witness.  Embeddings
+    are consumed in reverse lexicographic order of their image tuples: under
+    the max-element completion the highest fresh atoms win all unconstrained
+    comparisons, so the last witnesses are the ones pinned down as dominated,
+    which for m = 2 also realizes each extension over one new atom at stage 2.
     """
     prev.validate()
     if prev.domain != tuple(range(len(prev.domain))):
@@ -346,8 +351,8 @@ def build_fraisse_stage(m: int, prev: SelectorModel, caps: StageCaps) -> Selecto
         phi[a] = next(x for x in R.domain if x not in set(images))
         inv = {v: k for k, v in phi.items()}
         for rest in combinations(A, m - 1):
-            Q = tuple(sorted(rest + (a,)))
-            sel[Q] = inv[R.sel[tuple(sorted(phi[x] for x in Q))]]
+            Q = rest + (a,)  # sorted: a exceeds every atom of A
+            sel[Q] = inv[R.sel[_image(phi, Q)]]
     for Q in combinations(domain, m):
         if Q not in sel:
             sel[Q] = Q[-1]  # completion rule: the largest element
@@ -358,8 +363,10 @@ def build_fraisse_stage(m: int, prev: SelectorModel, caps: StageCaps) -> Selecto
 def run_fraisse_stages(m: int, stages: int, caps: StageCaps | None = None) -> list[SelectorModel]:
     """Run the staged construction from the empty structure.
 
-    Returns the chain of models, starting with the empty stage.  When caps
-    leaves ground_limit unset, stage i uses ground subsets of size <= i.
+    Returns the chain of models, starting with the empty stage 0.  When caps
+    leaves ground_limit unset, stage i gets witnesses over ground subsets of
+    size <= i - 1, so it realizes every one-point extension over every A
+    inside the domain of stage i - 1 with |A| <= i - 1.
     """
     caps = caps or StageCaps()
     chain = [empty_model(m)]
@@ -376,7 +383,9 @@ def check_one_point_extension(model: SelectorModel, m: int, k: int):
     structure R on |A| + 1 atoms, and each embedding of A's substructure
     into R, some atom outside A must complete the embedding to a copy of R.
     Returns (ok, missing) where missing lists (A, R table, embedding images)
-    for every unrealized extension.
+    for every unrealized extension.  Stage i of run_fraisse_stages passes for
+    A inside stage i - 1 with |A| <= i - 1; other A may miss: stage 3 for
+    m = 2 misses 996 extensions at k = 3, each over an A with a stage-3 atom.
     """
     if model.m != m:
         raise ValueError("arity mismatch")
@@ -386,21 +395,11 @@ def check_one_point_extension(model: SelectorModel, m: int, k: int):
             sub = model.restrict(A)
             for R in catalog_models(m, size + 1):
                 for images in find_embeddings(sub, R):
+                    phi = dict(zip(A, images))
                     spare = next(x for x in R.domain if x not in set(images))
                     if not any(
-                        _realizes(model, A, w, R, images, spare)
-                        for w in model.domain
-                        if w not in set(A)
+                        _carries({**phi, w: spare}, model.sel, R.sel, m)
+                        for w in model.domain if w not in set(A)
                     ):
                         missing.append((A, tuple(sorted(R.sel.items())), images))
     return not missing, missing
-
-
-def _realizes(model, A, w, R, images, spare) -> bool:
-    phi = dict(zip(A, images))
-    phi[w] = spare
-    ext = tuple(sorted(A + (w,)))
-    for Q in combinations(ext, model.m):
-        if R.sel[tuple(sorted(phi[x] for x in Q))] != phi[model.sel[Q]]:
-            return False
-    return True

@@ -75,6 +75,20 @@ def test_model_not_blocking_exits_one(capsys):
     assert "admits m = 2" in err
 
 
+def test_model_over_the_bound_exits_three(capsys):
+    # 31+29 blocks 10, so this would enumerate all C(60, 10) ten-subsets
+    code, out, err = run(capsys, "model", "10", "0", "31", "29")
+    assert (code, out) == (3, "")
+    assert err == "error: C(60, 10) m-subsets hold more than 1000000 atoms\n"
+    # a million subsets, but each of 999,999 atoms
+    code, _, err = run(capsys, "model", "999999", "0", "1000000")
+    assert code == 3
+    assert err == "error: C(1000000, 999999) m-subsets hold more than 1000000 atoms\n"
+    # refused without computing the 600,000-digit C(2000000, 1000000)
+    code, _, err = run(capsys, "model", "1000000", "0", "2000000")
+    assert code == 3
+
+
 def test_model_invalid_part_exits_two(capsys):
     code, _, err = run(capsys, "model", "2", "0", "1")
     assert code == 2
@@ -137,8 +151,18 @@ def _oracle_finds_nothing(monkeypatch):
 
 
 def test_scan_records_oracle_disagreements(monkeypatch):
+    import ramseychoice.certificates as cm
+
     clean, _ = run_scan(3, 3)
     _oracle_finds_nothing(monkeypatch)
+    calls = []
+    build = cm.build_certificate
+
+    def counted(m, n, **kw):
+        calls.append((m, n))
+        return build(m, n, **kw)
+
+    monkeypatch.setattr(cm, "build_certificate", counted)
     report, disagreements = run_scan(3, 3, oracle=True)
     # every row is still emitted, exactly as without the oracle
     assert report == clean
@@ -146,6 +170,8 @@ def test_scan_records_oracle_disagreements(monkeypatch):
         (m, n, f"recipes produced a certificate for ({m}, {n}) but the exhaustive scan found none")
         for m, n in [(2, 3), (3, 2)]
     ]
+    # the row comes from the disagreement itself: each pair's recipes run once
+    assert calls == [(2, 3), (3, 2)]
 
 
 def test_scan_oracle_disagreement_exits_one(capsys, monkeypatch):

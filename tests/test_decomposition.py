@@ -232,6 +232,7 @@ def test_oracle_disagreement_on_a_provable_pair(monkeypatch):
     with pytest.raises(OracleDisagreement) as info:
         classify_detailed(4, 4, oracle=True)
     assert str(info.value) == "(4, 4) should be provable but 4 blocks m = 4"
+    assert info.value.result == classify_detailed(4, 4)
     with pytest.raises(OracleDisagreement) as info:
         classify(2, 4, oracle=True)
     assert str(info.value) == "(2, 4) should be provable but 4 blocks m = 2"
@@ -249,6 +250,7 @@ def test_oracle_disagreement_on_a_certified_pair(monkeypatch):
     assert str(info.value) == (
         "recipes produced a certificate for (3, 7) but the exhaustive scan found none"
     )
+    assert info.value.result == classify_detailed(3, 7)
     assert classify(3, 7).certificate.parts == (7,)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import pytest
@@ -123,6 +124,60 @@ def test_equivariance_detects_tampering():
     assert counter is not None
 
 
+def equivariance_by_all_powers(c):
+    """Reference: walk every power sigma^t, 1 <= t < order, from every subset."""
+    for P, x in c.model.sel.items():
+        Q, v = P, x
+        for t in range(1, c.order):
+            Q = tuple(sorted(c.sigma[a] for a in Q))
+            v = c.sigma[v]
+            if c.model.sel.get(Q) != v:
+                return False, (P, t)
+    return True, None
+
+
+def sigma_orbit(c, P):
+    orbit, Q = {P}, tuple(sorted(c.sigma[a] for a in P))
+    while Q != P:
+        orbit.add(Q)
+        Q = tuple(sorted(c.sigma[a] for a in Q))
+    return orbit
+
+
+def test_one_step_equivariance_matches_all_powers():
+    """Each single tampered selection fails both checks, at a subset of its orbit."""
+    tampered = 0
+    for n in range(2, 9):
+        for d in iter_decompositions(n):
+            for m in range(2, 5):
+                if not blocks(d, m):
+                    continue
+                c = build_cyclic_model(m, 1, d)
+                assert verify_equivariance(c) == equivariance_by_all_powers(c) == (True, None)
+                for P, x in c.model.sel.items():
+                    sel = dict(c.model.sel)
+                    sel[P] = P[(P.index(x) + 1) % m]
+                    broken = replace(c, model=replace(c.model, sel=sel))
+                    ok, counter = verify_equivariance(broken)
+                    ref_ok, (ref_counter, _) = equivariance_by_all_powers(broken)
+                    assert not ok and not ref_ok, (m, d, P)
+                    orbit = sigma_orbit(c, P)
+                    assert counter in orbit and ref_counter in orbit, (m, d, P)
+                    tampered += 1
+    assert tampered > 1000
+
+
+def test_model_bound_counts_atoms_and_is_checked_first(monkeypatch):
+    import ramseychoice.selector_models as sm
+
+    monkeypatch.setattr(sm, "MODEL_ATOM_BOUND", 12)
+    assert len(build_cyclic_model(2, 1, Decomposition([3])).model.sel) == 6  # 6 * 2 atoms
+    with pytest.raises(BoundExceeded):
+        build_cyclic_model(2, 2, Decomposition([3]))  # 10 * 2 atoms
+    with pytest.raises(BoundExceeded):
+        build_cyclic_model(2, 0, Decomposition([2, 2, 2]))  # would be NotBlocking
+
+
 def test_witness_rejects_wrong_region_or_fixed_points():
     c = build_cyclic_model(2, 1, Decomposition([3]))
     assert witness_no_invariant_choice(c, 3)
@@ -187,6 +242,7 @@ def test_catalog_counts_frozen():
         assert len(catalog_models(2, k)) == want, k
     assert len(catalog_models(3, 3)) == 1
     assert len(catalog_models(3, 4)) == 6
+    assert len(catalog_models(3, 5)) == 513
     assert len(catalog_models(1, 4)) == 1
     assert len(catalog_models(4, 3)) == 1  # no m-subsets at all
 
