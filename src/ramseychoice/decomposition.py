@@ -11,20 +11,20 @@ the single sporadic pair (2, 4).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
-from .numtheory import prime_factors
+from .numtheory import _prime_factors_up_to
 
 # Largest n for which the exhaustive partition scan runs by default; the
 # partition count stays in the low millions up to here.
 EXHAUSTIVE_BOUND = 64
 
 # Largest len(parts) * total admissible_sums builds; admits classify 4 1000000 --json.
+# The fold updates its table of total + 1 bits at most once per part, and less for runs.
 TABLE_WORK_BOUND = 2**38
 
 
@@ -38,7 +38,11 @@ class Decomposition:
         ordered = tuple(sorted(parts, reverse=True))
         if not ordered:
             raise InvalidPart("a decomposition needs at least one part")
-        for p in ordered:
+        try:  # one C-level pass: a non-int part makes the sum a non-int, or raises
+            valid = type(sum(ordered)) is int and ordered[-1] >= 2
+        except TypeError:
+            valid = False
+        for p in () if valid else ordered:  # the exact rule, naming the first bad part
             if not isinstance(p, int) or p < 2:
                 raise InvalidPart(f"part {p!r} is invalid; parts must be integers >= 2")
         object.__setattr__(self, "parts", ordered)
@@ -73,68 +77,75 @@ class AdmissibleSumSet:
 def allowed_contributions(part: int) -> frozenset[int]:
     """Contributions a part admits: zero, or any j <= part sharing a factor.
 
-    Sharing a factor with part means being a multiple of one of its primes.
+    This is the fold's contribution rule taken up to the part itself.
     """
     if part < 2:
         raise InvalidPart(f"part must be >= 2, got {part}")
-    allowed = {0}
-    for q in prime_factors(part):
-        allowed.update(range(q, part + 1, q))
-    return frozenset(allowed)
+    return frozenset((0, *_contributions_up_to(part, part)))
 
 
 @lru_cache(maxsize=1024)
-def _contributions_up_to(part: int, m: int) -> tuple[int, ...]:
-    """The nonzero contributions of part up to m, for m <= part."""
-    return tuple(j for j in range(1, m + 1) if math.gcd(j, part) > 1)
+def _contributions_up_to(part: int, limit: int) -> tuple[int, ...]:
+    """The nonzero contributions of part up to limit <= part: multiples of its primes."""
+    primes = _prime_factors_up_to(part, limit)
+    return tuple(set().union(*(range(q, limit + 1, q) for q in primes)))
+
+
+def _fold(parts: tuple[int, ...], limit: int) -> int:
+    """Bit table of the admissible sums up to limit (see blocks); stops once bit limit is set."""
+    keep, sums, prev = (1 << limit + 1) - 1, 1, 0
+    for part in parts:
+        if part == prev:  # the run is folded, or a copy left the table unchanged
+            continue
+        contributions = _contributions_up_to(part, part if part < limit else limit)
+        if len(contributions) == 1:  # binary splitting of k copies adding 0 or s
+            s, k, chunk = contributions[0], parts.count(part), 1
+            if k * s > limit:  # copies past limit // s add only sums above limit
+                k = limit // s
+            while chunk < k:
+                sums = (sums | sums << chunk * s) & keep
+                k -= chunk
+                chunk *= 2
+            sums, prev = (sums | sums << k * s) & keep, part
+        else:
+            step = sums
+            for j in contributions:
+                step |= sums << j
+            step &= keep
+            sums, prev = step, part if step == sums else 0
+        if sums >> limit:
+            return sums
+    return sums
 
 
 def admissible_sums(d: Decomposition) -> AdmissibleSumSet:
     """Full subset-sum table over the per-part allowed contributions.
 
-    This is the reporting view (every sum up to d.total); the blocking test
-    itself is blocks, which stops at m.  A table whose cost len(d.parts) *
-    d.total exceeds TABLE_WORK_BOUND raises BoundExceeded before any work.
+    This is the reporting view: the fold of blocks taken up to d.total,
+    which only the last part can reach, so the fold never stops early.  A
+    table whose cost len(d.parts) * d.total exceeds TABLE_WORK_BOUND raises
+    BoundExceeded before any work.
     """
     if len(d.parts) * d.total > TABLE_WORK_BOUND:
         raise BoundExceeded(f"{len(d.parts)} parts of total {d.total} exceed the table work bound")
-    bits = 1
-    for part in d.parts:
-        step = 0
-        for j in allowed_contributions(part):
-            step |= bits << j
-        bits = step
-    return AdmissibleSumSet(d.total, bits)
+    return AdmissibleSumSet(d.total, _fold(d.parts, d.total))
 
 
 def blocks(d: Decomposition, m: int) -> bool:
     """True when no admissible combination of contributions sums to m.
 
-    Any m above the decomposition total is blocked automatically; m = 0 is
-    never blocked since every part may contribute nothing.  Only sums up to
-    m are tracked, so a part above m costs O(m), and the test stops as soon
-    as m is reached.  Equal parts are adjacent in the canonical order: once
-    one copy leaves the table unchanged, the rest of the run cannot change
-    it either (a part may always contribute 0), so those copies are skipped.
+    m above the total is always blocked, and m = 0 never is.  Otherwise this
+    reads bit m of one subset-sum fold that keeps only the sums up to m and
+    stops once m is reached.  Equal parts are adjacent, so each run of k
+    copies is met at its first.  If the part's only contribution up to m is
+    s (any prime up to m), the copies add 0 or s each, and binary splitting
+    folds the run in ceil(log2(k + 1)) shifts.  Any other run folds copy by
+    copy until a copy changes nothing; as a part may always contribute 0,
+    the rest of the run cannot change the table either.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    if m > d.total:
-        return True
-    keep = (1 << m + 1) - 1
-    sums = 1
-    prev, stable = 0, False
-    for part in d.parts:
-        if stable and part == prev:
-            continue
-        step = sums
-        for j in _contributions_up_to(part, part if part < m else m):
-            step |= sums << j
-        step &= keep
-        if step >> m:
-            return False
-        prev, stable, sums = part, step == sums, step
-    return True
+    return m > d.total or not _fold(d.parts, m) >> m
 
 
 def iter_decompositions(n: int) -> Iterator[Decomposition]:

@@ -60,14 +60,19 @@ def is_prime(x: int) -> bool:
 
 def prime_factors(n: int) -> Iterator[int]:
     """Distinct prime factors of n >= 1, ascending, by trial division."""
+    return _prime_factors_up_to(n, n)
+
+
+def _prime_factors_up_to(n: int, limit: int) -> Iterator[int]:
+    # Trial division that also stops at limit: O(min(limit, sqrt(n))) steps for any n.
     f = 2
-    while f * f <= n:
+    while f <= limit and f * f <= n:
         if n % f == 0:
             yield f
             while n % f == 0:
                 n //= f
         f += 1 if f == 2 else 2
-    if n > 1:
+    if 1 < n <= limit:  # no prime below f divides n, and f * f > n (else n >= f > limit)
         yield n
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -315,6 +316,19 @@ def test_classify_json_refuses_huge_tables(capsys):
     code, out, err = run(capsys, "classify", "4", "3000000", "--json")
     assert (code, out) == (3, "")
     assert "1000000 parts of total 3000000" in err
+
+
+def test_classify_json_big_tables_are_pinned(capsys):
+    # the full tables of 200,000 parts of 5 (one long run) and of 4194301 + 3
+    # (a wide, sparse table), pinned byte for byte
+    want = {
+        "1000000": "1fbed61185e44f214784ece188940f76e118e4f729f85c20a75800e022cb9da2",
+        "4194304": "bcc9adfd0c1041debbe2bd8ae7c4dd081f0b0ef8c4c27eabbec03fc05702c27d",
+    }
+    for n, digest in want.items():
+        code, out, _ = run(capsys, "classify", "4", n, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, n
 
 
 def test_classify_bad_args_exit_two(capsys):

@@ -36,6 +36,28 @@ def brute_sums(parts):
     return {sum(combo) for combo in product(*pools)}
 
 
+def reference_sums(parts, limit):
+    """Independent oracle: set-based DP up to limit, contributions by gcd."""
+    sums = {0}
+    for part in parts:
+        options = [j for j in range(1, min(part, limit) + 1) if math.gcd(j, part) > 1]
+        sums |= {s + j for s in sums for j in options if s + j <= limit}
+    return sums
+
+
+def assert_fold_matches_reference(parts, ms, limit=None):
+    """blocks at each m, and admissible_sums up to limit, against reference_sums.
+
+    Each m must be at most limit, unless limit is the total.
+    """
+    d = Decomposition(parts)
+    limit = d.total if limit is None else limit
+    want = reference_sums(d.parts, limit)
+    assert {s for s in admissible_sums(d).values() if s <= limit} == want, parts
+    for m in ms:
+        assert blocks(d, m) == (m not in want), (parts[:3], len(parts), m)
+
+
 def count_partitions_min2(n):
     """Partitions of n into parts >= 2, counted by direct recursion."""
     def rec(rest, biggest):
@@ -62,6 +84,18 @@ def test_decomposition_rejects_bad_parts():
         Decomposition([3, 1])
     with pytest.raises(InvalidPart):
         Decomposition([0])
+    # non-int parts, even ones equal to a valid int, and bools
+    for parts in ([2.0], [2, 2.0], [2.0, 2], [5, 3, 3.0], [True], [3, True], ["3"], [(3,)] * 2):
+        with pytest.raises(InvalidPart):
+            Decomposition(parts)
+    with pytest.raises(InvalidPart, match=r"part 2\.0 is invalid"):
+        Decomposition([3, 2, 2.0, 2])
+
+    # an int subclass other than bool is still an int part
+    class Size(int):
+        pass
+
+    assert Decomposition([Size(3), 2]).parts == (3, 2)
 
 
 def test_allowed_contributions_small():
@@ -111,8 +145,10 @@ def test_blocks_is_membership_in_the_full_table():
     for n in range(2, 23):
         for d in iter_decompositions(n):
             table = admissible_sums(d)
+            want = reference_sums(d.parts, n)
+            assert set(table.values()) == want, d
             for m in range(0, n + 3):
-                assert blocks(d, m) == (m not in table), (d, m)
+                assert blocks(d, m) == (m not in table) == (m not in want), (d, m)
 
 
 def test_blocks_folds_runs_of_equal_parts():
@@ -122,14 +158,39 @@ def test_blocks_folds_runs_of_equal_parts():
     for parts in cases:
         d = Decomposition(parts)
         table = admissible_sums(d)
-        for m in [*range(0, 40), d.total - 3, d.total - 1, d.total, d.total + 1]:
+        ms = [*range(0, 40), d.total - 3, d.total - 1, d.total, d.total + 1]
+        for m in ms:
             assert blocks(d, m) == (m not in table), (parts[:3], len(parts), m)
+        # the reference DP is quadratic, so the long tables are checked up to 40
+        if d.total <= 2002:
+            assert_fold_matches_reference(parts, ms)
+        else:
+            assert_fold_matches_reference(parts, range(0, 41), limit=40)
 
 
-@given(st.lists(st.integers(2, 40), min_size=1, max_size=12), st.integers(0, 500))
-def test_blocks_is_membership_in_the_full_table_random(parts, m):
-    d = Decomposition(parts)
-    assert blocks(d, m) == (m not in admissible_sums(d))
+def test_fold_splits_single_contribution_runs():
+    # 250 copies of 2 reach every even sum up to 500 and no odd one
+    assert_fold_matches_reference((2,) * 250, range(0, 502))
+    assert blocks(Decomposition((2,) * 250), 499)
+    for k in (1, 2, 3, 7, 8, 9):
+        # a prime run, alone and between other parts; the ms include total - 1 and total
+        for parts in [(7,) * k, (11,) + (7,) * k + (2,), (7,) * k + (6, 4)]:
+            assert_fold_matches_reference(parts, range(0, sum(parts) + 2))
+        # composites whose only contribution up to m is one prime: 3 for 9, 2 for 4
+        assert_fold_matches_reference((9,) * k, range(0, 6), limit=5)
+        assert_fold_matches_reference((4,) * k, range(0, 4), limit=3)
+        assert_fold_matches_reference((9,) * k + (4,) * k, range(0, 6), limit=5)
+
+
+@given(
+    st.lists(st.tuples(st.integers(2, 40), st.integers(1, 12)), min_size=1, max_size=12),
+    st.integers(0, 500),
+)
+def test_blocks_is_membership_in_the_full_table_random(runs, m):
+    d = Decomposition([part for part, count in runs for _ in range(count)])
+    want = reference_sums(d.parts, m)
+    assert blocks(d, m) == (m not in admissible_sums(d)) == (m not in want)
+    assert {s for s in admissible_sums(d).values() if s <= m} == want
 
 
 def test_values_on_a_sparse_wide_table():
