@@ -11,7 +11,7 @@ the single sporadic pair (2, 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -33,23 +33,22 @@ class Decomposition:
     """A multiset of parts >= 2, stored in canonical non-increasing order."""
 
     parts: tuple[int, ...]
+    total: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, parts):
         ordered = tuple(sorted(parts, reverse=True))
         if not ordered:
             raise InvalidPart("a decomposition needs at least one part")
         try:  # one C-level pass: a non-int part makes the sum a non-int, or raises
-            valid = type(sum(ordered)) is int and ordered[-1] >= 2
+            total = sum(ordered)
+            valid = type(total) is int and ordered[-1] >= 2
         except TypeError:
             valid = False
         for p in () if valid else ordered:  # the exact rule, naming the first bad part
             if not isinstance(p, int) or p < 2:
                 raise InvalidPart(f"part {p!r} is invalid; parts must be integers >= 2")
         object.__setattr__(self, "parts", ordered)
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
+        object.__setattr__(self, "total", total)
 
     def __str__(self) -> str:
         return "+".join(str(p) for p in self.parts)

@@ -21,7 +21,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _MAX_INPUT = 2**63
 
-# Default ceiling for Goldbach triple searches; desk-scale work stays far below.
+# Ceiling for listing every Goldbach triple; a lazy search goes to is_prime's 2^63.
 GOLDBACH_SEARCH_BOUND = 1_000_000
 
 
@@ -135,16 +135,16 @@ class GoldbachTriple:
 
 
 def iter_goldbach_triples(
-    n: int, all_odd_preferred: bool = False, bound: int = GOLDBACH_SEARCH_BOUND
+    n: int, all_odd_preferred: bool = False, bound: int = _MAX_INPUT
 ) -> Iterator[GoldbachTriple]:
     """Prime triples p1 <= p2 <= p3 with p1 + p2 + p3 = n, lazily, lexicographic.
 
     With all_odd_preferred, triples avoiding the prime 2 come first (still in
     lexicographic order within each group).  Candidates are tested with
     is_prime as they are reached, so a caller that stops at the first useful
-    triple pays only for the triples before it.  The target is checked when
-    this is called; the iterator raises EmptyResult only if it runs out
-    without yielding, which would falsify the ternary Goldbach theorem.
+    triple pays only for the triples before it.  n is checked on call, also
+    against bound (by default is_prime's 2^63); EmptyResult is raised only if
+    the iterator runs out without yielding, which would falsify ternary Goldbach.
     """
     if n % 2 == 0 or n <= 5:
         raise ValueError(f"goldbach_triples needs an odd n > 5, got {n}")

@@ -69,25 +69,38 @@ def find_embeddings(sub: SelectorModel, target: SelectorModel) -> list[tuple[int
     """All structure-preserving injections of sub into target.
 
     Each embedding is returned as the tuple of images of sub's (sorted)
-    domain, in lexicographic order of those tuples.
+    domain, in lexicographic order of those tuples.  Images are placed one
+    at a time; y is kept for x when its point type over the images so far,
+    pulled back, is x's over the atoms before it (see _point_type).
     """
     if sub.m != target.m:
         raise ValueError("arity mismatch")
-    return [
-        images
-        for images in permutations(target.domain, len(sub.domain))
-        if _carries(dict(zip(sub.domain, images)), sub.sel, target.sel, sub.m)
-    ]
+    m, atoms, placed = sub.m, sub.domain, [()]
+    for i, x in enumerate(atoms):
+        wanted = _point_type(sub.sel, atoms[:i], x, m)
+        placed = [
+            images + (y,)
+            for images in placed
+            for y in target.domain
+            if y not in images
+            and _point_type(target.sel, images, y, m, dict(zip(images, atoms))) == wanted
+        ]
+    return placed
 
 
 def _image(phi, P) -> tuple[int, ...]:
-    """The subset phi(P), sorted; phi maps atoms by indexing (tuple or dict)."""
+    """The subset phi(P), sorted; phi maps atoms by indexing."""
     return tuple(sorted([phi[a] for a in P]))
 
 
-def _carries(phi: dict, sel, target_sel, m: int) -> bool:
-    """Is target_sel[phi(P)] = phi(sel[P]) for every m-subset P of phi's atoms?"""
-    return all(target_sel[_image(phi, P)] == phi[sel[P]] for P in combinations(sorted(phi), m))
+def _point_type(sel, atoms, w, m: int, back=None) -> tuple:
+    """The point type of w over atoms: for each (m-1)-subset, in combinations
+    order, the atom sel picks from it plus w, as None for w itself and mapped
+    through back when given.  The one extension rule: find_embeddings,
+    build_fraisse_stage and check_one_point_extension all read it.
+    """
+    picks = (sel[tuple(sorted((*rest, w)))] for rest in combinations(atoms, m - 1))
+    return tuple(None if z == w else z if back is None else back[z] for z in picks)
 
 
 def are_isomorphic(a: SelectorModel, b: SelectorModel) -> bool:
@@ -203,13 +216,10 @@ def verify_equivariance(c: CyclicAutomorphism):
 
 def witness_no_invariant_choice(c: CyclicAutomorphism, n: int) -> bool:
     """True when sigma moves every atom outside S and that region has size n."""
-    region = [a for a in c.model.domain if a not in set(c.fixed)]
-    if len(region) != n:
-        return False
-    region_set = set(region)
-    if any(c.sigma[a] not in region_set for a in region):
-        return False
-    return all(c.sigma[a] != a for a in region)
+    fixed = set(c.fixed)
+    region = [a for a in c.model.domain if a not in fixed]
+    # sigma maps the domain to itself, so sigma[a] outside S means inside the region
+    return len(region) == n and all(c.sigma[a] != a and c.sigma[a] not in fixed for a in region)
 
 
 def verify_gcd_claim(q_max: int):
@@ -308,12 +318,12 @@ def build_fraisse_stage(m: int, prev: SelectorModel, caps: StageCaps) -> Selecto
 
     For every subset A of the previous domain within the ground limit, every
     cataloged structure R on |A| + 1 atoms, and every embedding of A's induced
-    substructure into R, a fresh atom realizes R over A.  Selections inside
-    A u {witness} are pulled back through the embedding; every remaining new
-    m-subset selects its largest element.  So every one-point extension over
-    such an A is realized; A holding new atoms gets no witness.  Embeddings
-    are consumed in reverse lexicographic order of their image tuples: under
-    the max-element completion the highest fresh atoms win all unconstrained
+    substructure into R, a fresh atom gets the point type R demands of its
+    spare atom, pulled back to A; every remaining new m-subset selects its
+    largest element.  So every one-point extension over such an A is
+    realized; A holding new atoms gets no witness.  Embeddings are consumed
+    in reverse lexicographic order of their image tuples: under the
+    max-element completion the highest fresh atoms win all unconstrained
     comparisons, so the last witnesses are the ones pinned down as dominated,
     which for m = 2 also realizes each extension over one new atom at stage 2.
     """
@@ -345,14 +355,11 @@ def build_fraisse_stage(m: int, prev: SelectorModel, caps: StageCaps) -> Selecto
     base = len(prev.domain)
     domain = tuple(range(base + len(planned)))
     sel = dict(prev.sel)
-    for offset, (A, R, images) in enumerate(planned):
-        a = base + offset
-        phi = dict(zip(A, images))
-        phi[a] = next(x for x in R.domain if x not in set(images))
-        inv = {v: k for k, v in phi.items()}
-        for rest in combinations(A, m - 1):
-            Q = rest + (a,)  # sorted: a exceeds every atom of A
-            sel[Q] = inv[R.sel[_image(phi, Q)]]
+    for a, (A, R, images) in enumerate(planned, base):
+        spare = next(x for x in R.domain if x not in images)
+        demanded = _point_type(R.sel, images, spare, m, dict(zip(images, A)))
+        for rest, z in zip(combinations(A, m - 1), demanded):
+            sel[rest + (a,)] = a if z is None else z  # sorted: a exceeds every atom of A
     for Q in combinations(domain, m):
         if Q not in sel:
             sel[Q] = Q[-1]  # completion rule: the largest element
@@ -381,25 +388,24 @@ def check_one_point_extension(model: SelectorModel, m: int, k: int):
 
     For each nonempty subset A of the domain with |A| < k, each cataloged
     structure R on |A| + 1 atoms, and each embedding of A's substructure
-    into R, some atom outside A must complete the embedding to a copy of R.
-    Returns (ok, missing) where missing lists (A, R table, embedding images)
-    for every unrealized extension.  Stage i of run_fraisse_stages passes for
-    A inside stage i - 1 with |A| <= i - 1; other A may miss: stage 3 for
-    m = 2 misses 996 extensions at k = 3, each over an A with a stage-3 atom.
+    into R, some atom outside A must have the point type R demands of its
+    spare atom, pulled back to A; the types realized over A are collected
+    once.  Returns (ok, missing) where missing lists (A, R table, embedding
+    images) for every unrealized extension.  Stage i of run_fraisse_stages
+    passes for A inside stage i - 1 with |A| <= i - 1; other A may miss:
+    stage 3 for m = 2 misses 996 extensions at k = 3, each over an A with a
+    stage-3 atom.
     """
     if model.m != m:
         raise ValueError("arity mismatch")
     missing = []
     for size in range(1, k):
         for A in combinations(model.domain, size):
+            realized = {_point_type(model.sel, A, w, m) for w in model.domain if w not in A}
             sub = model.restrict(A)
             for R in catalog_models(m, size + 1):
                 for images in find_embeddings(sub, R):
-                    phi = dict(zip(A, images))
-                    spare = next(x for x in R.domain if x not in set(images))
-                    if not any(
-                        _carries({**phi, w: spare}, model.sel, R.sel, m)
-                        for w in model.domain if w not in set(A)
-                    ):
+                    spare = next(x for x in R.domain if x not in images)
+                    if _point_type(R.sel, images, spare, m, dict(zip(images, A))) not in realized:
                         missing.append((A, tuple(sorted(R.sel.items())), images))
     return not missing, missing

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from ramseychoice.cli import build_parser, main
+from ramseychoice.numtheory import GOLDBACH_SEARCH_BOUND
 from ramseychoice.scan import ScanReport, ScanRow, run_scan
 
 
@@ -268,6 +269,12 @@ def test_fraisse_cap_exits_three(capsys):
     assert err
 
 
+def test_fraisse_three_three_misses_over_new_atoms(capsys):
+    code, out, _ = run(capsys, "fraisse", "3", "3", "--check", "3")
+    assert code == 1
+    assert out.endswith("stage 3: 49 atoms\none-point extensions up to k=3: missing 2386\n")
+
+
 def test_verify_rc24_output(capsys):
     code, out, _ = run(capsys, "verify", "rc24")
     assert code == 0
@@ -301,6 +308,20 @@ def test_verify_goldbach_bound_exits_three(capsys):
     code, _, err = run(capsys, "verify", "goldbach", "--max", "11", "--bound", "7")
     assert code == 3
     assert err
+
+
+def test_classify_odd_n_searches_goldbach_up_to_two_to_the_63(capsys):
+    code, out, _ = run(capsys, "classify", "3", "1000003")
+    assert (code, out) == (0, "RC_3 => RC_1000003: not provable (blocked by 1000003)\n")
+    code, out, _ = run(capsys, "classify", "5", "1000003")
+    assert (code, out) == (0, "RC_5 => RC_1000003: not provable (blocked by 999983+17+3)\n")
+    # past is_prime's range the search refuses with BoundExceeded, not a ValueError
+    code, out, err = run(capsys, "classify", "3", str(2**63 + 1))
+    assert (code, out) == (3, "")
+    assert "exceeds the triple search bound" in err
+    # listing every triple keeps the 10^6 ceiling
+    assert build_parser().parse_args(["verify", "goldbach"]).bound == GOLDBACH_SEARCH_BOUND
+    assert GOLDBACH_SEARCH_BOUND == 10**6
 
 
 def test_classify_json_refuses_huge_tables(capsys):

@@ -77,6 +77,14 @@ def test_decomposition_canonical_form():
     assert Decomposition([3, 7, 2]) == d
 
 
+def test_decomposition_total_is_stored_outside_equality():
+    a, b = Decomposition((3, 2)), Decomposition((2, 3))
+    assert a == b and hash(a) == hash(b)
+    assert a.total == b.total == 5
+    assert repr(a) == "Decomposition(parts=(3, 2))"
+    assert a != Decomposition((5,))  # same total, other parts
+
+
 def test_decomposition_rejects_bad_parts():
     with pytest.raises(InvalidPart):
         Decomposition([])

@@ -327,6 +327,70 @@ def test_fraisse_stage_rejects_gappy_domain():
         build_fraisse_stage(2, bad, StageCaps(ground_limit=1))
 
 
+def carries(phi, sel, target_sel, m):
+    """Reference: is target_sel[phi(P)] = phi(sel[P]) for every m-subset P of phi's atoms?"""
+    return all(
+        target_sel[tuple(sorted(phi[a] for a in P))] == phi[sel[P]]
+        for P in combinations(sorted(phi), m)
+    )
+
+
+def embeddings_by_permutation(sub, target):
+    """Reference: walk every injection in permutation order and test the whole map."""
+    return [
+        images
+        for images in permutations(target.domain, len(sub.domain))
+        if carries(dict(zip(sub.domain, images)), sub.sel, target.sel, sub.m)
+    ]
+
+
+def extensions_by_candidate(model, m, k):
+    """Reference checker: try each candidate witness w in turn on the whole map."""
+    missing = []
+    for size in range(1, k):
+        for A in combinations(model.domain, size):
+            sub = model.restrict(A)
+            for R in catalog_models(m, size + 1):
+                for images in embeddings_by_permutation(sub, R):
+                    phi = dict(zip(A, images))
+                    spare = next(x for x in R.domain if x not in images)
+                    if not any(
+                        carries({**phi, w: spare}, model.sel, R.sel, m)
+                        for w in model.domain if w not in A
+                    ):
+                        missing.append((A, tuple(sorted(R.sel.items())), images))
+    return not missing, missing
+
+
+def test_embeddings_match_permutation_walk():
+    """Placing one image at a time by point type gives the same ordered list."""
+    nonempty = 0
+    for m in (2, 3):
+        models = [mod for k in range(5) for mod in catalog_models(m, k)]
+        for sub in models:
+            for target in models:
+                want = embeddings_by_permutation(sub, target)
+                assert find_embeddings(sub, target) == want, (sub, target)
+                nonempty += bool(want)
+    assert nonempty > 50
+
+
+def test_one_point_extension_check_matches_candidate_walk():
+    """Collecting realized point types once per A reports the same missing list."""
+    counts = {}
+    for m, stages in [(2, 2), (2, 3), (3, 3)]:
+        model = run_fraisse_stages(m, stages)[-1]
+        for k in (2, 3):
+            got = check_one_point_extension(model, m, k)
+            assert got == extensions_by_candidate(model, m, k), (m, stages, k)
+            counts[m, stages, k] = len(got[1])
+    assert counts == {
+        (2, 2, 2): 0, (2, 2, 3): 15,
+        (2, 3, 2): 0, (2, 3, 3): 996,
+        (3, 3, 2): 0, (3, 3, 3): 2386,
+    }
+
+
 def test_one_point_extension_check():
     chain = run_fraisse_stages(2, 2)
     ok, missing = check_one_point_extension(chain[-1], 2, 2)
