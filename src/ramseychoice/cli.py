@@ -74,21 +74,19 @@ def cmd_scan(args) -> int:
         args.max_m, args.max_n, bound=args.bound, oracle=args.oracle
     )
     fallback = [r for r in report.rows if r.recipe == Recipe.EXHAUSTIVE.value]
+    checked = sum(r.n <= args.bound for r in report.rows)  # the oracle skips n > bound
     if args.csv:
         sys.stdout.write(report.to_csv())
     elif args.json:
         obj = report.to_json_obj()
         if args.oracle:
-            obj["oracle"] = {
-                "checked": report.total,
-                "agree": report.total - len(disagreements),
-            }
+            obj["oracle"] = {"checked": checked, "agree": checked - len(disagreements)}
         _print_json(obj)
     else:
         for line in report.summary_lines():
             print(line)
         if args.oracle:
-            print(f"oracle agreement: {report.total - len(disagreements)}/{report.total}")
+            print(f"oracle agreement: {checked - len(disagreements)}/{checked}")
         if args.constructive_only:
             if fallback:
                 listed = " ".join(f"({r.m},{r.n})" for r in fallback)

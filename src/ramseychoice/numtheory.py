@@ -9,6 +9,7 @@ is_prime, one candidate at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -90,7 +91,7 @@ def bertrand_prime(m: int) -> int:
 def _sieve(limit: int) -> tuple[int, ...]:
     flags = bytearray(b"\x01") * (limit + 1)
     flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
     return tuple(i for i in range(limit + 1) if flags[i])

@@ -23,6 +23,8 @@ from .errors import BoundExceeded, CapExceeded, NotBlocking
 # build_cyclic_model refuses tables of more atoms (m-subsets times m) before any
 # work; atoms, not subsets, because m near the domain gives few, huge subsets.
 MODEL_ATOM_BOUND = 10**6
+# check_one_point_extension refuses more point types: k = 4, not 5, on stage 3 of m = 2
+EXTENSION_TYPE_BOUND = 2 * 10**6
 
 
 @dataclass(frozen=True, eq=True)
@@ -70,8 +72,8 @@ def find_embeddings(sub: SelectorModel, target: SelectorModel) -> list[tuple[int
 
     Each embedding is returned as the tuple of images of sub's (sorted)
     domain, in lexicographic order of those tuples.  Images are placed one
-    at a time; y is kept for x when its point type over the images so far,
-    pulled back, is x's over the atoms before it (see _point_type).
+    at a time; y is kept for x when its point type over the images so far
+    equals x's over the atoms before it, both in positions (see _point_type).
     """
     if sub.m != target.m:
         raise ValueError("arity mismatch")
@@ -82,8 +84,7 @@ def find_embeddings(sub: SelectorModel, target: SelectorModel) -> list[tuple[int
             images + (y,)
             for images in placed
             for y in target.domain
-            if y not in images
-            and _point_type(target.sel, images, y, m, dict(zip(images, atoms))) == wanted
+            if y not in images and _point_type(target.sel, images, y, m) == wanted
         ]
     return placed
 
@@ -93,14 +94,13 @@ def _image(phi, P) -> tuple[int, ...]:
     return tuple(sorted([phi[a] for a in P]))
 
 
-def _point_type(sel, atoms, w, m: int, back=None) -> tuple:
+def _point_type(sel, atoms, w, m: int) -> tuple:
     """The point type of w over atoms: for each (m-1)-subset, in combinations
-    order, the atom sel picks from it plus w, as None for w itself and mapped
-    through back when given.  The one extension rule: find_embeddings,
-    build_fraisse_stage and check_one_point_extension all read it.
+    order, the position in atoms of the atom sel picks from it plus w, or None
+    for w itself.  Positions let bases with one relabeled table share types.
     """
     picks = (sel[tuple(sorted((*rest, w)))] for rest in combinations(atoms, m - 1))
-    return tuple(None if z == w else z if back is None else back[z] for z in picks)
+    return tuple(None if z == w else atoms.index(z) for z in picks)
 
 
 def are_isomorphic(a: SelectorModel, b: SelectorModel) -> bool:
@@ -152,8 +152,8 @@ def build_cyclic_model(m: int, S_size: int, d: Decomposition) -> CyclicAutomorph
     if S_size < 0:
         raise ValueError(f"S_size must be >= 0, got {S_size}")
     N = S_size + d.total
-    # C(N, m) >= 2^min(m, N - m); testing that first spares a huge exact binomial
-    if 2 ** min(m, N - m) > MODEL_ATOM_BOUND or math.comb(N, m) * m > MODEL_ATOM_BOUND:
+    # C(N, m) >= 2^min(m, N - m) > bound once the exponent reaches the bound's bit length
+    if min(m, N - m) >= MODEL_ATOM_BOUND.bit_length() or math.comb(N, m) * m > MODEL_ATOM_BOUND:
         raise BoundExceeded(f"C({N}, {m}) m-subsets hold more than {MODEL_ATOM_BOUND} atoms")
     domain = tuple(range(N))
     sigma = list(domain)
@@ -300,6 +300,22 @@ def catalog_models(m: int, k: int) -> list[SelectorModel]:
     ]
 
 
+@lru_cache(maxsize=4096)
+def _extensions(m: int, k: int, table: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The extensions the catalog demands over a k-atom base with this sel
+    table in positions: per cataloged R on k + 1 atoms, in catalog order, a
+    tuple of (R's sorted table, images, spare atom's point type over images)
+    per embedding of the base into R, in find_embeddings order.
+    """
+    base = SelectorModel(m, tuple(range(k)), dict(zip(combinations(range(k), m), table)))
+    return tuple(
+        tuple((tuple(sorted(R.sel.items())), images,
+               _point_type(R.sel, images, next(x for x in R.domain if x not in images), m))
+              for images in find_embeddings(base, R))
+        for R in catalog_models(m, k + 1)
+    )
+
+
 @dataclass(frozen=True)
 class StageCaps:
     """Limits for one staged extension.
@@ -319,10 +335,10 @@ def build_fraisse_stage(m: int, prev: SelectorModel, caps: StageCaps) -> Selecto
     For every subset A of the previous domain within the ground limit, every
     cataloged structure R on |A| + 1 atoms, and every embedding of A's induced
     substructure into R, a fresh atom gets the point type R demands of its
-    spare atom, pulled back to A; every remaining new m-subset selects its
-    largest element.  So every one-point extension over such an A is
-    realized; A holding new atoms gets no witness.  Embeddings are consumed
-    in reverse lexicographic order of their image tuples: under the
+    spare atom, read from _extensions by A's relabeled table; every remaining
+    new m-subset selects its largest element.  So every one-point extension
+    over such an A is realized; A holding new atoms gets no witness.
+    Embeddings are consumed in reverse lexicographic order per R: under the
     max-element completion the highest fresh atoms win all unconstrained
     comparisons, so the last witnesses are the ones pinned down as dominated,
     which for m = 2 also realizes each extension over one new atom at stage 2.
@@ -335,31 +351,27 @@ def build_fraisse_stage(m: int, prev: SelectorModel, caps: StageCaps) -> Selecto
     for size in range(0, min(limit, len(prev.domain)) + 1):
         grounds.extend(combinations(prev.domain, size))
 
-    planned = []  # (A, R, images)
+    a = base = len(prev.domain)  # a: the next fresh atom
+    sel = dict(prev.sel)
     for A in grounds:
-        sub = prev.restrict(A)
-        for R in catalog_models(m, len(A) + 1):
-            for images in reversed(find_embeddings(sub, R)):
-                if len(planned) >= caps.max_new_atoms:
+        table = tuple(A.index(prev.sel[P]) for P in combinations(A, m))
+        for per_R in _extensions(m, len(A), table):
+            for _, _, demanded in reversed(per_R):
+                if a - base >= caps.max_new_atoms:
                     raise CapExceeded(
                         f"stage needs more than {caps.max_new_atoms} fresh atoms",
-                        report={"atoms_planned": len(planned), "ground": A},
+                        report={"atoms_planned": a - base, "ground": A},
                     )
-                if len(prev.domain) + len(planned) + 1 > caps.max_domain:
+                if a >= caps.max_domain:
                     raise CapExceeded(
                         f"stage domain would exceed {caps.max_domain}",
-                        report={"atoms_planned": len(planned), "ground": A},
+                        report={"atoms_planned": a - base, "ground": A},
                     )
-                planned.append((A, R, images))
+                for rest, z in zip(combinations(A, m - 1), demanded):
+                    sel[rest + (a,)] = a if z is None else A[z]  # sorted: a exceeds all of A
+                a += 1
 
-    base = len(prev.domain)
-    domain = tuple(range(base + len(planned)))
-    sel = dict(prev.sel)
-    for a, (A, R, images) in enumerate(planned, base):
-        spare = next(x for x in R.domain if x not in images)
-        demanded = _point_type(R.sel, images, spare, m, dict(zip(images, A)))
-        for rest, z in zip(combinations(A, m - 1), demanded):
-            sel[rest + (a,)] = a if z is None else z  # sorted: a exceeds every atom of A
+    domain = tuple(range(a))
     for Q in combinations(domain, m):
         if Q not in sel:
             sel[Q] = Q[-1]  # completion rule: the largest element
@@ -389,23 +401,26 @@ def check_one_point_extension(model: SelectorModel, m: int, k: int):
     For each nonempty subset A of the domain with |A| < k, each cataloged
     structure R on |A| + 1 atoms, and each embedding of A's substructure
     into R, some atom outside A must have the point type R demands of its
-    spare atom, pulled back to A; the types realized over A are collected
-    once.  Returns (ok, missing) where missing lists (A, R table, embedding
-    images) for every unrealized extension.  Stage i of run_fraisse_stages
-    passes for A inside stage i - 1 with |A| <= i - 1; other A may miss:
-    stage 3 for m = 2 misses 996 extensions at k = 3, each over an A with a
-    stage-3 atom.
+    spare atom, as read from _extensions by A's relabeled table; the types
+    realized over A are collected once, and BoundExceeded is raised before
+    any work when they number more than EXTENSION_TYPE_BOUND.  Returns (ok,
+    missing) where missing lists (A, R table, embedding images) for every
+    unrealized extension.  Stage i of run_fraisse_stages passes for A inside
+    stage i - 1 with |A| <= i - 1; other A may miss: stage 3 for m = 2 misses
+    996 extensions at k = 3, each over an A with a stage-3 atom.
     """
     if model.m != m:
         raise ValueError("arity mismatch")
+    N = len(model.domain)
+    sizes = range(1, min(k, N + 1))
+    cost = sum(math.comb(N, s) * (N - s) for s in sizes)
+    if cost > EXTENSION_TYPE_BOUND:
+        raise BoundExceeded(f"{cost} point types for k = {k} on {N} atoms exceed {EXTENSION_TYPE_BOUND}")
     missing = []
-    for size in range(1, k):
+    for size in sizes:
         for A in combinations(model.domain, size):
             realized = {_point_type(model.sel, A, w, m) for w in model.domain if w not in A}
-            sub = model.restrict(A)
-            for R in catalog_models(m, size + 1):
-                for images in find_embeddings(sub, R):
-                    spare = next(x for x in R.domain if x not in images)
-                    if _point_type(R.sel, images, spare, m, dict(zip(images, A))) not in realized:
-                        missing.append((A, tuple(sorted(R.sel.items())), images))
+            table = tuple(A.index(model.sel[P]) for P in combinations(A, m))
+            for per_R in _extensions(m, size, table):
+                missing += [(A, R_tab, images) for R_tab, images, z in per_R if z not in realized]
     return not missing, missing

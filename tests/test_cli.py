@@ -146,6 +146,17 @@ def test_scan_oracle_agreement_line(capsys):
     assert out.rstrip().endswith("oracle agreement: 49/49")
 
 
+def test_scan_oracle_counts_only_pairs_within_the_bound(capsys):
+    # pairs with n > bound skip the oracle: 11 values of m times n = 2..10
+    code, out, _ = run(capsys, "scan", "12", "12", "--oracle", "--bound", "10")
+    assert code == 0
+    assert out.rstrip().endswith("oracle agreement: 99/99")
+    code, out, _ = run(capsys, "scan", "12", "12", "--oracle", "--bound", "10", "--json")
+    assert code == 0
+    assert json.loads(out)["oracle"] == {"checked": 99, "agree": 99}
+    assert out.endswith('  "oracle": {\n    "checked": 99,\n    "agree": 99\n  }\n}\n')
+
+
 def _oracle_finds_nothing(monkeypatch):
     import ramseychoice.decomposition as dm
 
@@ -267,6 +278,13 @@ def test_fraisse_cap_exits_three(capsys):
     code, _, err = run(capsys, "fraisse", "2", "3", "--max-atoms", "5")
     assert code == 3
     assert err
+
+
+def test_fraisse_check_over_the_bound_exits_three(capsys):
+    code, out, err = run(capsys, "fraisse", "2", "3", "--check", "5")
+    assert code == 3
+    assert out == ""
+    assert err == "error: 10439548 point types for k = 5 on 49 atoms exceed 2000000\n"
 
 
 def test_fraisse_three_three_misses_over_new_atoms(capsys):

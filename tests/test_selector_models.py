@@ -7,6 +7,7 @@ import pytest
 from ramseychoice.decomposition import Decomposition, blocks, iter_decompositions
 from ramseychoice.errors import BoundExceeded, CapExceeded, NotBlocking
 from ramseychoice.selector_models import (
+    EXTENSION_TYPE_BOUND,
     CyclicAutomorphism,
     SelectorModel,
     StageCaps,
@@ -102,6 +103,11 @@ def test_cyclic_model_vacuous_when_arity_exceeds_domain():
     # at m = |domain| the single full subset still picks from S
     c = build_cyclic_model(6, 1, Decomposition([3, 2]))
     assert c.model.sel == {(0, 1, 2, 3, 4, 5): 0}
+    # m > N: there are no m-subsets, so the model is valid vacuously
+    c = build_cyclic_model(5, 0, Decomposition((2,)))
+    c.model.validate()
+    assert c.model.sel == {}
+    assert verify_equivariance(c) == (True, None)
 
 
 def test_cyclic_model_rejects_bad_args():
@@ -327,6 +333,40 @@ def test_fraisse_stage_rejects_gappy_domain():
         build_fraisse_stage(2, bad, StageCaps(ground_limit=1))
 
 
+def stage_by_embedding_search(m, prev, limit):
+    """Reference builder: restrict prev to each ground A, walk find_embeddings
+    backwards per cataloged R, and pull R's choices back through the images."""
+    planned = []
+    for size in range(min(limit, len(prev.domain)) + 1):
+        for A in combinations(prev.domain, size):
+            sub = prev.restrict(A)
+            for R in catalog_models(m, size + 1):
+                planned += [(A, R, images) for images in reversed(find_embeddings(sub, R))]
+    base = len(prev.domain)
+    sel = dict(prev.sel)
+    for a, (A, R, images) in enumerate(planned, base):
+        back, phi = dict(zip(images, A)), dict(zip(A, images))
+        spare = next(x for x in R.domain if x not in images)
+        for rest in combinations(A, m - 1):
+            z = R.sel[tuple(sorted([phi[x] for x in rest] + [spare]))]
+            sel[rest + (a,)] = a if z == spare else back[z]
+    domain = tuple(range(base + len(planned)))
+    for Q in combinations(domain, m):
+        sel.setdefault(Q, Q[-1])
+    return SelectorModel(m, domain, sel)
+
+
+@pytest.mark.parametrize("m, stages", [(1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
+def test_fraisse_stage_matches_embedding_search(m, stages):
+    """Reading demanded types by relabeled table plans the same atoms in the same order."""
+    chain = run_fraisse_stages(m, stages)
+    for i, prev in enumerate(chain[:-1]):
+        assert chain[i + 1].sel == stage_by_embedding_search(m, prev, i).sel, i
+        for limit in (0, 1):
+            got = build_fraisse_stage(m, prev, StageCaps(ground_limit=limit))
+            assert got.sel == stage_by_embedding_search(m, prev, limit).sel, (i, limit)
+
+
 def carries(phi, sel, target_sel, m):
     """Reference: is target_sel[phi(P)] = phi(sel[P]) for every m-subset P of phi's atoms?"""
     return all(
@@ -389,6 +429,23 @@ def test_one_point_extension_check_matches_candidate_walk():
         (2, 3, 2): 0, (2, 3, 3): 996,
         (3, 3, 2): 0, (3, 3, 3): 2386,
     }
+
+
+def test_one_point_extension_check_cost_bound(monkeypatch):
+    """Realized types over the 49-atom stage 3: 57,624 for k = 3, 905,128 for
+    k = 4, 10,439,548 for k = 5; the bound admits k = 4 and refuses k = 5."""
+    import ramseychoice.selector_models as sm
+
+    stage3 = run_fraisse_stages(2, 3)[-1]
+    assert 905_128 <= EXTENSION_TYPE_BOUND < 10_439_548
+    with pytest.raises(BoundExceeded, match="10439548 point types for k = 5 on 49 atoms"):
+        check_one_point_extension(stage3, 2, 5)
+    monkeypatch.setattr(sm, "EXTENSION_TYPE_BOUND", 57_624)
+    assert len(check_one_point_extension(stage3, 2, 3)[1]) == 996
+    with pytest.raises(BoundExceeded, match="905128 point types for k = 4"):
+        check_one_point_extension(stage3, 2, 4)
+    # sizes past the domain add nothing, so a huge k on a tiny model is cheap
+    assert check_one_point_extension(empty_model(2), 2, 10**9) == (True, [])
 
 
 def test_one_point_extension_check():
