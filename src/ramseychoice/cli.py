@@ -74,7 +74,7 @@ def cmd_scan(args) -> int:
         args.max_m, args.max_n, bound=args.bound, oracle=args.oracle
     )
     fallback = [r for r in report.rows if r.recipe == Recipe.EXHAUSTIVE.value]
-    checked = sum(r.n <= args.bound for r in report.rows)  # the oracle skips n > bound
+    checked = report.oracle_checked
     if args.csv:
         sys.stdout.write(report.to_csv())
     elif args.json:

@@ -19,8 +19,8 @@ from typing import Iterator
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
 from .numtheory import _prime_factors_up_to
 
-# Largest n for which the exhaustive partition scan runs by default; the
-# partition count stays in the low millions up to here.
+# Largest n for which the exhaustive oracle runs by default.  The column table
+# behind it takes about 17 ms up to here; a provable pair never scans partitions.
 EXHAUSTIVE_BOUND = 64
 
 # Largest len(parts) * total admissible_sums builds; admits classify 4 1000000 --json.
@@ -163,19 +163,58 @@ def iter_decompositions(n: int) -> Iterator[Decomposition]:
         yield Decomposition(parts)
 
 
+# The oracle's column table, grown on demand by _blockable: entry n holds the
+# subset-minimal admissible-sum masks over the decompositions of n, and the
+# bits m <= n that one of them lacks.
+_COLUMNS: list[tuple[list[int], int]] = [([1], 0)]
+
+
+def _blockable(n: int) -> int:
+    """Bits m <= n that some decomposition of n blocks: the oracle's column n.
+
+    Column n's masks are the minimal ones among S (+) C(p) for each part
+    2 <= p <= n and each mask S of column n - p, where S (+) C(p) ORs S << j
+    over j in allowed_contributions(p).  The sumset is monotone in S, so a
+    non-minimal S yields only supersets of what a minimal one yields, and m
+    is blocked by some decomposition exactly when some minimal mask lacks
+    bit m.  Columns are built in order up to n, once per process.
+    """
+    for k in range(len(_COLUMNS), n + 1):
+        candidates = set()
+        for p in range(2, k + 1):
+            shifts = allowed_contributions(p)
+            for base in _COLUMNS[k - p][0]:
+                mask = 0
+                for j in shifts:
+                    mask |= base << j
+                candidates.add(mask)
+        minimal = []
+        for mask in sorted(candidates, key=int.bit_count):  # a subset never has more bits
+            if all(kept & mask != kept for kept in minimal):
+                minimal.append(mask)
+        full, bits = (1 << k + 1) - 1, 0
+        for mask in minimal:
+            bits |= ~mask & full
+        _COLUMNS.append((minimal, bits))
+    return _COLUMNS[n][1]
+
+
 def find_blocking_decomposition(
     m: int, n: int, bound: int = EXHAUSTIVE_BOUND
 ) -> Decomposition | None:
     """First decomposition of n blocking m in the canonical scan order.
 
-    Returns None when every decomposition admits m.  The scan order is fixed
-    (reverse-lexicographic over non-increasing part lists), so the returned
-    certificate is canonical for the pair.
+    Returns None when every decomposition admits m, at once when column n
+    of the table behind _blockable says so.  Otherwise the scan order is
+    fixed (reverse-lexicographic over non-increasing part lists), so the
+    returned certificate is canonical for the pair.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need positive m and n, got ({m}, {n})")
     if n > bound:
         raise BoundExceeded(f"n = {n} exceeds the exhaustive search bound {bound}")
+    if m <= n and not _blockable(n) >> m & 1:
+        return None
     for d in iter_decompositions(n):
         if blocks(d, m):
             return d
@@ -244,13 +283,19 @@ def provable_by_theorem(m: int, n: int) -> bool:
     return provable_reason(m, n) is not None
 
 
+def oracle_checks(n: int, bound: int) -> bool:
+    """True when classify_detailed(oracle=True) runs the oracle on column n."""
+    return n <= bound
+
+
 def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHAUSTIVE_BOUND):
     """Classify one pair and keep the recipe trace for reporting.
 
     Returns (Classification, RecipeTrace | None).  With oracle=True and
-    n <= bound the exhaustive partition scan runs after the verdict, and a
-    disagreement (a blocking decomposition of a provable pair, or none for a
-    certified one) is raised as a hard failure that carries the recipe result.
+    n <= bound (oracle_checks) find_blocking_decomposition runs after the
+    verdict, and a disagreement (a blocking decomposition of a provable
+    pair, or none for a certified one) is raised as a hard failure that
+    carries the recipe result.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need positive m and n, got ({m}, {n})")
@@ -264,7 +309,7 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHA
         cls = Classification(
             m, n, Verdict.NOT_PROVABLE, Reason.CERTIFICATE, certificate=trace.decomposition
         )
-    if oracle and n <= bound:
+    if oracle and oracle_checks(n, bound):
         witness = find_blocking_decomposition(m, n, bound=bound)
         if (witness is None) != (trace is None):
             raise OracleDisagreement(

@@ -8,10 +8,17 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .certificates import Recipe
-from .decomposition import EXHAUSTIVE_BOUND, Reason, Verdict, classify_detailed, provable_reason
+from .decomposition import (
+    EXHAUSTIVE_BOUND,
+    Reason,
+    Verdict,
+    classify_detailed,
+    oracle_checks,
+    provable_reason,
+)
 from .errors import OracleDisagreement
 
 
@@ -27,11 +34,16 @@ class ScanRow:
 
 @dataclass
 class ScanReport:
-    """Grid classification result with JSON and CSV round trips."""
+    """Grid classification result with JSON and CSV round trips.
+
+    oracle_checked counts the rows the oracle checked, or is None for a scan
+    without it; it describes the run, not the grid, so equality ignores it.
+    """
 
     max_m: int
     max_n: int
     rows: list[ScanRow]
+    oracle_checked: int | None = field(default=None, compare=False)
 
     @property
     def total(self) -> int:
@@ -128,8 +140,9 @@ class ScanReport:
 def run_scan(max_m: int, max_n: int, *, bound: int = EXHAUSTIVE_BOUND, oracle: bool = False):
     """Classify the grid 2..max_m x 2..max_n.
 
-    Returns (report, disagreements); with oracle=True every pair is also
-    checked against the direct decomposition search.
+    Returns (report, disagreements); with oracle=True every pair within the
+    bound is also checked against the direct decomposition search, and the
+    report counts those pairs.
     """
     if max_m < 2 or max_n < 2:
         raise ValueError("scan needs max_m >= 2 and max_n >= 2")
@@ -147,4 +160,5 @@ def run_scan(max_m: int, max_n: int, *, bound: int = EXHAUSTIVE_BOUND, oracle: b
             rows.append(
                 ScanRow(m, n, cls_.verdict.value, cls_.reason.value, recipe, parts)
             )
-    return ScanReport(max_m, max_n, rows), disagreements
+    checked = sum(oracle_checks(r.n, bound) for r in rows) if oracle else None
+    return ScanReport(max_m, max_n, rows, checked), disagreements

@@ -155,6 +155,17 @@ def test_scan_oracle_counts_only_pairs_within_the_bound(capsys):
     assert code == 0
     assert json.loads(out)["oracle"] == {"checked": 99, "agree": 99}
     assert out.endswith('  "oracle": {\n    "checked": 99,\n    "agree": 99\n  }\n}\n')
+    # the report carries the count; a scan without the oracle has none
+    assert run_scan(12, 12, bound=10, oracle=True)[0].oracle_checked == 99
+    assert run_scan(3, 3)[0].oracle_checked is None
+
+
+def test_oracle_reaches_the_exhaustive_bound(capsys):
+    code, out, _ = run(capsys, "scan", "64", "64", "--oracle")
+    assert code == 0
+    assert out.rstrip().endswith("oracle agreement: 3969/3969")
+    code, out, _ = run(capsys, "classify", "64", "64", "--oracle")
+    assert (code, out) == (0, "RC_64 => RC_64: provable (diagonal)\n")
 
 
 def _oracle_finds_nothing(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ramseychoice.decomposition import (
     EXHAUSTIVE_BOUND,
+    _blockable,
     Classification,
     Decomposition,
     Reason,
@@ -244,6 +245,33 @@ def test_find_blocking_decomposition_is_first_in_scan_order():
                 assert got == hits[0]
             else:
                 assert got is None
+
+
+def test_blockable_columns_match_brute_force():
+    # bit m of column n is set when some decomposition's full table lacks m
+    for n in range(41):
+        full = (1 << n + 1) - 1
+        want = 0
+        for d in iter_decompositions(n):
+            want |= ~admissible_sums(d).bits & full
+        assert _blockable(n) == want, n
+    # n = 0 and n = 1 have no decomposition, so nothing is blockable
+    assert _blockable(0) == _blockable(1) == 0
+    # m > n lies outside the column, and every decomposition blocks it
+    for n in range(1, 20):
+        assert _blockable(n) >> n + 1 == 0
+        for m in range(n + 1, 25):
+            got = find_blocking_decomposition(m, n)
+            assert got == (Decomposition((n,)) if n >= 2 else None), (m, n)
+
+
+def test_blockable_columns_match_the_theorem():
+    # no recipes and no scan: the table alone against the closed form
+    for n in range(2, 151):
+        bits = _blockable(n)
+        for m in range(2, 151):
+            unblockable = m <= n and not bits >> m & 1
+            assert unblockable == provable_by_theorem(m, n), (m, n)
 
 
 def test_find_blocking_decomposition_bounds():
