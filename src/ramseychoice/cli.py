@@ -254,6 +254,9 @@ def cmd_verify(args) -> int:
             print(f"invariant subsets checked: {total}")
         return 0 if ok else 1
     # target == "goldbach"
+    first_over = max(7, (args.bound + 1) | 1)  # the first odd target the bound refuses
+    if args.max >= first_over:  # refuse before any search, with the library's own error
+        iter_goldbach_triples(first_over, bound=args.bound)
     failures = []
     checked = 0
     for n in range(7, args.max + 1, 2):

@@ -76,18 +76,40 @@ class AdmissibleSumSet:
 def allowed_contributions(part: int) -> frozenset[int]:
     """Contributions a part admits: zero, or any j <= part sharing a factor.
 
-    This is the fold's contribution rule taken up to the part itself.
+    These are zero and the multiples of part's primes up to part, the rule
+    _add_part folds by shifts.  No library path reads this set.
     """
     if part < 2:
         raise InvalidPart(f"part must be >= 2, got {part}")
-    return frozenset((0, *_contributions_up_to(part, part)))
+    return frozenset((0,)).union(*(range(q, part + 1, q) for q in _part_primes(part, part)))
 
 
 @lru_cache(maxsize=1024)
-def _contributions_up_to(part: int, limit: int) -> tuple[int, ...]:
-    """The nonzero contributions of part up to limit <= part: multiples of its primes."""
-    primes = _prime_factors_up_to(part, limit)
-    return tuple(set().union(*(range(q, limit + 1, q) for q in primes)))
+def _part_primes(part: int, reach: int) -> tuple[int, ...]:
+    """part's primes up to reach: its contributions up to reach are their multiples."""
+    return tuple(_prime_factors_up_to(part, reach))
+
+
+def _progression(sums: int, q: int, k: int) -> int:
+    """sums shifted by each of 0, q, ..., kq and ORed, in about log2(k + 1) shift-ORs.
+
+    Binary splitting: chunks of 1, 2, 4, ... multiples cover 0..2^t - 1 of
+    them, and a last shift by the k - (2^t - 1) <= 2^t left closes the gap.
+    """
+    chunk = 1
+    while chunk < k:
+        sums |= sums << chunk * q
+        k -= chunk
+        chunk *= 2
+    return sums | sums << k * q
+
+
+def _add_part(sums: int, primes: tuple[int, ...], reach: int) -> int:
+    """sums plus one part with these primes: 0, or a multiple of one of them up to reach."""
+    step = sums
+    for q in primes:
+        step |= _progression(sums, q, reach // q)
+    return step
 
 
 def _fold(parts: tuple[int, ...], limit: int) -> int:
@@ -96,21 +118,13 @@ def _fold(parts: tuple[int, ...], limit: int) -> int:
     for part in parts:
         if part == prev:  # the run is folded, or a copy left the table unchanged
             continue
-        contributions = _contributions_up_to(part, part if part < limit else limit)
-        if len(contributions) == 1:  # binary splitting of k copies adding 0 or s
-            s, k, chunk = contributions[0], parts.count(part), 1
-            if k * s > limit:  # copies past limit // s add only sums above limit
-                k = limit // s
-            while chunk < k:
-                sums = (sums | sums << chunk * s) & keep
-                k -= chunk
-                chunk *= 2
-            sums, prev = (sums | sums << k * s) & keep, part
+        reach = part if part < limit else limit
+        primes = _part_primes(part, reach)
+        if len(primes) == 1:  # the k copies add exactly the multiples of q up to k * part
+            q = primes[0]
+            sums, prev = _progression(sums, q, min(parts.count(part) * part, limit) // q) & keep, part
         else:
-            step = sums
-            for j in contributions:
-                step |= sums << j
-            step &= keep
+            step = _add_part(sums, primes, reach) & keep
             sums, prev = step, part if step == sums else 0
         if sums >> limit:
             return sums
@@ -135,12 +149,13 @@ def blocks(d: Decomposition, m: int) -> bool:
 
     m above the total is always blocked, and m = 0 never is.  Otherwise this
     reads bit m of one subset-sum fold that keeps only the sums up to m and
-    stops once m is reached.  Equal parts are adjacent, so each run of k
-    copies is met at its first.  If the part's only contribution up to m is
-    s (any prime up to m), the copies add 0 or s each, and binary splitting
-    folds the run in ceil(log2(k + 1)) shifts.  Any other run folds copy by
-    copy until a copy changes nothing; as a part may always contribute 0,
-    the rest of the run cannot change the table either.
+    stops once m is reached.  A part adds 0 or a multiple of one of its
+    primes, one _progression per prime.  Equal parts are adjacent, so each
+    run of k copies is met at its first.  If the part has one prime q up to
+    m, the k copies add exactly the multiples of q up to k * part, in one
+    _progression.  Any other run folds copy by copy until a copy changes
+    nothing; as a part may always contribute 0, the rest of the run cannot
+    change the table either.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
@@ -173,8 +188,8 @@ def _blockable(n: int) -> int:
     """Bits m <= n that some decomposition of n blocks: the oracle's column n.
 
     Column n's masks are the minimal ones among S (+) C(p) for each part
-    2 <= p <= n and each mask S of column n - p, where S (+) C(p) ORs S << j
-    over j in allowed_contributions(p).  The sumset is monotone in S, so a
+    2 <= p <= n and each mask S of column n - p, where S (+) C(p) is S plus
+    one part p, built by _add_part.  The sumset is monotone in S, so a
     non-minimal S yields only supersets of what a minimal one yields, and m
     is blocked by some decomposition exactly when some minimal mask lacks
     bit m.  Columns are built in order up to n, once per process.
@@ -182,12 +197,8 @@ def _blockable(n: int) -> int:
     for k in range(len(_COLUMNS), n + 1):
         candidates = set()
         for p in range(2, k + 1):
-            shifts = allowed_contributions(p)
-            for base in _COLUMNS[k - p][0]:
-                mask = 0
-                for j in shifts:
-                    mask |= base << j
-                candidates.add(mask)
+            primes = _part_primes(p, p)
+            candidates.update(_add_part(base, primes, p) for base in _COLUMNS[k - p][0])
         minimal = []
         for mask in sorted(candidates, key=int.bit_count):  # a subset never has more bits
             if all(kept & mask != kept for kept in minimal):
@@ -303,8 +314,6 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHA
     if reason is not None:
         cls, trace = Classification(m, n, Verdict.PROVABLE, reason), None
     else:
-        from . import certificates  # deferred: certificates imports this module
-
         trace = certificates.build_certificate(m, n, bound=bound)
         cls = Classification(
             m, n, Verdict.NOT_PROVABLE, Reason.CERTIFICATE, certificate=trace.decomposition
@@ -331,3 +340,8 @@ def classify(m: int, n: int, *, oracle: bool = False, bound: int = EXHAUSTIVE_BO
     CertificateSearchFailed rather than a fabricated verdict.
     """
     return classify_detailed(m, n, oracle=oracle, bound=bound)[0]
+
+
+# Imported last: certificates imports this module, so whichever of the two is
+# imported first, the other finds every name it needs already defined.
+from . import certificates  # noqa: E402

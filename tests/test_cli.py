@@ -339,6 +339,27 @@ def test_verify_goldbach_bound_exits_three(capsys):
     assert err
 
 
+def test_verify_goldbach_refuses_max_over_the_bound_before_any_search(capsys, monkeypatch):
+    import ramseychoice.numtheory as numtheory
+
+    walk, calls = numtheory._walk_goldbach_triples, []
+
+    def counted(n, all_odd_preferred):
+        calls.append(n)
+        return walk(n, all_odd_preferred)
+
+    monkeypatch.setattr(numtheory, "_walk_goldbach_triples", counted)
+    code, out, err = run(capsys, "verify", "goldbach", "--max", "1000003")
+    assert (code, out, calls) == (3, "", [])
+    assert err == "error: n = 1000001 exceeds the triple search bound 1000000\n"
+    # a bound below 7 refuses the first target; a max just under the first refused one searches
+    code, out, err = run(capsys, "verify", "goldbach", "--max", "7", "--bound", "5")
+    assert (code, out, calls) == (3, "", [])
+    assert err == "error: n = 7 exceeds the triple search bound 5\n"
+    code, out, _ = run(capsys, "verify", "goldbach", "--max", "12", "--bound", "12")
+    assert (code, out, calls) == (0, "odd targets 7..12: all admit a prime triple (3 checked)\n", [7, 9, 11])
+
+
 def test_classify_odd_n_searches_goldbach_up_to_two_to_the_63(capsys):
     code, out, _ = run(capsys, "classify", "3", "1000003")
     assert (code, out) == (0, "RC_3 => RC_1000003: not provable (blocked by 1000003)\n")
@@ -369,14 +390,16 @@ def test_classify_json_refuses_huge_tables(capsys):
 
 
 def test_classify_json_big_tables_are_pinned(capsys):
-    # the full tables of 200,000 parts of 5 (one long run) and of 4194301 + 3
-    # (a wide, sparse table), pinned byte for byte
+    # the full tables of 200,000 parts of 5 (one long run), of 4194301 + 3
+    # (a wide, sparse table) and of the one part 5*7*11*13*17*19 (six primes,
+    # a dense table), pinned byte for byte
     want = {
-        "1000000": "1fbed61185e44f214784ece188940f76e118e4f729f85c20a75800e022cb9da2",
-        "4194304": "bcc9adfd0c1041debbe2bd8ae7c4dd081f0b0ef8c4c27eabbec03fc05702c27d",
+        ("4", "1000000"): "1fbed61185e44f214784ece188940f76e118e4f729f85c20a75800e022cb9da2",
+        ("4", "4194304"): "bcc9adfd0c1041debbe2bd8ae7c4dd081f0b0ef8c4c27eabbec03fc05702c27d",
+        ("3", "1616615"): "3ecd9ea337e9b88127bc4885f4d27d04eb6496e09bacdf5cbbbe1e882c56fcef",
     }
-    for n, digest in want.items():
-        code, out, _ = run(capsys, "classify", "4", n, "--json")
+    for (m, n), digest in want.items():
+        code, out, _ = run(capsys, "classify", m, n, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, n
 

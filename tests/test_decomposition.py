@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from ramseychoice.decomposition import (
     EXHAUSTIVE_BOUND,
+    _COLUMNS,
     _blockable,
     Classification,
     Decomposition,
@@ -38,11 +41,18 @@ def brute_sums(parts):
 
 
 def reference_sums(parts, limit):
-    """Independent oracle: set-based DP up to limit, contributions by gcd."""
-    sums = {0}
+    """Independent oracle: set-based DP up to limit, contributions by gcd.
+
+    A copy that leaves the set unchanged is skipped with the rest of its run:
+    the next copy would meet the same set.
+    """
+    sums, fixed = {0}, None
     for part in parts:
+        if part == fixed:
+            continue
         options = [j for j in range(1, min(part, limit) + 1) if math.gcd(j, part) > 1]
-        sums |= {s + j for s in sums for j in options if s + j <= limit}
+        grown = sums | {s + j for s in sums for j in options if s + j <= limit}
+        sums, fixed = grown, part if grown == sums else None
     return sums
 
 
@@ -191,15 +201,35 @@ def test_fold_splits_single_contribution_runs():
         assert_fold_matches_reference((9,) * k + (4,) * k, range(0, 6), limit=5)
 
 
+# Small parts, then one small prime with a large cofactor, prime powers, and many primes.
+FOLD_PARTS = st.one_of(
+    st.integers(2, 40),
+    st.sampled_from((2 * 1009, 3 * 1013, 4, 8, 9, 27, 32, 30, 210, 2310, 30030)),
+)
+
+
 @given(
-    st.lists(st.tuples(st.integers(2, 40), st.integers(1, 12)), min_size=1, max_size=12),
+    st.lists(st.tuples(FOLD_PARTS, st.integers(1, 60)), min_size=1, max_size=12),
     st.integers(0, 500),
 )
 def test_blocks_is_membership_in_the_full_table_random(runs, m):
     d = Decomposition([part for part, count in runs for _ in range(count)])
     want = reference_sums(d.parts, m)
-    assert blocks(d, m) == (m not in admissible_sums(d)) == (m not in want)
-    assert {s for s in admissible_sums(d).values() if s <= m} == want
+    assert blocks(d, m) == (m not in want)
+    # a full table of a few million bits takes up to a second, so the reporting
+    # view is compared only up to a total of 10^5, which 12 runs of up to 12
+    # parts up to 40 never exceed
+    if d.total <= 10**5:
+        table = admissible_sums(d)
+        assert (m not in table) == (m not in want)
+        assert {s for s in range(m + 1) if s in table} == want
+
+
+def test_admissible_sums_of_one_dense_part():
+    n = 999999  # 3^3 * 7 * 11 * 13 * 37: a part with five primes
+    table = admissible_sums(Decomposition((n,)))
+    want = "".join("1" if j == 0 or math.gcd(j, n) > 1 else "0" for j in range(n, -1, -1))
+    assert table.bits == int(want, 2)
 
 
 def test_values_on_a_sparse_wide_table():
@@ -250,11 +280,14 @@ def test_find_blocking_decomposition_is_first_in_scan_order():
 def test_blockable_columns_match_brute_force():
     # bit m of column n is set when some decomposition's full table lacks m
     for n in range(41):
-        full = (1 << n + 1) - 1
-        want = 0
-        for d in iter_decompositions(n):
-            want |= ~admissible_sums(d).bits & full
+        full, want = (1 << n + 1) - 1, 0
+        tables = {admissible_sums(d).bits for d in iter_decompositions(n)}
+        for table in tables:
+            want |= ~table & full
         assert _blockable(n) == want, n
+        # and the column keeps exactly the subset-minimal tables (column 0: the empty sum)
+        minimal = {t for t in tables if not any(u != t and u & t == u for u in tables)}
+        assert set(_COLUMNS[n][0]) == (minimal if n else {1}), n
     # n = 0 and n = 1 have no decomposition, so nothing is blockable
     assert _blockable(0) == _blockable(1) == 0
     # m > n lies outside the column, and every decomposition blocks it
@@ -412,3 +445,16 @@ def test_classify_detailed_trace_matches_certificate():
     assert trace.m == 6 and trace.n == 9
     cls_, trace = classify_detailed(4, 4)
     assert trace is None
+
+
+@pytest.mark.parametrize("first", ["certificates", "decomposition"])
+def test_either_module_may_be_imported_first(first):
+    # decomposition imports certificates at its end, and certificates imports decomposition
+    code = (
+        f"import ramseychoice.{first}\n"
+        "from ramseychoice.decomposition import classify\n"
+        "c = classify(3, 7)\n"
+        "print(c.verdict.value, c.certificate)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "not_provable 7\n", "")
