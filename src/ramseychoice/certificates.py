@@ -241,8 +241,14 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
     - p = n - 1 happens only for n <= 6, below the guard;
     - p >= m makes p an odd prime in (m, n - 1), and with one of those the
       even-gap recipe never declines (see its proof);
-    - when m - p is an odd prime dividing n - p the direct split admits m;
-      no even pair with n <= 4000 reaches this recipe in that state.
+    - when m - p is an odd prime dividing n - p the direct split admits m,
+      but no pair reaches this recipe in that state.  By Nagura's theorem
+      (a prime lies in (x, 6x/5) for x >= 25; J. Nagura, Proc. Japan Acad.
+      28, 1952): (m - p) | (n - p) with n != m forces n - p >= 2(m - p),
+      so p >= 2m - n; p < 0.6n, so m < 0.8n; then (m, 1.2m) holds a prime
+      below 0.96n <= n - 3 once n >= 75, and recipe_even_gap answers
+      first.  For n < 75, a scan of every even pair in that state finds such
+      a prime too.
     """
     if m % 2 != 0 or n % 2 != 0 or not (n // 2 <= m < n - 4):
         return None

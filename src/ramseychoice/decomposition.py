@@ -17,10 +17,10 @@ from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
-from .numtheory import _prime_factors_up_to
+from .numtheory import _prime_factors_up_to, primes_up_to
 
 # Largest n for which the exhaustive oracle runs by default.  The column table
-# behind it takes about 17 ms up to here; a provable pair never scans partitions.
+# behind it takes about 5 ms up to here; a provable pair never scans partitions.
 EXHAUSTIVE_BOUND = 64
 
 # Largest len(parts) * total admissible_sums builds; admits classify 4 1000000 --json.
@@ -187,18 +187,18 @@ _COLUMNS: list[tuple[list[int], int]] = [([1], 0)]
 def _blockable(n: int) -> int:
     """Bits m <= n that some decomposition of n blocks: the oracle's column n.
 
-    Column n's masks are the minimal ones among S (+) C(p) for each part
-    2 <= p <= n and each mask S of column n - p, where S (+) C(p) is S plus
-    one part p, built by _add_part.  The sumset is monotone in S, so a
-    non-minimal S yields only supersets of what a minimal one yields, and m
-    is blocked by some decomposition exactly when some minimal mask lacks
-    bit m.  Columns are built in order up to n, once per process.
+    Column n's masks are the minimal ones among S | S << p for each prime
+    part p <= n and each mask S of column n - p.  A composite part p with a
+    prime q adds 0 and every multiple of q up to p, a superset of what p/q
+    parts q add, so it never yields a minimal mask.  The sumset is monotone
+    in S, so a non-minimal S yields only supersets of what a minimal one
+    yields, and m is blocked by some decomposition exactly when some minimal
+    mask lacks bit m.  Columns are built in order up to n, once per process.
     """
     for k in range(len(_COLUMNS), n + 1):
         candidates = set()
-        for p in range(2, k + 1):
-            primes = _part_primes(p, p)
-            candidates.update(_add_part(base, primes, p) for base in _COLUMNS[k - p][0])
+        for p in primes_up_to(k):
+            candidates.update(base | base << p for base in _COLUMNS[k - p][0])
         minimal = []
         for mask in sorted(candidates, key=int.bit_count):  # a subset never has more bits
             if all(kept & mask != kept for kept in minimal):

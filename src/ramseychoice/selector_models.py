@@ -401,13 +401,17 @@ def check_one_point_extension(model: SelectorModel, m: int, k: int):
     For each nonempty subset A of the domain with |A| < k, each cataloged
     structure R on |A| + 1 atoms, and each embedding of A's substructure
     into R, some atom outside A must have the point type R demands of its
-    spare atom, as read from _extensions by A's relabeled table; the types
-    realized over A are collected once, and BoundExceeded is raised before
-    any work when they number more than EXTENSION_TYPE_BOUND.  Returns (ok,
-    missing) where missing lists (A, R table, embedding images) for every
-    unrealized extension.  Stage i of run_fraisse_stages passes for A inside
-    stage i - 1 with |A| <= i - 1; other A may miss: stage 3 for m = 2 misses
-    996 extensions at k = 3, each over an A with a stage-3 atom.
+    spare atom, as read from _extensions by A's relabeled table.  One pass
+    over sel builds the pick masks: picks[rest][z] holds a bit per atom w,
+    by position in the domain, with sel(rest + w) = z, or z = None when w
+    itself is picked.  A demanded type is realized exactly when the AND of
+    its picks over the (m - 1)-subsets of A, less A's own bits, is nonzero.
+    BoundExceeded is raised before any work when the pairs (A, w) number
+    more than EXTENSION_TYPE_BOUND.  Returns (ok, missing) where missing
+    lists (A, R table, embedding images) for every unrealized extension.
+    Stage i of run_fraisse_stages passes for A inside stage i - 1 with
+    |A| <= i - 1; other A may miss: stage 3 for m = 2 misses 996 extensions
+    at k = 3, each over an A with a stage-3 atom.
     """
     if model.m != m:
         raise ValueError("arity mismatch")
@@ -416,11 +420,27 @@ def check_one_point_extension(model: SelectorModel, m: int, k: int):
     cost = sum(math.comb(N, s) * (N - s) for s in sizes)
     if cost > EXTENSION_TYPE_BOUND:
         raise BoundExceeded(f"{cost} point types for k = {k} on {N} atoms exceed {EXTENSION_TYPE_BOUND}")
+    bit = {a: 1 << i for i, a in enumerate(model.domain)}
+    picks: dict[tuple[int, ...], dict[int | None, int]] = {}
+    # only an A of at least m - 1 atoms reads picks; without one, skip the pass
+    entries = model.sel.items() if sizes and sizes[-1] >= m - 1 else ()
+    for P, x in entries:
+        for i, w in enumerate(P):
+            by_pick = picks.setdefault(P[:i] + P[i + 1:], {})
+            z = None if w == x else x
+            by_pick[z] = by_pick.get(z, 0) | bit[w]
+    everyone = (1 << N) - 1
     missing = []
     for size in sizes:
         for A in combinations(model.domain, size):
-            realized = {_point_type(model.sel, A, w, m) for w in model.domain if w not in A}
+            outside = everyone ^ sum(bit[a] for a in A)
+            rows = [picks.get(rest, {}) for rest in combinations(A, m - 1)]
             table = tuple(A.index(model.sel[P]) for P in combinations(A, m))
             for per_R in _extensions(m, size, table):
-                missing += [(A, R_tab, images) for R_tab, images, z in per_R if z not in realized]
+                for R_tab, images, demanded in per_R:
+                    mask = outside
+                    for by_pick, z in zip(rows, demanded):
+                        mask &= by_pick.get(z if z is None else A[z], 0)
+                    if not mask:
+                        missing.append((A, R_tab, images))
     return not missing, missing

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ramseychoice.cli import build_parser, main
+from ramseychoice.cli import _dumps, build_parser, main
 from ramseychoice.numtheory import GOLDBACH_SEARCH_BOUND
 from ramseychoice.scan import ScanReport, ScanRow, run_scan
 
@@ -36,6 +36,40 @@ def test_classify_json_shape(capsys):
                          "achievable_sums"]
     assert obj["certificate"] == {"parts": [7]}
     assert obj["achievable_sums"] == [0, 7]
+
+
+JSON_COMMANDS = [
+    ("classify", "3", "7", "--json"),
+    ("classify", "4", "4", "--json"),
+    ("certificate", "6", "9", "--json"),
+    ("scan", "5", "5", "--oracle", "--json"),
+    ("model", "2", "1", "3", "--json"),
+    ("catalog", "2", "1", "--json"),
+    ("fraisse", "2", "2", "--check", "2", "--json"),
+    ("verify", "rc24", "--json"),
+    ("verify", "claim", "--qmax", "5", "--json"),
+    ("verify", "goldbach", "--max", "21", "--json"),
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+def test_json_output_is_json_dumps_indent_2(capsys, argv):
+    _, out, _ = run(capsys, *argv)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_printer_matches_json_dumps_on_every_shape():
+    shapes = [
+        {}, [], (), 0, -1.5, True, None, "a, b", 'say "x", then {y}: [z]',
+        {"empty": [], "none": {}, "flags": [True, False, None], "s": ["a, b", "\"q\", r"]},
+        {"sel": [{"subset": [0, 1], "choice": 0}, {"subset": [], "choice": None}]},
+        [[], {}, [[]], [{}], [[1, [2, []]]], {"a": {"b": {"c": []}}}],
+        {1: [2], True: {"x": 1}, None: "n", 2.5: [3, (4, 5)]},
+        ("t", ("u", ()), {"v": ("w",)}),
+        {"unicode": "\u00e9\n\t\u2014", "table": list(range(50))},
+    ]
+    for obj in shapes:
+        assert _dumps(obj) == json.dumps(obj, indent=2), obj
 
 
 def test_certificate_output(capsys):
@@ -296,6 +330,12 @@ def test_fraisse_check_over_the_bound_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: 10439548 point types for k = 5 on 49 atoms exceed 2000000\n"
+
+
+def test_fraisse_check_four_counts_every_missing_extension(capsys):
+    code, out, _ = run(capsys, "fraisse", "2", "3", "--check", "4")
+    assert code == 1
+    assert out.endswith("stage 3: 49 atoms\none-point extensions up to k=4: missing 92629\n")
 
 
 def test_fraisse_three_three_misses_over_new_atoms(capsys):

@@ -3,6 +3,8 @@ from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ramseychoice.decomposition import Decomposition, blocks, iter_decompositions
 from ramseychoice.errors import BoundExceeded, CapExceeded, NotBlocking
@@ -416,7 +418,7 @@ def test_embeddings_match_permutation_walk():
 
 
 def test_one_point_extension_check_matches_candidate_walk():
-    """Collecting realized point types once per A reports the same missing list."""
+    """Pick masks report the same missing list as trying each candidate witness."""
     counts = {}
     for m, stages in [(2, 2), (2, 3), (3, 3)]:
         model = run_fraisse_stages(m, stages)[-1]
@@ -431,9 +433,30 @@ def test_one_point_extension_check_matches_candidate_walk():
     }
 
 
+@given(st.integers(1, 3), st.integers(0, 127), st.integers(0, 3**20 - 1), st.integers(1, 4))
+def test_one_point_extension_check_matches_candidate_walk_random(m, atoms, code, k):
+    """Random tables on at most 6 atoms out of 0..6, so ids have gaps and bit positions differ."""
+    domain = tuple(a for a in range(7) if atoms >> a & 1)[:6]
+    # digit i of code in base m picks from the i-th m-subset
+    sel = {P: P[code // m**i % m] for i, P in enumerate(combinations(domain, m))}
+    model = SelectorModel(m, domain, sel)
+    assert check_one_point_extension(model, m, k) == extensions_by_candidate(model, m, k)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_fraisse_stage_three_misses_only_over_new_atoms(m):
+    """Stage 3 realizes every extension over A inside stage 2, so each A missing at k = 3 reaches past it."""
+    chain = run_fraisse_stages(m, 3)
+    inner = len(chain[2].domain)
+    ok, missing = check_one_point_extension(chain[3], m, 3)
+    assert not ok and missing
+    assert all(max(A) >= inner for A, _, _ in missing)
+
+
 def test_one_point_extension_check_cost_bound(monkeypatch):
-    """Realized types over the 49-atom stage 3: 57,624 for k = 3, 905,128 for
-    k = 4, 10,439,548 for k = 5; the bound admits k = 4 and refuses k = 5."""
+    """Pairs (A, w) the estimate counts on the 49-atom stage 3: 57,624 for
+    k = 3, 905,128 for k = 4, 10,439,548 for k = 5; the bound admits k = 4
+    and refuses k = 5."""
     import ramseychoice.selector_models as sm
 
     stage3 = run_fraisse_stages(2, 3)[-1]
