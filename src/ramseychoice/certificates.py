@@ -7,7 +7,7 @@ proof order, and checks each proposal with exactly one blocking test.  It
 returns the first trace that blocks m, or None when (m, n) is not its case.
 A wrong guess can therefore cost completeness but never soundness.  Where
 the theorem guarantees blocking (greater, prime divisor, prime power, Fermat
-shift, the four-part dense split) and in the exhaustive fallback, the
+shift, both dense splits) and in the exhaustive fallback, the
 proposal goes through RecipeTrace.verified, which raises instead of
 declining: a failure there is a bug, not a decline.
 """
@@ -89,7 +89,8 @@ def recipe_greater(m: int, n: int) -> RecipeTrace | None:
     if not (m > n >= 2):
         return None
     return RecipeTrace.verified(
-        m, n, Recipe.GREATER, Decomposition((n,)), [f"m = {m} exceeds n = {n}; single part blocks"]
+        m, n, Recipe.GREATER, Decomposition.from_runs((n,), (1,)),
+        [f"m = {m} exceeds n = {n}; single part blocks"],
     )
 
 
@@ -102,7 +103,7 @@ def recipe_prime_divisor(m: int, n: int) -> RecipeTrace | None:
     if p is None:
         return None
     return RecipeTrace.verified(
-        m, n, Recipe.PRIME_DIVISOR, Decomposition((p,) * (n // p)),
+        m, n, Recipe.PRIME_DIVISOR, Decomposition.from_runs((p,), (n // p,)),
         [f"prime {p} divides n = {n} but not m = {m}", f"emit {n // p} copies of {p}"],
     )
 
@@ -230,7 +231,9 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
     p plus the first Goldbach triple of n - p.  The n - m > 4 guard keeps
     n - p >= 7, the smallest odd target iter_goldbach_triples accepts.
 
-    The four-part split always blocks: n - p < n/2 <= m, so p must
+    The direct split blocks m unless the prime m - p divides n - p: n - p
+    < n/2 <= m, so p must contribute and n - p supply m - p, which needs a
+    shared factor.  The four-part split always blocks: again p must
     contribute and the triple supply the odd m - p, here 1 or composite; but
     each odd sub-sum of the first triple (all odd, or (2, 2, 3) for n - p = 7)
     is a prime or n - p, and m - p = n - p would mean m = n.
@@ -241,14 +244,14 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
     - p = n - 1 happens only for n <= 6, below the guard;
     - p >= m makes p an odd prime in (m, n - 1), and with one of those the
       even-gap recipe never declines (see its proof);
-    - when m - p is an odd prime dividing n - p the direct split admits m,
-      but no pair reaches this recipe in that state.  By Nagura's theorem
-      (a prime lies in (x, 6x/5) for x >= 25; J. Nagura, Proc. Japan Acad.
-      28, 1952): (m - p) | (n - p) with n != m forces n - p >= 2(m - p),
-      so p >= 2m - n; p < 0.6n, so m < 0.8n; then (m, 1.2m) holds a prime
-      below 0.96n <= n - 3 once n >= 75, and recipe_even_gap answers
-      first.  For n < 75, a scan of every even pair in that state finds such
-      a prime too.
+    - when m - p is an odd prime dividing n - p the direct split admits m
+      and the recipe declines, but no pair reaches it in that state.  By
+      Nagura's theorem (a prime lies in (x, 6x/5) for x >= 25; J. Nagura,
+      Proc. Japan Acad. 28, 1952): (m - p) | (n - p) with n != m forces
+      n - p >= 2(m - p), so p >= 2m - n; p < 0.6n, so m < 0.8n; then
+      (m, 1.2m) holds a prime below 0.96n <= n - 3 once n >= 75, and
+      recipe_even_gap answers first.  For n < 75, a scan of every even pair
+      in that state finds such a prime too.
     """
     if m % 2 != 0 or n % 2 != 0 or not (n // 2 <= m < n - 4):
         return None
@@ -257,10 +260,10 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
         return None
     narrative = [f"prime {p} just above n/2 = {n // 2}"]
     if m - p > 2 and is_prime(m - p):
-        narrative.append(f"m - p = {m - p} is an odd prime")
-        return _trace_if_blocking(
-            m, n, Recipe.EVEN_DENSE, (p, n - p), narrative, f"direct split {n} = {p} + {n - p}"
-        )
+        if (n - p) % (m - p) == 0:  # the direct split admits m; see the last case below
+            return None
+        narrative += [f"m - p = {m - p} is an odd prime", f"direct split {n} = {p} + {n - p}"]
+        return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, Decomposition((p, n - p)), narrative)
     narrative.append(f"m - p = {m - p} is not an odd prime; four-part splits")
     t = next(iter_goldbach_triples(n - p, all_odd_preferred=True))
     narrative.append(f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}")

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import groupby
+from operator import mul
 from typing import Iterator
 
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
@@ -23,17 +25,26 @@ from .numtheory import _prime_factors_up_to, primes_up_to
 # behind it takes about 5 ms up to here; a provable pair never scans partitions.
 EXHAUSTIVE_BOUND = 64
 
-# Largest len(parts) * total admissible_sums builds; admits classify 4 1000000 --json.
+# Largest (number of parts) * total admissible_sums builds; admits classify 4 1000000 --json.
 # The fold updates its table of total + 1 bits at most once per part, and less for runs.
 TABLE_WORK_BOUND = 2**38
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
-    """A multiset of parts >= 2, stored in canonical non-increasing order."""
+    """A multiset of parts >= 2, stored as runs: its distinct parts in
+    decreasing order and the count of each.
 
-    parts: tuple[int, ...]
-    total: int = field(init=False, compare=False, repr=False)
+    parts, one entry per copy in non-increasing order, is kept from the
+    constructor's argument; for a decomposition built from runs it is
+    derived on first use and then kept.  When every part is distinct the
+    counts are None and parts is the tuple of distinct parts itself.
+    """
+
+    _values: tuple[int, ...]
+    _counts: tuple[int, ...] | None
+    total: int = field(compare=False)
+    _parts: tuple[int, ...] | None = field(compare=False)
 
     def __init__(self, parts):
         ordered = tuple(sorted(parts, reverse=True))
@@ -47,14 +58,60 @@ class Decomposition:
         for p in () if valid else ordered:  # the exact rule, naming the first bad part
             if not isinstance(p, int) or p < 2:
                 raise InvalidPart(f"part {p!r} is invalid; parts must be integers >= 2")
-        object.__setattr__(self, "parts", ordered)
-        object.__setattr__(self, "total", total)
+        values, counts = ordered, None
+        if len(set(ordered)) < len(ordered):  # some part repeats
+            values, counts = zip(*[(p, len(tuple(run))) for p, run in groupby(ordered)])
+        _set_values(self, values)
+        _set_counts(self, counts)
+        _set_total(self, total)
+        _set_parts(self, ordered)
+
+    @classmethod
+    def from_runs(cls, values: tuple[int, ...], counts: tuple[int, ...]) -> Decomposition:
+        """The decomposition with counts[i] copies of values[i], trusted as given.
+
+        values must be strictly decreasing integers >= 2 and counts positive;
+        nothing is sorted or checked, so a run of 10^17 copies costs O(1).
+        """
+        self = object.__new__(cls)
+        distinct = counts.count(1) == len(counts)
+        _set_values(self, values)
+        _set_counts(self, None if distinct else counts)
+        _set_total(self, sum(map(mul, values, counts)))
+        _set_parts(self, values if distinct else None)
+        return self
+
+    @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """(part, count) pairs, parts in decreasing order."""
+        return tuple(zip(self._values, self._counts or (1,) * len(self._values)))
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        """The parts in non-increasing order, one entry per copy."""
+        parts = self._parts
+        if parts is None:
+            parts = ()
+            for p, k in zip(self._values, self._counts):  # a run too long to allocate fails at once
+                parts += (p,) * k
+            _set_parts(self, parts)
+        return parts
+
+    def __repr__(self) -> str:
+        return f"Decomposition(parts={self.parts!r})"
 
     def __str__(self) -> str:
         return "+".join(str(p) for p in self.parts)
 
     def as_json(self) -> dict:
         return {"parts": list(self.parts)}
+
+
+# The slots' own setters, which the frozen __setattr__ does not block: the
+# constructors fill each field through them, faster than object.__setattr__.
+_set_values, _set_counts, _set_total, _set_parts = (
+    getattr(Decomposition, name).__set__ for name in ("_values", "_counts", "total", "_parts")
+)
 
 
 @dataclass(frozen=True)
@@ -112,20 +169,23 @@ def _add_part(sums: int, primes: tuple[int, ...], reach: int) -> int:
     return step
 
 
-def _fold(parts: tuple[int, ...], limit: int) -> int:
+def _fold(d: Decomposition, limit: int) -> int:
     """Bit table of the admissible sums up to limit (see blocks); stops once bit limit is set."""
-    keep, sums, prev = (1 << limit + 1) - 1, 1, 0
-    for part in parts:
-        if part == prev:  # the run is folded, or a copy left the table unchanged
-            continue
+    keep, sums = (1 << limit + 1) - 1, 1
+    counts = d._counts and iter(d._counts)  # None when every count is 1; cheaper than zip
+    for part in d._values:
+        count = next(counts) if counts else 1
         reach = part if part < limit else limit
         primes = _part_primes(part, reach)
-        if len(primes) == 1:  # the k copies add exactly the multiples of q up to k * part
+        if len(primes) == 1:  # the count copies add exactly the multiples of q up to count * part
             q = primes[0]
-            sums, prev = _progression(sums, q, min(parts.count(part) * part, limit) // q) & keep, part
-        else:
-            step = _add_part(sums, primes, reach) & keep
-            sums, prev = step, part if step == sums else 0
+            sums = _progression(sums, q, min(count * part, limit) // q) & keep
+        else:  # copy by copy, until a copy leaves the table unchanged
+            while count:
+                step = _add_part(sums, primes, reach) & keep
+                if step == sums:
+                    break
+                sums, count = step, count - 1
         if sums >> limit:
             return sums
     return sums
@@ -136,12 +196,13 @@ def admissible_sums(d: Decomposition) -> AdmissibleSumSet:
 
     This is the reporting view: the fold of blocks taken up to d.total,
     which only the last part can reach, so the fold never stops early.  A
-    table whose cost len(d.parts) * d.total exceeds TABLE_WORK_BOUND raises
-    BoundExceeded before any work.
+    table whose cost, the number of parts times d.total, exceeds
+    TABLE_WORK_BOUND raises BoundExceeded before any work.
     """
-    if len(d.parts) * d.total > TABLE_WORK_BOUND:
-        raise BoundExceeded(f"{len(d.parts)} parts of total {d.total} exceed the table work bound")
-    return AdmissibleSumSet(d.total, _fold(d.parts, d.total))
+    count = sum(d._counts) if d._counts else len(d._values)
+    if count * d.total > TABLE_WORK_BOUND:
+        raise BoundExceeded(f"{count} parts of total {d.total} exceed the table work bound")
+    return AdmissibleSumSet(d.total, _fold(d, d.total))
 
 
 def blocks(d: Decomposition, m: int) -> bool:
@@ -150,32 +211,39 @@ def blocks(d: Decomposition, m: int) -> bool:
     m above the total is always blocked, and m = 0 never is.  Otherwise this
     reads bit m of one subset-sum fold that keeps only the sums up to m and
     stops once m is reached.  A part adds 0 or a multiple of one of its
-    primes, one _progression per prime.  Equal parts are adjacent, so each
-    run of k copies is met at its first.  If the part has one prime q up to
-    m, the k copies add exactly the multiples of q up to k * part, in one
+    primes, one _progression per prime.  The fold walks d's runs, not its
+    copies.  If the part of a run of k copies has one prime q up to m, the
+    k copies add exactly the multiples of q up to k * part, in one
     _progression.  Any other run folds copy by copy until a copy changes
     nothing; as a part may always contribute 0, the rest of the run cannot
     change the table either.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    return m > d.total or not _fold(d.parts, m) >> m
+    return m > d.total or not _fold(d, m) >> m
 
 
 def iter_decompositions(n: int) -> Iterator[Decomposition]:
-    """All decompositions of n in reverse-lexicographic part order."""
+    """All decompositions of n in reverse-lexicographic part order.
+
+    The recursion yields runs: for each largest part, from the most copies
+    down to one, then the decompositions of the rest into smaller parts.
+    """
 
     def rec(remaining: int, max_part: int):
-        for first in range(min(remaining, max_part), 1, -1):
-            rest = remaining - first
-            if rest == 0:
-                yield (first,)
-            elif rest >= 2:
-                for tail in rec(rest, first):
-                    yield (first,) + tail
+        for part in range(min(remaining, max_part), 1, -1):
+            count = remaining // part
+            while count:
+                rest = remaining - part * count
+                if rest == 0:
+                    yield (part,), (count,)
+                elif rest >= 2 and part > 2:  # parts of 2 leave no smaller part for the rest
+                    for values, counts in rec(rest, part - 1):
+                        yield (part,) + values, (count,) + counts
+                count -= 1
 
-    for parts in rec(n, n):
-        yield Decomposition(parts)
+    for values, counts in rec(n, n):
+        yield Decomposition.from_runs(values, counts)
 
 
 # The oracle's column table, grown on demand by _blockable: entry n holds the

@@ -159,7 +159,8 @@ def build_cyclic_model(m: int, S_size: int, d: Decomposition) -> CyclicAutomorph
     sigma = list(domain)
     cycle_of = [None] * S_size  # atom -> index of its cycle
     cycles = []
-    for start, length in zip(accumulate(d.parts, initial=S_size), d.parts):
+    parts = d.parts
+    for start, length in zip(accumulate(parts, initial=S_size), parts):
         block = tuple(range(start, start + length))
         for i, a in enumerate(block):
             sigma[a] = block[(i + 1) % length]
@@ -176,7 +177,7 @@ def build_cyclic_model(m: int, S_size: int, d: Decomposition) -> CyclicAutomorph
         meets: dict[int, list[int]] = {}  # P n C per cycle C met, in cycle order
         for a in P:
             meets.setdefault(cycle_of[a], []).append(a)
-        coprime = (xs[0] for i, xs in meets.items() if math.gcd(len(xs), d.parts[i]) == 1)
+        coprime = (xs[0] for i, xs in meets.items() if math.gcd(len(xs), parts[i]) == 1)
         chosen = next(coprime, None)
         if chosen is None:
             sizes = tuple(len(meets.get(i, ())) for i in range(len(cycles)))

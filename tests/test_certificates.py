@@ -272,3 +272,19 @@ def test_dispatch_agrees_with_exhaustive_search_on_blocking():
             tr = build_certificate(m, n)
             assert direct is not None
             assert blocks(tr.decomposition, m)
+
+
+def test_recipes_answer_every_pair_without_the_exhaustive_scan(monkeypatch):
+    # every recipe that ends in RecipeTrace.verified never declines, so the
+    # fallback scan is never reached on the box
+    from ramseychoice import certificates as ct
+
+    def scan(m, n, bound):
+        raise AssertionError(f"({m}, {n}) reached the exhaustive scan")
+
+    monkeypatch.setattr(ct, "find_blocking_decomposition", scan)
+    for n in range(2, 301):
+        for m in range(2, 301):
+            if not provable_by_theorem(m, n):
+                tr = build_certificate(m, n)
+                assert tr.recipe != Recipe.EXHAUSTIVE and tr.decomposition.total == n, (m, n)

@@ -225,6 +225,44 @@ def test_blocks_is_membership_in_the_full_table_random(runs, m):
         assert {s for s in range(m + 1) if s in table} == want
 
 
+@given(st.dictionaries(FOLD_PARTS, st.integers(1, 10**4), min_size=1, max_size=4), st.integers(0, 500))
+def test_run_built_decomposition_matches_the_expanded_one(runs, m):
+    pairs = tuple(sorted(runs.items(), reverse=True))
+    d = Decomposition.from_runs(*zip(*pairs))
+    e = Decomposition([p for p, count in pairs for _ in range(count)])
+    assert d.runs == e.runs == pairs
+    assert d == e and hash(d) == hash(e) and d.total == e.total
+    # a run of a part with several primes folds copy by copy, so the tables
+    # stay small enough for an example to take milliseconds
+    near = min(d.total, 2000)
+    for k in (m, abs(near - m), near):
+        assert blocks(d, k) == blocks(e, k), k
+    if sum(runs.values()) * d.total <= 10**7:
+        table = admissible_sums(d)
+        assert table == admissible_sums(e)
+        if d.total <= 2000:
+            assert set(table.values()) == reference_sums(e.parts, d.total)
+    # the expanded views last: they are what a run-built decomposition defers
+    assert (repr(d), str(d), d.as_json(), d.parts) == (repr(e), str(e), e.as_json(), e.parts)
+
+
+def test_a_run_of_10_to_the_17_copies_is_never_expanded():
+    # 10^17 copies of 2 would need 800 PB as a tuple, so expanding raises MemoryError
+    c = classify(3, 2 * 10**17)
+    assert c.certificate.runs == ((2, 10**17),)
+    assert c.certificate.total == 2 * 10**17
+    assert blocks(c.certificate, 3)
+    assert c.certificate == Decomposition.from_runs((2,), (10**17,))
+
+
+def test_a_long_run_survives_the_json_round_trip():
+    c = classify(464, 26574)  # 8,858 copies of 3
+    obj = c.to_json_obj()
+    back = Classification.from_json_obj(obj)
+    assert back == c and back.certificate.runs == ((3, 8858),)
+    assert back.to_json_obj() == obj
+
+
 def test_admissible_sums_of_one_dense_part():
     n = 999999  # 3^3 * 7 * 11 * 13 * 37: a part with five primes
     table = admissible_sums(Decomposition((n,)))
