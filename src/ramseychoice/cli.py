@@ -18,7 +18,7 @@ import json
 import sys
 import time
 
-from .certificates import Recipe, build_certificate
+from .certificates import build_certificate
 from .decomposition import (
     EXHAUSTIVE_BOUND,
     Decomposition,
@@ -96,7 +96,6 @@ def cmd_scan(args) -> int:
     report, disagreements = run_scan(
         args.max_m, args.max_n, bound=args.bound, oracle=args.oracle
     )
-    fallback = [r for r in report.rows if r.recipe == Recipe.EXHAUSTIVE.value]
     checked = report.oracle_checked
     if args.csv:
         sys.stdout.write(report.to_csv())
@@ -110,24 +109,14 @@ def cmd_scan(args) -> int:
             print(line)
         if args.oracle:
             print(f"oracle agreement: {checked - len(disagreements)}/{checked}")
-        if args.constructive_only:
-            if fallback:
-                listed = " ".join(f"({r.m},{r.n})" for r in fallback)
-                print(f"fallback pairs: {listed}")
-            else:
-                print("fallback pairs: none")
     for m, n, msg in disagreements:
         print(f"oracle disagreement at ({m},{n}): {msg}", file=sys.stderr)
-    if disagreements:
-        return 1
-    if args.constructive_only and fallback:
-        return 1
-    return 0
+    return 1 if disagreements else 0
 
 
 def cmd_certificate(args) -> int:
     try:
-        trace = build_certificate(args.m, args.n, bound=args.bound)
+        trace = build_certificate(args.m, args.n)
     except PreconditionViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -333,17 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("max_m", type=int)
     p.add_argument("max_n", type=int)
     _add_common(p, csv_flag=True, oracle=True, bound=EXHAUSTIVE_BOUND)
-    p.add_argument(
-        "--constructive-only",
-        action="store_true",
-        help="fail when any pair needs the exhaustive fallback",
-    )
     p.set_defaults(func=cmd_scan)
 
     p = subs.add_parser("certificate", help="blocking certificate with its recipe trace")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    _add_common(p, bound=EXHAUSTIVE_BOUND)
+    _add_common(p)
     p.set_defaults(func=cmd_certificate)
 
     p = subs.add_parser("model", help="cyclic selector model for a decomposition")

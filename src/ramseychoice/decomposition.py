@@ -382,7 +382,7 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHA
     if reason is not None:
         cls, trace = Classification(m, n, Verdict.PROVABLE, reason), None
     else:
-        trace = certificates.build_certificate(m, n, bound=bound)
+        trace = certificates.build_certificate(m, n)
         cls = Classification(
             m, n, Verdict.NOT_PROVABLE, Reason.CERTIFICATE, certificate=trace.decomposition
         )
@@ -405,7 +405,8 @@ def classify(m: int, n: int, *, oracle: bool = False, bound: int = EXHAUSTIVE_BO
     Degenerate inputs are accepted: (1, 1) is diagonal, and m = 1 is blocked
     by every decomposition.  For n = 1 with m != 1 no decomposition of n
     exists at all (the implication holds trivially), which surfaces as
-    CertificateSearchFailed rather than a fabricated verdict.
+    CertificateSearchFailed rather than a fabricated verdict.  Every other
+    non-provable pair gets a recipe certificate; bound only limits the oracle.
     """
     return classify_detailed(m, n, oracle=oracle, bound=bound)[0]
 

@@ -26,7 +26,7 @@ class PreconditionViolated(RamseyChoiceError):
 
 
 class CertificateSearchFailed(RamseyChoiceError):
-    """Neither the constructive nor the exhaustive path found a certificate."""
+    """No certificate exists because no decomposition of n exists (n = 1)."""
 
 
 class OracleDisagreement(RamseyChoiceError):

@@ -25,6 +25,8 @@ from .errors import BoundExceeded, CapExceeded, NotBlocking
 MODEL_ATOM_BOUND = 10**6
 # check_one_point_extension refuses more point types: k = 4, not 5, on stage 3 of m = 2
 EXTENSION_TYPE_BOUND = 2 * 10**6
+# verify_gcd_claim refuses more (power, subset) steps: q_max = 20 (3.8e7), not 21 (8e7)
+CLAIM_STEP_BOUND = 4 * 10**7
 
 
 @dataclass(frozen=True, eq=True)
@@ -47,14 +49,6 @@ class SelectorModel:
         for P, x in self.sel.items():
             if x not in P:
                 raise ValueError(f"sel{P} = {x} is not a member of the subset")
-
-    def restrict(self, atoms) -> "SelectorModel":
-        """Induced substructure on a subset of the domain (atom ids kept)."""
-        atoms = tuple(sorted(atoms))
-        if not set(atoms) <= set(self.domain):
-            raise ValueError(f"{atoms} is not a subset of the domain")
-        sel = {P: self.sel[P] for P in combinations(atoms, self.m)}
-        return SelectorModel(self.m, atoms, sel)
 
     def dump(self) -> str:
         lines = [f"m={self.m} domain={len(self.domain)}"]
@@ -230,10 +224,16 @@ def verify_gcd_claim(q_max: int):
     action, and each nonempty proper subset fixed setwise by that power, the
     subset size must share a factor with q.  Subsets are bitmasks and the
     cycle power is a rotation, so the check is a full enumeration, not an
-    orbit argument.
+    orbit argument.  It takes (q - 1) * (2^q - 2) steps per q; BoundExceeded
+    is raised before any work when their sum exceeds CLAIM_STEP_BOUND.
     """
     if q_max < 2:
         raise ValueError(f"q_max must be >= 2, got {q_max}")
+    steps = 0
+    for q in range(2, q_max + 1):  # stops at the first q past the bound, so a huge q_max is cheap
+        steps += (q - 1) * ((1 << q) - 2)
+        if steps > CLAIM_STEP_BOUND:
+            raise BoundExceeded(f"cycle lengths up to {q_max} take more than {CLAIM_STEP_BOUND} steps")
     log = {}
     ok = True
     for q in range(2, q_max + 1):

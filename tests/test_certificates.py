@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ramseychoice.certificates import (
@@ -13,11 +15,12 @@ from ramseychoice.certificates import (
     recipe_prime_divisor,
     recipe_prime_power,
 )
+from ramseychoice.cli import main
 from ramseychoice.decomposition import (
     Decomposition,
     blocks,
+    classify,
     find_blocking_decomposition,
-    iter_decompositions,
     provable_by_theorem,
 )
 from ramseychoice.errors import CertificateSearchFailed, PreconditionViolated
@@ -236,28 +239,32 @@ def test_dispatch_frozen_choices():
         assert tr.decomposition.parts == parts, (m, n)
 
 
-def test_build_certificate_rejects_provable_and_bad_pairs():
+def test_build_certificate_rejects_provable_and_bad_pairs(capsys, caplog):
     with pytest.raises(PreconditionViolated):
         build_certificate(2, 4)
     with pytest.raises(PreconditionViolated):
         build_certificate(7, 7)
     with pytest.raises(PreconditionViolated):
         build_certificate(0, 5)
-    with pytest.raises(CertificateSearchFailed):
+    with pytest.raises(CertificateSearchFailed, match="no decomposition of 1"):
         build_certificate(3, 1)
+    # the command line prints the error line and nothing else; pytest takes
+    # log records off stderr, so no record may be logged either
+    assert main(["certificate", "3", "1"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: no decomposition of 1 exists, so (3, 1) has no certificate\n"
+    )
+    assert caplog.records == []
 
 
-def test_exhaustive_fallback_path(monkeypatch):
+def test_a_decline_by_every_recipe_is_a_bug(monkeypatch):
     from ramseychoice import certificates as ct
 
     monkeypatch.setattr(ct, "_DISPATCH", ())
-    tr = ct.build_certificate(3, 7)
-    assert tr.recipe == Recipe.EXHAUSTIVE
-    assert tr.decomposition.parts == (7,)
-    assert blocks(tr.decomposition, 3)
-    # the fallback still scans in the canonical order
-    first = next(d for d in iter_decompositions(7) if blocks(d, 3))
-    assert tr.decomposition == first
+    with pytest.raises(RuntimeError, match=r"\(3, 7\)"):
+        ct.build_certificate(3, 7)
+    with pytest.raises(RuntimeError, match=r"\(3, 7\)"):
+        classify(3, 7)
 
 
 def test_dispatch_agrees_with_exhaustive_search_on_blocking():
@@ -275,16 +282,23 @@ def test_dispatch_agrees_with_exhaustive_search_on_blocking():
 
 
 def test_recipes_answer_every_pair_without_the_exhaustive_scan(monkeypatch):
-    # every recipe that ends in RecipeTrace.verified never declines, so the
-    # fallback scan is never reached on the box
-    from ramseychoice import certificates as ct
+    # dispatch alone certifies the box: no partition scan runs, and every
+    # certificate and narrative is byte-identical to the pinned digest
+    import ramseychoice.decomposition as dm
 
-    def scan(m, n, bound):
-        raise AssertionError(f"({m}, {n}) reached the exhaustive scan")
+    def scan(n):
+        raise AssertionError(f"a partition scan of {n} ran")
 
-    monkeypatch.setattr(ct, "find_blocking_decomposition", scan)
+    monkeypatch.setattr(dm, "iter_decompositions", scan)
+    digest = hashlib.sha256()
     for n in range(2, 301):
         for m in range(2, 301):
             if not provable_by_theorem(m, n):
                 tr = build_certificate(m, n)
-                assert tr.recipe != Recipe.EXHAUSTIVE and tr.decomposition.total == n, (m, n)
+                assert tr.decomposition.total == n, (m, n)
+                digest.update(repr(
+                    (m, n, tr.recipe.value, tr.decomposition.parts, tr.narrative)
+                ).encode())
+    assert digest.hexdigest() == (
+        "588a2d0551d5dc073179470615f67a4b3550cb660603b4abccd41e1261cf55b8"
+    )

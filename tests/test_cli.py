@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,10 +245,13 @@ def test_scan_oracle_disagreement_exits_one(capsys, monkeypatch):
     ]
 
 
-def test_scan_constructive_only_clean(capsys):
-    code, out, _ = run(capsys, "scan", "12", "12", "--constructive-only")
-    assert code == 0
-    assert "fallback pairs: none" in out
+def test_options_of_the_removed_fallback_are_usage_errors(capsys):
+    # dispatch has no exhaustive fallback, so nothing is left for these to control
+    for argv in (["scan", "12", "12", "--constructive-only"], ["certificate", "6", "9", "--bound", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_scan_json_round_trip():
@@ -365,6 +369,12 @@ def test_verify_claim_output(capsys):
     obj = json.loads(out)
     assert obj["ok"] is True
     assert sum(e["invariant_proper_subsets"] for e in obj["per_q"]) == 186
+
+
+def test_verify_claim_over_the_bound_exits_three_at_once(capsys):
+    code, out, err = run(capsys, "verify", "claim", "--qmax", "40")
+    assert (code, out) == (3, "")
+    assert err == "error: cycle lengths up to 40 take more than 40000000 steps\n"
 
 
 def test_verify_goldbach_output(capsys):
@@ -488,3 +498,17 @@ def test_scan_row_is_plain_data():
     row = ScanRow(3, 7, "not_provable", "certificate", "OddCase", (7,))
     assert row.parts == (7,)
     assert row == ScanRow(3, 7, "not_provable", "certificate", "OddCase", (7,))
+
+
+def test_readme_usage_lines_run_cleanly(capsys, caplog):
+    # every documented command exits 0 and writes nothing to stderr; pytest
+    # takes log records off stderr, so none may be logged either
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Usage", 1)[1].split("```")[1]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("ramseychoice ")]
+    assert len(lines) == 10
+    for argv in lines:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out, argv
+    assert caplog.records == []

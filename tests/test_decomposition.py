@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ramseychoice.cli import main
 from ramseychoice.decomposition import (
     EXHAUSTIVE_BOUND,
     _COLUMNS,
@@ -429,12 +430,19 @@ def test_classify_rejects_nonpositive():
         classify(3, -1)
 
 
-def test_classify_n1_has_no_certificate_vocabulary():
+def test_classify_n1_has_no_certificate_vocabulary(capsys, caplog):
     # the implication holds trivially but no decomposition of 1 exists,
     # so the search reports failure instead of inventing a verdict
     with pytest.raises(CertificateSearchFailed):
         classify(3, 1)
     assert classify(1, 1).verdict == Verdict.PROVABLE
+    # the command line prints the error line and nothing else; pytest takes
+    # log records off stderr, so no record may be logged either
+    assert main(["classify", "3", "1"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: no decomposition of 1 exists, so (3, 1) has no certificate\n"
+    )
+    assert caplog.records == []
 
 
 def test_classification_json_round_trip():

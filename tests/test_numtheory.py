@@ -119,9 +119,10 @@ def test_goldbach_triples_rejects_bad_targets():
 
 
 def test_goldbach_sweep_never_empty():
-    # ternary Goldbach has no odd exceptions above 5 in this range
-    for n in range(7, 2000, 2):
-        assert goldbach_triples(n)
+    # ternary Goldbach has no odd exceptions above 5 in this range; the first
+    # triple is enough to show it, and EmptyResult would fail the test
+    for n in range(7, 10**5 + 1, 2):
+        assert sum(next(iter_goldbach_triples(n)).as_tuple()) == n
 
 
 def sieve_goldbach_triples(n, all_odd_preferred):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ramseychoice.decomposition import Decomposition, blocks, iter_decompositions
 from ramseychoice.errors import BoundExceeded, CapExceeded, NotBlocking
 from ramseychoice.selector_models import (
+    CLAIM_STEP_BOUND,
     EXTENSION_TYPE_BOUND,
     CyclicAutomorphism,
     SelectorModel,
@@ -35,15 +36,6 @@ def test_selector_model_validate():
         SelectorModel(2, (0, 1), {}).validate()  # missing pair
     with pytest.raises(ValueError):
         SelectorModel(2, (0, 1), {(0, 1): 2}).validate()  # choice outside
-
-
-def test_restrict_keeps_atom_ids():
-    m = SelectorModel(2, (0, 1, 2), {(0, 1): 0, (0, 2): 2, (1, 2): 1})
-    r = m.restrict((0, 2))
-    assert r.domain == (0, 2)
-    assert r.sel == {(0, 2): 2}
-    with pytest.raises(ValueError):
-        m.restrict((0, 5))
 
 
 def test_find_embeddings_simple():
@@ -233,6 +225,24 @@ def test_gcd_claim_frozen_counts():
         verify_gcd_claim(1)
 
 
+def test_gcd_claim_bound_counts_steps_and_is_checked_first(monkeypatch):
+    import ramseychoice.selector_models as sm
+
+    def steps(q_max):
+        return sum((q - 1) * (2**q - 2) for q in range(2, q_max + 1))
+
+    # the default admits cycle lengths up to 20 and refuses 21
+    assert steps(20) <= CLAIM_STEP_BOUND < steps(21)
+    with pytest.raises(BoundExceeded):
+        verify_gcd_claim(21)
+    monkeypatch.setattr(sm, "CLAIM_STEP_BOUND", steps(5))
+    assert verify_gcd_claim(5)[0]
+    with pytest.raises(BoundExceeded):
+        verify_gcd_claim(6)
+    with pytest.raises(BoundExceeded):
+        verify_gcd_claim(10**18)
+
+
 def orbit_of(table, subsets, k):
     index = {s: i for i, s in enumerate(subsets)}
     out = set()
@@ -335,13 +345,18 @@ def test_fraisse_stage_rejects_gappy_domain():
         build_fraisse_stage(2, bad, StageCaps(ground_limit=1))
 
 
+def restrict(model, atoms):
+    """Induced substructure on sorted atoms of model's domain, atom ids kept."""
+    return SelectorModel(model.m, atoms, {P: model.sel[P] for P in combinations(atoms, model.m)})
+
+
 def stage_by_embedding_search(m, prev, limit):
     """Reference builder: restrict prev to each ground A, walk find_embeddings
     backwards per cataloged R, and pull R's choices back through the images."""
     planned = []
     for size in range(min(limit, len(prev.domain)) + 1):
         for A in combinations(prev.domain, size):
-            sub = prev.restrict(A)
+            sub = restrict(prev, A)
             for R in catalog_models(m, size + 1):
                 planned += [(A, R, images) for images in reversed(find_embeddings(sub, R))]
     base = len(prev.domain)
@@ -391,7 +406,7 @@ def extensions_by_candidate(model, m, k):
     missing = []
     for size in range(1, k):
         for A in combinations(model.domain, size):
-            sub = model.restrict(A)
+            sub = restrict(model, A)
             for R in catalog_models(m, size + 1):
                 for images in embeddings_by_permutation(sub, R):
                     phi = dict(zip(A, images))
