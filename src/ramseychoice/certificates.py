@@ -10,6 +10,12 @@ the theorem guarantees blocking (greater, prime divisor, prime power, Fermat
 shift, both dense splits) the proposal goes through RecipeTrace.verified,
 which raises instead of declining: a failure there is a bug, not a decline.
 Together the recipes cover every non-provable pair with n >= 2.
+
+The work that depends only on n is done once per n and kept in bounded
+caches: the odd plan (the first Goldbach triple and the proposals built
+from it) and the decompositions the recipes propose for n alone, such as
+{n} and n/p copies of p, which every row of a column then shares.  The
+caches hold no verdict; every pair still runs its own blocking test.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ from __future__ import annotations
 import logging  # noqa: F401
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import permutations
 
 from .decomposition import Decomposition, blocks, provable_by_theorem
 from .errors import CertificateSearchFailed, PreconditionViolated
-from .numtheory import bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
+from .numtheory import GoldbachTriple, bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
 
 
 class Recipe(str, Enum):
@@ -80,12 +87,23 @@ def _trace_if_blocking(m, n, recipe, parts, narrative, success) -> RecipeTrace |
     return RecipeTrace(m, n, recipe, d, (*narrative, success))
 
 
+# One shared decomposition per parts tuple, built when a pair first tests it;
+# the rows of a column then expand its parts only once.
+_decomposition = lru_cache(maxsize=1024)(Decomposition)
+
+
+@lru_cache(maxsize=1024)
+def _run(part: int, count: int) -> Decomposition:
+    """count copies of part, built from the run without the tuple of copies."""
+    return Decomposition.from_runs((part,), (count,))
+
+
 def recipe_greater(m: int, n: int) -> RecipeTrace | None:
     """m > n: the single part {n} admits only sums up to n < m."""
     if not (m > n >= 2):
         return None
     return RecipeTrace.verified(
-        m, n, Recipe.GREATER, Decomposition.from_runs((n,), (1,)),
+        m, n, Recipe.GREATER, _decomposition((n,)),
         [f"m = {m} exceeds n = {n}; single part blocks"],
     )
 
@@ -99,7 +117,7 @@ def recipe_prime_divisor(m: int, n: int) -> RecipeTrace | None:
     if p is None:
         return None
     return RecipeTrace.verified(
-        m, n, Recipe.PRIME_DIVISOR, Decomposition.from_runs((p,), (n // p,)),
+        m, n, Recipe.PRIME_DIVISOR, _run(p, n // p),
         [f"prime {p} divides n = {n} but not m = {m}", f"emit {n // p} copies of {p}"],
     )
 
@@ -133,6 +151,24 @@ def recipe_prime_power(m: int, n: int) -> RecipeTrace | None:
     )
 
 
+@lru_cache(maxsize=1024)
+def _odd_plan(n: int) -> tuple[GoldbachTriple, tuple]:
+    """The first all-odd-preferred Goldbach triple of n and recipe_odd's proposals
+    in proof order, each a (parts, narrative) pair; none depends on m."""
+    t = next(iter_goldbach_triples(n, all_odd_preferred=True))
+    p1, p2, p3 = t.as_tuple()
+    head = f"goldbach triple ({p1}, {p2}, {p3})"
+    proposals = [((p1, p2, p3), (head, "triple blocks m directly"))]
+    if p1 == p2 == p3:
+        proposals.append(((3 * p1 - 2, 2), (head, f"all-equal case: split {n} = {3 * p1 - 2} + 2")))
+    proposals.append(((n,), (head, f"single part {n} blocks m")))
+    for a, b, c in dict.fromkeys(permutations((p1, p2, p3))):
+        if c < a and (a + b) % c == 0:
+            line = f"regrouped: {c} < {a} and {c} divides {a} + {b}; split {n} = {b + c} + {a}"
+            proposals.append(((b + c, a), (head, line)))
+    return t, tuple(proposals)
+
+
 def recipe_odd(m: int, n: int) -> RecipeTrace | None:
     """Odd n >= 7: the first Goldbach triple (p1, p2, p3), all odd if possible.
 
@@ -143,23 +179,14 @@ def recipe_odd(m: int, n: int) -> RecipeTrace | None:
     pj + pk and m is pi or n - pi.  Then (3p - 2) + 2 blocks p and 2p, or some
     a in {pj, pk} exceeds pi and the regroup with c = pi blocks m unless the
     other prime b = c, which would force pi | a.  Nothing blocks m = n or 0.
+    The proposals come from _odd_plan(n); each is tested against m here.
     """
     if n % 2 == 0 or n < 7:
         return None
-    p1, p2, p3 = next(iter_goldbach_triples(n, all_odd_preferred=True)).as_tuple()
-    narrative = [f"goldbach triple ({p1}, {p2}, {p3})"]
-    proposals = [((p1, p2, p3), "triple blocks m directly")]
-    if p1 == p2 == p3:
-        proposals.append(((3 * p1 - 2, 2), f"all-equal case: split {n} = {3 * p1 - 2} + 2"))
-    proposals.append(((n,), f"single part {n} blocks m"))
-    for a, b, c in dict.fromkeys(permutations((p1, p2, p3))):
-        if c < a and (a + b) % c == 0:
-            line = f"regrouped: {c} < {a} and {c} divides {a} + {b}; split {n} = {b + c} + {a}"
-            proposals.append(((b + c, a), line))
-    for parts, success in proposals:
-        trace = _trace_if_blocking(m, n, Recipe.ODD, parts, narrative, success)
-        if trace is not None:
-            return trace
+    for parts, narrative in _odd_plan(n)[1]:
+        d = _decomposition(parts)
+        if blocks(d, m):
+            return RecipeTrace(m, n, Recipe.ODD, d, narrative)
     return None
 
 
@@ -261,7 +288,7 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
         narrative += [f"m - p = {m - p} is an odd prime", f"direct split {n} = {p} + {n - p}"]
         return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, Decomposition((p, n - p)), narrative)
     narrative.append(f"m - p = {m - p} is not an odd prime; four-part splits")
-    t = next(iter_goldbach_triples(n - p, all_odd_preferred=True))
+    t = _odd_plan(n - p)[0]
     narrative.append(f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}")
     return RecipeTrace.verified(
         m, n, Recipe.EVEN_DENSE, Decomposition((p,) + t.as_tuple()), narrative

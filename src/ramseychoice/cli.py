@@ -118,6 +118,8 @@ def cmd_certificate(args) -> int:
     try:
         trace = build_certificate(args.m, args.n)
     except PreconditionViolated as exc:
+        if args.m < 1 or args.n < 1:  # a bad pair is a usage error (exit 2), as for classify
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:

@@ -278,21 +278,30 @@ def _blockable(n: int) -> int:
     return _COLUMNS[n][1]
 
 
+def oracle_blocks(m: int, n: int) -> bool:
+    """True when some decomposition of n blocks m: m > n, or bit m of column n.
+
+    This is the oracle's verdict; it builds the columns up to n but no
+    decomposition.
+    """
+    return m > n or bool(_blockable(n) >> m & 1)
+
+
 def find_blocking_decomposition(
     m: int, n: int, bound: int = EXHAUSTIVE_BOUND
 ) -> Decomposition | None:
     """First decomposition of n blocking m in the canonical scan order.
 
-    Returns None when every decomposition admits m, at once when column n
-    of the table behind _blockable says so.  Otherwise the scan order is
-    fixed (reverse-lexicographic over non-increasing part lists), so the
-    returned certificate is canonical for the pair.
+    Returns None when every decomposition admits m, at once when
+    oracle_blocks says so.  Otherwise the scan order is fixed
+    (reverse-lexicographic over non-increasing part lists), so the returned
+    certificate is canonical for the pair.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need positive m and n, got ({m}, {n})")
     if n > bound:
         raise BoundExceeded(f"n = {n} exceeds the exhaustive search bound {bound}")
-    if m <= n and not _blockable(n) >> m & 1:
+    if not oracle_blocks(m, n):
         return None
     for d in iter_decompositions(n):
         if blocks(d, m):
@@ -371,10 +380,11 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHA
     """Classify one pair and keep the recipe trace for reporting.
 
     Returns (Classification, RecipeTrace | None).  With oracle=True and
-    n <= bound (oracle_checks) find_blocking_decomposition runs after the
-    verdict, and a disagreement (a blocking decomposition of a provable
-    pair, or none for a certified one) is raised as a hard failure that
-    carries the recipe result.
+    n <= bound (oracle_checks) the oracle's column bit (oracle_blocks) is
+    compared with the verdict, and a disagreement (a blocking decomposition
+    of a provable pair, or none for a certified one) is raised as a hard
+    failure that carries the recipe result.  Only a provable pair that the
+    oracle blocks runs find_blocking_decomposition, to name the witness.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need positive m and n, got ({m}, {n})")
@@ -386,16 +396,15 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHA
         cls = Classification(
             m, n, Verdict.NOT_PROVABLE, Reason.CERTIFICATE, certificate=trace.decomposition
         )
-    if oracle and oracle_checks(n, bound):
-        witness = find_blocking_decomposition(m, n, bound=bound)
-        if (witness is None) != (trace is None):
-            raise OracleDisagreement(
-                f"({m}, {n}) should be provable but {witness} blocks m = {m}"
-                if trace is None
-                else f"recipes produced a certificate for ({m}, {n}) "
-                "but the exhaustive scan found none",
-                result=(cls, trace),
-            )
+    if oracle and oracle_checks(n, bound) and oracle_blocks(m, n) != (trace is not None):
+        raise OracleDisagreement(
+            f"({m}, {n}) should be provable but "
+            f"{find_blocking_decomposition(m, n, bound=bound)} blocks m = {m}"
+            if trace is None
+            else f"recipes produced a certificate for ({m}, {n}) "
+            "but the exhaustive scan found none",
+            result=(cls, trace),
+        )
     return cls, trace
 
 

@@ -19,7 +19,17 @@ from .decomposition import (
     oracle_checks,
     provable_reason,
 )
-from .errors import OracleDisagreement
+from .errors import BoundExceeded, OracleDisagreement
+
+# The cost of one pair of a scan in units of one column step: a pair costs
+# about SCAN_PAIR_COST + n units, as the widest sum table it folds and the
+# longest parts list it writes grow with n (on a 2-vCPU VM about 9 us per
+# pair plus 3 to 15 ns per unit of n).
+SCAN_PAIR_COST = 1000
+
+# Largest estimated work run_scan admits, a few seconds on that VM: the
+# largest square box it admits is 2..433, and 2..300 takes 43% of it.
+SCAN_WORK_BOUND = 2**28
 
 
 @dataclass(frozen=True)
@@ -94,16 +104,12 @@ class ScanReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["m", "n", "verdict", "recipe", "parts"])
+        joined = {None: ""}  # each distinct parts tuple is formatted once; rows of a column share one
         for r in self.rows:
-            writer.writerow(
-                [
-                    r.m,
-                    r.n,
-                    r.verdict,
-                    r.recipe or "",
-                    "+".join(map(str, r.parts)) if r.parts else "",
-                ]
-            )
+            parts = joined.get(r.parts)
+            if parts is None:
+                parts = joined[r.parts] = "+".join(map(str, r.parts))
+            writer.writerow([r.m, r.n, r.verdict, r.recipe or "", parts])
         return buf.getvalue()
 
     @classmethod
@@ -137,15 +143,25 @@ class ScanReport:
         return lines
 
 
+def scan_work(max_m: int, max_n: int) -> int:
+    """Estimated work of a scan: its pairs times the cost of the widest one."""
+    return (max_m - 1) * (max_n - 1) * (SCAN_PAIR_COST + max_n)
+
+
 def run_scan(max_m: int, max_n: int, *, bound: int = EXHAUSTIVE_BOUND, oracle: bool = False):
     """Classify the grid 2..max_m x 2..max_n.
 
     Returns (report, disagreements); with oracle=True every pair within the
     bound is also checked against the direct decomposition search, and the
-    report counts those pairs.
+    report counts those pairs.  A box whose scan_work exceeds
+    SCAN_WORK_BOUND raises BoundExceeded before any pair is classified.
     """
     if max_m < 2 or max_n < 2:
         raise ValueError("scan needs max_m >= 2 and max_n >= 2")
+    if scan_work(max_m, max_n) > SCAN_WORK_BOUND:
+        raise BoundExceeded(
+            f"a scan of 2..{max_m} x 2..{max_n} takes more than {SCAN_WORK_BOUND} steps"
+        )
     rows = []
     disagreements = []
     for m in range(2, max_m + 1):

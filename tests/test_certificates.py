@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -174,6 +175,8 @@ def test_recipe_even_dense_four_part_split_always_blocks():
 def test_recipe_even_dense():
     assert recipe_even_dense(48, 54).decomposition.parts == (29, 25)
     assert recipe_even_dense(116, 128).decomposition.parts == (67, 53, 5, 3)
+    # the all-odd first triple of n - p = 9, not (2, 2, 5)
+    assert recipe_even_dense(12, 20).decomposition.parts == (11, 3, 3, 3)
     # the prime above n/2 is not below m
     assert recipe_even_dense(8, 14) is None
     assert recipe_even_dense(10, 16) is None
@@ -290,15 +293,30 @@ def test_recipes_answer_every_pair_without_the_exhaustive_scan(monkeypatch):
         raise AssertionError(f"a partition scan of {n} ran")
 
     monkeypatch.setattr(dm, "iter_decompositions", scan)
+    box = [(m, n) for n in range(2, 301) for m in range(2, 301) if not provable_by_theorem(m, n)]
+    assert _box_digest({pair: build_certificate(*pair) for pair in box}) == BOX_DIGEST
+
+
+BOX_DIGEST = "588a2d0551d5dc073179470615f67a4b3550cb660603b4abccd41e1261cf55b8"
+
+
+def _box_digest(traces) -> str:
+    """sha256 over every certificate and narrative, n-major, in pair order."""
     digest = hashlib.sha256()
-    for n in range(2, 301):
-        for m in range(2, 301):
-            if not provable_by_theorem(m, n):
-                tr = build_certificate(m, n)
-                assert tr.decomposition.total == n, (m, n)
-                digest.update(repr(
-                    (m, n, tr.recipe.value, tr.decomposition.parts, tr.narrative)
-                ).encode())
-    assert digest.hexdigest() == (
-        "588a2d0551d5dc073179470615f67a4b3550cb660603b4abccd41e1261cf55b8"
-    )
+    for (m, n), tr in sorted(traces.items(), key=lambda item: item[0][::-1]):
+        assert tr.decomposition.total == n, (m, n)
+        digest.update(repr((m, n, tr.recipe.value, tr.decomposition.parts, tr.narrative)).encode())
+    return digest.hexdigest()
+
+
+def test_the_per_n_caches_do_not_depend_on_the_order_of_the_pairs():
+    # from cold caches, a seeded shuffle of the box fills them in another
+    # order; every certificate and narrative must come out the same
+    import ramseychoice.certificates as cm
+    import ramseychoice.decomposition as dm
+
+    for cached in (cm._odd_plan, cm._run, dm._part_primes):
+        cached.cache_clear()
+    box = [(m, n) for n in range(2, 301) for m in range(2, 301) if not provable_by_theorem(m, n)]
+    random.Random(14).shuffle(box)
+    assert _box_digest({pair: build_certificate(*pair) for pair in box}) == BOX_DIGEST

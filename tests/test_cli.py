@@ -89,6 +89,16 @@ def test_certificate_provable_pair_fails(capsys):
     assert "provable" in err
 
 
+def test_a_nonpositive_pair_is_a_usage_error_for_every_subcommand(capsys):
+    # certificate and classify agree: exit 2 with the same message; a
+    # provable pair stays a negative answer (exit 1)
+    for command in ("certificate", "classify"):
+        assert run(capsys, command, "0", "5") == (2, "", "error: need positive m and n, got (0, 5)\n")
+    assert run(capsys, "certificate", "2", "4") == (
+        1, "", "error: (2, 4) is provable; no blocking certificate exists\n"
+    )
+
+
 def test_model_output(capsys):
     code, out, _ = run(capsys, "model", "2", "1", "3")
     assert code == 0
@@ -175,6 +185,28 @@ def test_scan_csv_frozen(capsys):
     )
 
 
+def test_scan_300_csv_bytes_are_pinned(capsys):
+    # the 2..300 table (6.1 MB) is admitted by the cost check, byte for byte
+    code, out, err = run(capsys, "scan", "300", "300", "--csv")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "161f383694dcce576602e1a085f4ea5e3559a3a8e1a5f462070125cfca8c4c79"
+    )
+
+
+def test_scan_over_the_work_bound_exits_three_before_any_pair(capsys, monkeypatch):
+    import ramseychoice.scan as sm
+
+    def classify_detailed(m, n, **kw):
+        raise AssertionError(f"({m}, {n}) was classified")
+
+    monkeypatch.setattr(sm, "classify_detailed", classify_detailed)
+    code, out, err = run(capsys, "scan", "100000", "100000")
+    assert (code, out) == (3, "")
+    assert err == "error: a scan of 2..100000 x 2..100000 takes more than 268435456 steps\n"
+    assert sm.scan_work(300, 300) <= sm.SCAN_WORK_BOUND < sm.scan_work(434, 434)
+
+
 def test_scan_oracle_agreement_line(capsys):
     code, out, _ = run(capsys, "scan", "8", "8", "--oracle")
     assert code == 0
@@ -206,7 +238,7 @@ def test_oracle_reaches_the_exhaustive_bound(capsys):
 def _oracle_finds_nothing(monkeypatch):
     import ramseychoice.decomposition as dm
 
-    monkeypatch.setattr(dm, "find_blocking_decomposition", lambda m, n, bound: None)
+    monkeypatch.setattr(dm, "oracle_blocks", lambda m, n: False)
 
 
 def test_scan_records_oracle_disagreements(monkeypatch):

@@ -397,6 +397,8 @@ def test_classify_oracle_mode_agrees_everywhere():
 def test_oracle_disagreement_on_a_provable_pair(monkeypatch):
     import ramseychoice.decomposition as dm
 
+    # the column bit decides; the scan is asked only to name the witness
+    monkeypatch.setattr(dm, "oracle_blocks", lambda m, n: True)
     monkeypatch.setattr(dm, "find_blocking_decomposition", lambda m, n, bound: Decomposition((n,)))
     with pytest.raises(OracleDisagreement) as info:
         classify_detailed(4, 4, oracle=True)
@@ -413,7 +415,11 @@ def test_oracle_disagreement_on_a_provable_pair(monkeypatch):
 def test_oracle_disagreement_on_a_certified_pair(monkeypatch):
     import ramseychoice.decomposition as dm
 
-    monkeypatch.setattr(dm, "find_blocking_decomposition", lambda m, n, bound: None)
+    def scan(m, n, bound):
+        raise AssertionError("a certified pair needs no witness")
+
+    monkeypatch.setattr(dm, "oracle_blocks", lambda m, n: False)
+    monkeypatch.setattr(dm, "find_blocking_decomposition", scan)
     with pytest.raises(OracleDisagreement) as info:
         classify_detailed(3, 7, oracle=True)
     assert str(info.value) == (
