@@ -61,7 +61,8 @@ class ScanReport:
 
     @property
     def provable(self) -> int:
-        return sum(1 for r in self.rows if r.verdict == Verdict.PROVABLE.value)
+        provable = Verdict.PROVABLE.value
+        return sum(1 for r in self.rows if r.verdict == provable)
 
     @property
     def not_provable(self) -> int:
@@ -171,10 +172,12 @@ def run_scan(max_m: int, max_n: int, *, bound: int = EXHAUSTIVE_BOUND, oracle: b
             except OracleDisagreement as exc:
                 disagreements.append((m, n, str(exc)))
                 cls_, trace = exc.result
-            recipe = trace.recipe.value if trace is not None else None
+            # _value_ is the member's own attribute: .value goes through enum's
+            # descriptor at three to four times the cost, three reads a row
+            recipe = trace.recipe._value_ if trace is not None else None
             parts = trace.decomposition.parts if trace is not None else None
             rows.append(
-                ScanRow(m, n, cls_.verdict.value, cls_.reason.value, recipe, parts)
+                ScanRow(m, n, cls_.verdict._value_, cls_.reason._value_, recipe, parts)
             )
     checked = sum(oracle_checks(r.n, bound) for r in rows) if oracle else None
     return ScanReport(max_m, max_n, rows, checked), disagreements

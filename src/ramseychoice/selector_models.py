@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, combinations
 
 from .decomposition import Decomposition
 from .errors import BoundExceeded, CapExceeded, NotBlocking
@@ -253,8 +253,45 @@ def verify_gcd_claim(q_max: int):
     return ok, log
 
 
+def _relabeling(perm, subsets, m: int, n_low: int) -> tuple[list[int], list[int]]:
+    """The action of the relabeling perm on table codes, as two lookup lists.
+
+    perm sends the atom in position p of subset i to the atom in position q
+    of subset j, so it moves digit p of slot i to digit q of slot j.  Each
+    slot's digit lands on its own, so the image of a code is a sum of one
+    term per slot: lo[code % m**n_low] sums the terms of the n_low last
+    slots, hi[code // m**n_low] those of the others.
+    """
+    s = len(subsets)
+    index = {S: i for i, S in enumerate(subsets)}
+    terms = []  # terms[i][p]: what digit p in slot i adds to the image code
+    for S in subsets:
+        T = _image(perm, S)
+        weight = m ** (s - 1 - index[T])
+        terms.append([T.index(perm[a]) * weight for a in S])
+    lo, hi = [0], [0]
+    for i, slot in enumerate(terms):  # slot order: each new digit is the least so far
+        half = lo if i >= s - n_low else hi
+        half[:] = [x + t for x in half for t in slot]
+    return lo, hi
+
+
 @lru_cache(maxsize=128)
 def _catalog_tables(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The lexicographically least sel table of every isomorphism class, in order.
+
+    A table picks digit i, the position of its atom in subset i, for every
+    m-subset in combinations order; its code reads those digits base m with
+    slot 0 the most significant, so code order is table order.  Two
+    relabelings generate S_k, the transposition (0 1) and the k-cycle, so a
+    class is the closure of any member under both (_relabeling).  Codes are
+    scanned upwards and each class is closed as soon as its first code
+    appears; every smaller code then lies in a class already closed, so that
+    first code is the least of its class.  The work is two relabelings per
+    code, not k! per class, and the memory is one byte per code (m^s with s
+    subsets, at most 2*10^6 under the guards) plus four lookup lists of
+    about m^(s/2) entries each.
+    """
     subsets = list(combinations(range(k), m))
     n_subsets = len(subsets)
     if n_subsets > 20:
@@ -263,25 +300,34 @@ def _catalog_tables(m: int, k: int) -> tuple[tuple[int, ...], ...]:
         raise BoundExceeded(f"{k}! relabelings exceed the catalog guard")
     if n_subsets and m**n_subsets > 2_000_000:
         raise BoundExceeded(f"{m}^{n_subsets} selector assignments exceed the catalog guard")
-    index = {s: i for i, s in enumerate(subsets)}
-    # source[j]: the subset that perm relabels into slot j, found once per perm.
-    actions = []
-    for perm in permutations(range(k)):
-        source = [0] * n_subsets
-        for i, s in enumerate(subsets):
-            source[index[_image(perm, s)]] = i
-        actions.append((perm, source))
-    seen = set()
-    reps = []
-    # Assignments arrive in lexicographic order, so the first member of each
-    # isomorphism orbit seen here is its least table, the canonical form.
-    for table in product(*subsets):
-        if table in seen:
-            continue
-        reps.append(table)
-        for perm, source in actions:
-            seen.add(tuple([perm[table[i]] for i in source]))
-    return tuple(reps)
+    n_low = n_subsets // 2
+    L = m**n_low
+    # below k = 2 there is one table and S_k is trivial
+    perms = ((1, 0, *range(2, k)), (*range(1, k), 0)) if k > 1 else ((0,), (0,))
+    (swap_lo, swap_hi), (cycle_lo, cycle_hi) = (_relabeling(p, subsets, m, n_low) for p in perms)
+    seen = bytearray(m**n_subsets)
+    tables = []
+    code = 0
+    while code >= 0:
+        rest, digits = code, []
+        for _ in subsets:
+            rest, p = divmod(rest, m)
+            digits.append(p)
+        tables.append(tuple(S[p] for S, p in zip(subsets, reversed(digits))))
+        orbit = [code]
+        seen[code] = 1
+        for c in orbit:  # grows while walked: a breadth-first closure
+            r, q = c % L, c // L
+            d = swap_lo[r] + swap_hi[q]
+            if not seen[d]:
+                seen[d] = 1
+                orbit.append(d)
+            d = cycle_lo[r] + cycle_hi[q]
+            if not seen[d]:
+                seen[d] = 1
+                orbit.append(d)
+        code = seen.find(0, code + 1)
+    return tuple(tables)
 
 
 def catalog_models(m: int, k: int) -> list[SelectorModel]:

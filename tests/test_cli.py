@@ -332,6 +332,24 @@ def test_catalog_output(capsys):
     assert len(obj["tables"]) == 12
 
 
+def test_catalog_bytes_are_pinned(capsys):
+    assert run(capsys, "catalog", "1", "8") == (0, (
+        "catalog m=1 k=8: 1 classes\n"
+        "class 0: {0}->0 {1}->1 {2}->2 {3}->3 {4}->4 {5}->5 {6}->6 {7}->7\n"
+    ), "")
+    assert run(capsys, "catalog", "8", "8") == (0, (
+        "catalog m=8 k=8: 1 classes\n"
+        "class 0: {0,1,2,3,4,5,6,7}->0\n"
+    ), "")
+    for argv, digest in [
+        (("catalog", "3", "5"), "2322ebdd5f18edfa085bf7fd7de0217882b801805d77e3df8d12d362ec966d43"),
+        (("catalog", "3", "5", "--json"), "731ce832cd40436857e354b51f7adcc18dd98d8f257090a1227ef828de252887"),
+    ]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_catalog_guard_exits_three(capsys):
     code, _, err = run(capsys, "catalog", "2", "9")
     assert code == 3

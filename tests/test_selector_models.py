@@ -290,6 +290,73 @@ def test_catalog_reps_are_lex_least_and_valid():
             assert table == min(orbit_of(table, subsets, k))
 
 
+def catalog_by_all_relabelings(m, k):
+    """Reference catalog: walk the tables in product order and, at each one not
+    yet seen, keep it and mark its image under every one of the k! relabelings."""
+    subsets = list(combinations(range(k), m))
+    index = {s: i for i, s in enumerate(subsets)}
+    actions = []
+    for perm in permutations(range(k)):
+        source = [0] * len(subsets)  # source[j]: the subset perm relabels into slot j
+        for i, s in enumerate(subsets):
+            source[index[tuple(sorted(perm[x] for x in s))]] = i
+        actions.append((perm, source))
+    seen, reps = set(), []
+    for table in product(*subsets):
+        if table not in seen:
+            reps.append(table)
+            seen.update(tuple(perm[table[i]] for i in source) for perm, source in actions)
+    return reps
+
+
+def test_catalog_matches_all_relabelings_reference():
+    checked = {}
+    for k in range(7):
+        for m in range(1, 8):  # m = 7 > k: no m-subsets
+            s = math.comb(k, m)
+            if s > 20 or m**s > 59_049:
+                continue
+            want = catalog_by_all_relabelings(m, k)
+            got = [tuple(mod.sel[P] for P in combinations(range(k), m)) for mod in catalog_models(m, k)]
+            assert got == want, (m, k)
+            checked[m, k] = len(got)
+    assert checked[3, 5] == 513 and checked[2, 6] == 56 and checked[5, 6] == 40
+    assert len(checked) == 47  # all but (3, 6) and (4, 6)
+
+
+def test_catalog_walks_two_generators_not_all_relabelings(monkeypatch):
+    """Two relabelings are built and each is applied once per table code, so
+    the work is 2 m^s applications whatever k! is."""
+    import ramseychoice.selector_models as sm
+
+    lookups = [0]
+
+    class Counted(list):
+        def __getitem__(self, i):
+            lookups[0] += 1
+            return list.__getitem__(self, i)
+
+    def no_walk(*args):
+        raise AssertionError("the catalog walks every relabeling")
+
+    built, real = [], sm._relabeling
+
+    def relabeling(perm, *args):
+        built.append(perm)
+        return tuple(Counted(half) for half in real(perm, *args))
+
+    monkeypatch.setattr(sm, "permutations", no_walk, raising=False)
+    monkeypatch.setattr(sm, "_relabeling", relabeling)
+    for m, k, classes in [(1, 8, 1), (8, 8, 1), (2, 6, 56), (3, 5, 513)]:
+        sm._catalog_tables.cache_clear()
+        built.clear()
+        lookups[0] = 0
+        assert len(catalog_models(m, k)) == classes
+        assert built == [(1, 0, *range(2, k)), (*range(1, k), 0)]
+        # each code is closed once: one low and one high lookup per generator
+        assert lookups[0] == 4 * m ** math.comb(k, m), (m, k)
+
+
 def test_catalog_guards():
     with pytest.raises(BoundExceeded):
         catalog_models(2, 7)  # 21 pair-subsets
