@@ -25,6 +25,10 @@ from .numtheory import _prime_factors_up_to, primes_up_to
 # behind it takes about 5 ms up to here; a provable pair never scans partitions.
 EXHAUSTIVE_BOUND = 64
 
+# Largest column the oracle builds, whatever the bound: columns up to 300 take
+# about 2 s, and the cost grows about fourfold per 50 columns beyond that.
+COLUMN_BOUND = 300
+
 # Largest (number of parts) * total admissible_sums builds; admits classify 4 1000000 --json.
 # The fold updates its table of total + 1 bits at most once per part, and less for runs.
 TABLE_WORK_BOUND = 2**38
@@ -252,6 +256,12 @@ def iter_decompositions(n: int) -> Iterator[Decomposition]:
 _COLUMNS: list[tuple[list[int], int]] = [([1], 0)]
 
 
+def check_column_bound(n: int) -> None:
+    """Raise BoundExceeded when the oracle would build a column above COLUMN_BOUND."""
+    if n > COLUMN_BOUND:
+        raise BoundExceeded(f"the oracle's column n = {n} exceeds the column bound {COLUMN_BOUND}")
+
+
 def _blockable(n: int) -> int:
     """Bits m <= n that some decomposition of n blocks: the oracle's column n.
 
@@ -261,8 +271,12 @@ def _blockable(n: int) -> int:
     parts q add, so it never yields a minimal mask.  The sumset is monotone
     in S, so a non-minimal S yields only supersets of what a minimal one
     yields, and m is blocked by some decomposition exactly when some minimal
-    mask lacks bit m.  Columns are built in order up to n, once per process.
+    mask lacks bit m.  Columns are built in order up to n, once per process;
+    an n above COLUMN_BOUND raises BoundExceeded before any is built.
     """
+    if n < len(_COLUMNS):
+        return _COLUMNS[n][1]
+    check_column_bound(n)
     for k in range(len(_COLUMNS), n + 1):
         candidates = set()
         for p in primes_up_to(k):

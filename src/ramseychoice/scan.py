@@ -15,6 +15,7 @@ from .decomposition import (
     EXHAUSTIVE_BOUND,
     Reason,
     Verdict,
+    check_column_bound,
     classify_detailed,
     oracle_checks,
     provable_reason,
@@ -155,7 +156,8 @@ def run_scan(max_m: int, max_n: int, *, bound: int = EXHAUSTIVE_BOUND, oracle: b
     Returns (report, disagreements); with oracle=True every pair within the
     bound is also checked against the direct decomposition search, and the
     report counts those pairs.  A box whose scan_work exceeds
-    SCAN_WORK_BOUND raises BoundExceeded before any pair is classified.
+    SCAN_WORK_BOUND, or with oracle=True a column above COLUMN_BOUND,
+    raises BoundExceeded before any pair is classified.
     """
     if max_m < 2 or max_n < 2:
         raise ValueError("scan needs max_m >= 2 and max_n >= 2")
@@ -163,6 +165,8 @@ def run_scan(max_m: int, max_n: int, *, bound: int = EXHAUSTIVE_BOUND, oracle: b
         raise BoundExceeded(
             f"a scan of 2..{max_m} x 2..{max_n} takes more than {SCAN_WORK_BOUND} steps"
         )
+    if oracle:
+        check_column_bound(min(max_n, bound))
     rows = []
     disagreements = []
     for m in range(2, max_m + 1):

@@ -231,6 +231,9 @@ def test_oracle_reaches_the_exhaustive_bound(capsys):
     code, out, _ = run(capsys, "scan", "64", "64", "--oracle")
     assert code == 0
     assert out.rstrip().endswith("oracle agreement: 3969/3969")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cc985655354cea8d6756e59bd37eb00c8a497304486276911df003269b389144"
+    )
     code, out, _ = run(capsys, "classify", "64", "64", "--oracle")
     assert (code, out) == (0, "RC_64 => RC_64: provable (diagonal)\n")
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ramseychoice.cli import main
 from ramseychoice.decomposition import (
+    COLUMN_BOUND,
     EXHAUSTIVE_BOUND,
     _COLUMNS,
     _blockable,
@@ -344,6 +345,30 @@ def test_blockable_columns_match_the_theorem():
         for m in range(2, 151):
             unblockable = m <= n and not bits >> m & 1
             assert unblockable == provable_by_theorem(m, n), (m, n)
+
+
+def test_column_bound_refuses_before_any_column_is_built(capsys, monkeypatch):
+    import ramseychoice.scan as scan
+
+    built = len(_COLUMNS)
+    assert main(["classify", "3", "5000", "--oracle", "--bound", "5000"]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: the oracle's column n = 5000 exceeds the column bound {COLUMN_BOUND}\n"
+    )
+    assert len(_COLUMNS) == built
+
+    def no_pair(*args, **kwargs):
+        raise AssertionError("a pair was classified")
+
+    # a scan refuses before its first pair; the bound, not the box, caps its columns
+    monkeypatch.setattr(scan, "classify_detailed", no_pair)
+    with pytest.raises(BoundExceeded):
+        scan.run_scan(2, COLUMN_BOUND + 1, bound=COLUMN_BOUND + 1, oracle=True)
+    with pytest.raises(AssertionError):
+        scan.run_scan(2, COLUMN_BOUND + 1, bound=COLUMN_BOUND, oracle=True)
+    with pytest.raises(AssertionError):
+        scan.run_scan(2, COLUMN_BOUND + 1, bound=COLUMN_BOUND + 1)
+    assert len(_COLUMNS) == built
 
 
 def test_find_blocking_decomposition_bounds():

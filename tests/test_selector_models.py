@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,7 @@ from ramseychoice.selector_models import (
     verify_gcd_claim,
     witness_no_invariant_choice,
 )
+from ramseychoice.selector_models import _bit_slices, _fixed_subsets
 
 
 def test_selector_model_validate():
@@ -223,6 +225,59 @@ def test_gcd_claim_frozen_counts():
         assert got[q] == 0
     with pytest.raises(ValueError):
         verify_gcd_claim(1)
+
+
+def test_fixed_subset_slices_match_the_shift_loop():
+    for q in range(2, 13):
+        full = (1 << q) - 1
+        slices = _bit_slices(q)
+        for r in range(1, q):
+            want = 0
+            for s in range(1, full):
+                if ((s << r) | (s >> (q - r))) & full == s:
+                    want |= 1 << s
+            assert _fixed_subsets(slices, r) == want, (q, r)
+
+
+def test_gcd_claim_at_the_bound_matches_the_closed_form():
+    # rotation by r splits the q atoms into gcd(q, r) cycles and fixes exactly
+    # their unions, of which all but the empty and the full one are proper
+    ok, log = verify_gcd_claim(20)
+    assert ok
+    assert log == {
+        q: {
+            "powers": q - 1,
+            "invariant_proper_subsets": sum(2 ** math.gcd(q, r) - 2 for r in range(1, q)),
+            "ok": True,
+        }
+        for q in range(2, 21)
+    }
+
+
+def test_gcd_claim_fails_where_a_fixed_subset_has_a_coprime_size(monkeypatch):
+    import ramseychoice.selector_models as sm
+
+    # with every gcd reported as 1, each q with a fixed proper subset fails
+    sizes = []
+
+    def gcd(size, q):
+        sizes.append((q, size))
+        return 1
+
+    monkeypatch.setattr(sm, "math", SimpleNamespace(gcd=gcd))
+    ok, log = verify_gcd_claim(12)
+    assert not ok
+    assert {q: v["ok"] for q, v in log.items()} == {
+        q: q not in (4, 6, 8, 9, 10, 12) for q in range(2, 13)
+    }
+    # gcd saw the size of every fixed subset, found with the shift formula
+    want = []
+    for q in range(2, 13):
+        full = (1 << q) - 1
+        for r in range(1, q):
+            want += [(q, s.bit_count()) for s in range(1, full)
+                     if ((s << r) | (s >> (q - r))) & full == s]
+    assert sorted(sizes) == sorted(want)
 
 
 def test_gcd_claim_bound_counts_steps_and_is_checked_first(monkeypatch):
