@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, groupby, islice
+from operator import eq, itemgetter
 
 from .decomposition import Decomposition
 from .errors import BoundExceeded, CapExceeded, NotBlocking
@@ -141,6 +142,13 @@ def build_cyclic_model(m: int, S_size: int, d: Decomposition) -> CyclicAutomorph
     exceeds the domain size there are no m-subsets and the model is valid
     vacuously.  BoundExceeded is raised before any work when the m-subsets
     hold more than MODEL_ATOM_BOUND atoms in all.
+
+    The subsets meeting S are the first C(N, m) - C(|d|, m) combinations,
+    and a second combinations iterator pairs each with its least element in
+    C.  Only the cycle region is walked in Python: each unfilled subset
+    starts an orbit, whose members are sorted images taken one step at a
+    time.  No table of the images of all region subsets is built, since
+    holding one beside sel would double the peak memory at the atom bound.
     """
     if m < 1:
         raise ValueError(f"arity must be >= 1, got {m}")
@@ -162,20 +170,20 @@ def build_cyclic_model(m: int, S_size: int, d: Decomposition) -> CyclicAutomorph
         cycle_of.extend([len(cycles)] * length)
         cycles.append(block)
 
-    sel: dict[tuple[int, ...], int] = {}
-    for P in combinations(domain, m):
+    # the subsets meeting S come first and pick their least, an S-element
+    head = math.comb(N, m) - math.comb(d.total, m)
+    sel = dict(zip(islice(combinations(domain, m), head), map(itemgetter(0), combinations(domain, m))))
+    image, cycle = sigma.__getitem__, cycle_of.__getitem__
+    for P in combinations(domain[S_size:], m):
         if P in sel:
             continue
-        if P[0] < S_size:
-            sel[P] = P[0]  # the least S-element
-            continue
-        meets: dict[int, list[int]] = {}  # P n C per cycle C met, in cycle order
-        for a in P:
-            meets.setdefault(cycle_of[a], []).append(a)
-        coprime = (xs[0] for i, xs in meets.items() if math.gcd(len(xs), parts[i]) == 1)
-        chosen = next(coprime, None)
-        if chosen is None:
-            sizes = tuple(len(meets.get(i, ())) for i in range(len(cycles)))
+        for i, xs in groupby(P, cycle):  # P n C per cycle C met, in cycle order
+            xs = list(xs)
+            if math.gcd(len(xs), parts[i]) == 1:
+                chosen = xs[0]
+                break
+        else:
+            sizes = tuple(sum(cycle(a) == i for a in P) for i in range(len(cycles)))
             raise NotBlocking(
                 f"subset {P} meets the cycles in sizes {sizes}, each sharing a "
                 f"factor with its cycle length; {d} admits m = {m}"
@@ -185,10 +193,10 @@ def build_cyclic_model(m: int, S_size: int, d: Decomposition) -> CyclicAutomorph
         # yet: sigma fixes S, so orbits meeting S never reach here, and the
         # other orbits are filled whole, so the first unfilled P starts an
         # unfilled orbit.  The closure check is the gcd claim at work.
-        Q, v = _image(sigma, P), sigma[chosen]
+        Q, v = tuple(sorted(map(image, P))), image(chosen)
         while Q != P:
             sel[Q] = v
-            Q, v = _image(sigma, Q), sigma[v]
+            Q, v = tuple(sorted(map(image, Q))), image(v)
         if v != chosen:
             raise RuntimeError(f"orbit of {P} closes on a different selection {v}")
 
@@ -202,8 +210,26 @@ def verify_equivariance(c: CyclicAutomorphism):
     One step per subset suffices: by induction on t it gives
     sel(sigma^t P) = sigma^t(sel P) for every power t.  Returns (True, None),
     or (False, P) with the first subset P, in sel order, where the step fails.
+
+    Combinations of the sigma-images of the domain run in lockstep with the
+    combinations of the domain and yield each subset's image unsorted, so
+    the steps are streamed through C iterators with no list or image table
+    built.  The stream runs when the domain is duplicate-free and sel has as
+    many keys as the domain has m-subsets; if it finds every subset in sel,
+    those are all the keys, so every entry is tested.  When the stream finds
+    a failure or a malformed entry (a missing subset, a selection sigma
+    cannot map), the sel-order walk runs instead and gives the answer: the
+    counterexample, or the exception the entry raises.
     """
-    sel, sigma = c.model.sel, c.sigma
+    sel, sigma, domain, m = c.model.sel, c.sigma, c.model.domain, c.model.m
+    try:
+        if len(sel) == math.comb(len(domain), m) and len(set(domain)) == len(domain):
+            images = map(tuple, map(sorted, combinations([sigma[a] for a in domain], m)))
+            picks = map(sel.get, combinations(domain, m))
+            if all(map(eq, map(sel.get, images), map(sigma.__getitem__, picks))):
+                return True, None
+    except (KeyError, TypeError, IndexError, ValueError):
+        pass
     for P, x in sel.items():
         if sel.get(_image(sigma, P)) != sigma[x]:
             return False, P

@@ -116,6 +116,17 @@ def test_model_output(capsys):
     )
 
 
+def test_model_bytes_are_pinned(capsys):
+    for argv, digest in [
+        # 20,475 subsets, over four 7-cycles
+        (("model", "4", "0", "7", "7", "7", "7"), "c8e8eb0a9e9aae7981bbee604a7c8bcf251fab3e3b59dc475680507d14756289"),
+        (("model", "3", "2", "5", "4", "--json"), "433da914c6d5e66888174a108e4f080d8fd64563ecfdc198cd423815e636fd9e"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_model_not_blocking_exits_one(capsys):
     code, _, err = run(capsys, "model", "2", "0", "4")
     assert code == 1

@@ -1,6 +1,6 @@
 import math
 from dataclasses import replace
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -113,6 +113,98 @@ def test_cyclic_model_rejects_bad_args():
         build_cyclic_model(2, -1, Decomposition([3]))
 
 
+def cyclic_model_by_subset_walk(m, S_size, d):
+    """Reference build: walk every m-subset in combinations order, each image
+    sorted by its own call, as build_cyclic_model did before it paired the
+    subsets meeting S with their picks and the images with their subsets."""
+    import ramseychoice.selector_models as sm
+
+    if m < 1:
+        raise ValueError(f"arity must be >= 1, got {m}")
+    if S_size < 0:
+        raise ValueError(f"S_size must be >= 0, got {S_size}")
+    N = S_size + d.total
+    bound = sm.MODEL_ATOM_BOUND
+    if min(m, N - m) >= bound.bit_length() or math.comb(N, m) * m > bound:
+        raise BoundExceeded(f"C({N}, {m}) m-subsets hold more than {bound} atoms")
+    domain = tuple(range(N))
+    sigma = list(domain)
+    cycle_of = [None] * S_size
+    cycles = []
+    parts = d.parts
+    for start, length in zip(accumulate(parts, initial=S_size), parts):
+        block = tuple(range(start, start + length))
+        for i, a in enumerate(block):
+            sigma[a] = block[(i + 1) % length]
+        cycle_of.extend([len(cycles)] * length)
+        cycles.append(block)
+
+    def image(P):
+        return tuple(sorted([sigma[a] for a in P]))
+
+    sel = {}
+    for P in combinations(domain, m):
+        if P in sel:
+            continue
+        if P[0] < S_size:
+            sel[P] = P[0]
+            continue
+        meets = {}
+        for a in P:
+            meets.setdefault(cycle_of[a], []).append(a)
+        coprime = (xs[0] for i, xs in meets.items() if math.gcd(len(xs), parts[i]) == 1)
+        chosen = next(coprime, None)
+        if chosen is None:
+            sizes = tuple(len(meets.get(i, ())) for i in range(len(cycles)))
+            raise NotBlocking(
+                f"subset {P} meets the cycles in sizes {sizes}, each sharing a "
+                f"factor with its cycle length; {d} admits m = {m}"
+            )
+        sel[P] = chosen
+        Q, v = image(P), sigma[chosen]
+        while Q != P:
+            sel[Q] = v
+            Q, v = image(Q), sigma[v]
+        if v != chosen:
+            raise RuntimeError(f"orbit of {P} closes on a different selection {v}")
+    model = SelectorModel(m, domain, sel)
+    return CyclicAutomorphism(model, tuple(range(S_size)), tuple(cycles), tuple(sigma))
+
+
+def build_outcome(build, m, s, d):
+    try:
+        c = build(m, s, d)
+    except (NotBlocking, BoundExceeded) as e:
+        return type(e), str(e)
+    return list(c.model.sel.items()), c.fixed, c.cycles, c.sigma
+
+
+def test_cyclic_model_matches_the_subset_walk(monkeypatch):
+    """Same sel, insertion order included, and the same refusals."""
+    import ramseychoice.selector_models as sm
+
+    kinds = {}
+    for n in range(2, 13):
+        for d in iter_decompositions(n):
+            for m in range(1, 8):
+                for s in range(4):
+                    want = build_outcome(cyclic_model_by_subset_walk, m, s, d)
+                    assert build_outcome(build_cyclic_model, m, s, d) == want, (m, s, d)
+                    kinds[want[0] if isinstance(want[0], type) else "model"] = True
+    assert set(kinds) == {"model", NotBlocking}
+    # a bound this low refuses some of these pairs, and both refuse the same ones
+    monkeypatch.setattr(sm, "MODEL_ATOM_BOUND", 60)
+    refused = 0
+    for n in range(2, 9):
+        for d in iter_decompositions(n):
+            for m in range(1, 6):
+                for s in range(4):
+                    want = build_outcome(cyclic_model_by_subset_walk, m, s, d)
+                    assert build_outcome(build_cyclic_model, m, s, d) == want, (m, s, d)
+                    refused += want[0] is BoundExceeded
+    assert refused > 100
+
+
 def test_equivariance_detects_tampering():
     c = build_cyclic_model(2, 0, Decomposition([5]))
     sel = dict(c.model.sel)
@@ -124,6 +216,16 @@ def test_equivariance_detects_tampering():
     ok, counter = verify_equivariance(broken)
     assert not ok
     assert counter is not None
+
+
+def equivariance_by_sel_walk(c):
+    """Reference: one step from every subset, in sel order, each image sorted by
+    its own call; the counterexample is the first subset where the step fails."""
+    sel, sigma = c.model.sel, c.sigma
+    for P, x in sel.items():
+        if sel.get(tuple(sorted([sigma[a] for a in P]))) != sigma[x]:
+            return False, P
+    return True, None
 
 
 def equivariance_by_all_powers(c):
@@ -147,7 +249,8 @@ def sigma_orbit(c, P):
 
 
 def test_one_step_equivariance_matches_all_powers():
-    """Each single tampered selection fails both checks, at a subset of its orbit."""
+    """Each single tampered selection fails both checks, at a subset of its
+    orbit, and the one-step check names the first failing subset in sel order."""
     tampered = 0
     for n in range(2, 9):
         for d in iter_decompositions(n):
@@ -163,10 +266,56 @@ def test_one_step_equivariance_matches_all_powers():
                     ok, counter = verify_equivariance(broken)
                     ref_ok, (ref_counter, _) = equivariance_by_all_powers(broken)
                     assert not ok and not ref_ok, (m, d, P)
+                    assert (ok, counter) == equivariance_by_sel_walk(broken), (m, d, P)
                     orbit = sigma_orbit(c, P)
                     assert counter in orbit and ref_counter in orbit, (m, d, P)
                     tampered += 1
     assert tampered > 1000
+
+
+def sel_walk_outcome(c):
+    try:
+        return equivariance_by_sel_walk(c)
+    except (KeyError, TypeError, IndexError) as e:
+        return type(e)
+
+
+def verify_outcome(c):
+    try:
+        return verify_equivariance(c)
+    except (KeyError, TypeError, IndexError) as e:
+        return type(e)
+
+
+def test_malformed_models_answer_as_the_sel_walk():
+    """Models whose sel is not exactly the domain's m-subsets with picks in
+    range leave the combinations stream and get the walk's answer."""
+    c = build_cyclic_model(3, 1, Decomposition([5, 2]))
+    subsets = list(c.model.sel)
+
+    def edited(**changes):
+        return replace(c, model=replace(c.model, **changes))
+
+    cases = {}
+    for i, P in enumerate(subsets):
+        missing = {Q: x for Q, x in c.model.sel.items() if Q != P}
+        cases["missing", i] = edited(sel=missing)
+        cases["extra", i] = edited(sel={**c.model.sel, (0, P[1], 99): 0})
+        cases["swapped", i] = edited(sel={**missing, (0, 0, P[1]): 0})  # same size
+        cases["none", i] = edited(sel={**c.model.sel, P: None})
+    # a repeated atom repeats combinations: C(9, 3) keys hold all 63 of them
+    # and 21 more, which only the walk reaches
+    sel = {**c.model.sel, **{(0, 0, x): 0 for x in range(1, 8)}}  # each passes the step
+    sel.update(((90 + i, 91 + i, 92 + i), 90 + i) for i in range(84 - len(sel)))
+    cases["repeated atom"] = edited(domain=(0, *c.model.domain), sel=sel)
+    cases["negative arity"] = edited(m=-1)  # no subset count to compare with
+    answers = set()
+    for key, broken in cases.items():
+        want = sel_walk_outcome(broken)
+        assert verify_outcome(broken) == want, key
+        answers.add(want if isinstance(want, type) else want[0])
+    # True: dropping a subset that sigma fixes, such as (0, 6, 7), breaks no step
+    assert answers == {True, False, IndexError, TypeError}
 
 
 def test_model_bound_counts_atoms_and_is_checked_first(monkeypatch):
