@@ -21,7 +21,8 @@ caches hold no verdict; every pair still runs its own blocking test.
 from __future__ import annotations
 
 # Unused: it keeps a pending generation-1 garbage collection inside import, out of
-# perfbench's `large` timed loop (wall_s +35% without it); see ROADMAP item 6.
+# perfbench's `large` timed loop (wall_s +35% without it); see ROADMAP item 4 and
+# the FOUND: note on collector timing in `large` in CHANGES.md.
 import logging  # noqa: F401
 from dataclasses import dataclass
 from enum import Enum

@@ -19,13 +19,7 @@ import sys
 import time
 
 from .certificates import build_certificate
-from .decomposition import (
-    EXHAUSTIVE_BOUND,
-    Decomposition,
-    Reason,
-    Verdict,
-    classify_detailed,
-)
+from .decomposition import Decomposition, Reason, Verdict, classify_detailed
 from .errors import (
     BoundExceeded,
     CapExceeded,
@@ -80,7 +74,7 @@ def _print_json(obj) -> None:
 
 
 def cmd_classify(args) -> int:
-    cls_, _ = classify_detailed(args.m, args.n, oracle=args.oracle, bound=args.bound)
+    cls_, _ = classify_detailed(args.m, args.n, oracle=args.oracle)
     if args.json:
         _print_json(cls_.to_json_obj())
         return 0
@@ -93,9 +87,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    report, disagreements = run_scan(
-        args.max_m, args.max_n, bound=args.bound, oracle=args.oracle
-    )
+    report, disagreements = run_scan(args.max_m, args.max_n, oracle=args.oracle)
     checked = report.oracle_checked
     if args.csv:
         sys.stdout.write(report.to_csv())
@@ -317,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("classify", help="decide one implication pair")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    _add_common(p, oracle=True, bound=EXHAUSTIVE_BOUND)
+    _add_common(p, oracle=True)
     p.set_defaults(func=cmd_classify)
 
     p = subs.add_parser("scan", help="classify a whole grid of pairs")
     p.add_argument("max_m", type=int)
     p.add_argument("max_n", type=int)
-    _add_common(p, csv_flag=True, oracle=True, bound=EXHAUSTIVE_BOUND)
+    _add_common(p, csv_flag=True, oracle=True)
     p.set_defaults(func=cmd_scan)
 
     p = subs.add_parser("certificate", help="blocking certificate with its recipe trace")

@@ -21,12 +21,13 @@ from typing import Iterator
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
 from .numtheory import _prime_factors_up_to, primes_up_to
 
-# Largest n for which the exhaustive oracle runs by default.  The column table
-# behind it takes about 5 ms up to here; a provable pair never scans partitions.
+# Default bound of find_blocking_decomposition, the partition scan; no library
+# path calls the scan, which only names witnesses for demos and tests.
 EXHAUSTIVE_BOUND = 64
 
-# Largest column the oracle builds, whatever the bound: columns up to 300 take
-# about 2 s, and the cost grows about fourfold per 50 columns beyond that.
+# The oracle's reach: classify_detailed(oracle=True) checks every pair with
+# n <= COLUMN_BOUND and skips larger n.  Columns up to 300 take about 2 s, and
+# the cost grows about fourfold per 50 columns beyond that.
 COLUMN_BOUND = 300
 
 # Largest (number of parts) * total admissible_sums builds; admits classify 4 1000000 --json.
@@ -256,12 +257,6 @@ def iter_decompositions(n: int) -> Iterator[Decomposition]:
 _COLUMNS: list[tuple[list[int], int]] = [([1], 0)]
 
 
-def check_column_bound(n: int) -> None:
-    """Raise BoundExceeded when the oracle would build a column above COLUMN_BOUND."""
-    if n > COLUMN_BOUND:
-        raise BoundExceeded(f"the oracle's column n = {n} exceeds the column bound {COLUMN_BOUND}")
-
-
 def _blockable(n: int) -> int:
     """Bits m <= n that some decomposition of n blocks: the oracle's column n.
 
@@ -276,7 +271,8 @@ def _blockable(n: int) -> int:
     """
     if n < len(_COLUMNS):
         return _COLUMNS[n][1]
-    check_column_bound(n)
+    if n > COLUMN_BOUND:
+        raise BoundExceeded(f"the oracle's column n = {n} exceeds the column bound {COLUMN_BOUND}")
     for k in range(len(_COLUMNS), n + 1):
         candidates = set()
         for p in primes_up_to(k):
@@ -385,20 +381,14 @@ def provable_by_theorem(m: int, n: int) -> bool:
     return provable_reason(m, n) is not None
 
 
-def oracle_checks(n: int, bound: int) -> bool:
-    """True when classify_detailed(oracle=True) runs the oracle on column n."""
-    return n <= bound
-
-
-def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHAUSTIVE_BOUND):
+def classify_detailed(m: int, n: int, *, oracle: bool = False):
     """Classify one pair and keep the recipe trace for reporting.
 
     Returns (Classification, RecipeTrace | None).  With oracle=True and
-    n <= bound (oracle_checks) the oracle's column bit (oracle_blocks) is
-    compared with the verdict, and a disagreement (a blocking decomposition
-    of a provable pair, or none for a certified one) is raised as a hard
-    failure that carries the recipe result.  Only a provable pair that the
-    oracle blocks runs find_blocking_decomposition, to name the witness.
+    n <= COLUMN_BOUND the oracle's column bit (oracle_blocks) is compared
+    with the verdict, and a disagreement (column n blocks m for a provable
+    pair, or does not for a certified one) is raised as a hard failure that
+    carries the recipe result.  Larger n skip the oracle.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need positive m and n, got ({m}, {n})")
@@ -410,10 +400,9 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHA
         cls = Classification(
             m, n, Verdict.NOT_PROVABLE, Reason.CERTIFICATE, certificate=trace.decomposition
         )
-    if oracle and oracle_checks(n, bound) and oracle_blocks(m, n) != (trace is not None):
+    if oracle and n <= COLUMN_BOUND and oracle_blocks(m, n) != (trace is not None):
         raise OracleDisagreement(
-            f"({m}, {n}) should be provable but "
-            f"{find_blocking_decomposition(m, n, bound=bound)} blocks m = {m}"
+            f"({m}, {n}) should be provable but the oracle's column {n} blocks m = {m}"
             if trace is None
             else f"recipes produced a certificate for ({m}, {n}) "
             "but the exhaustive scan found none",
@@ -422,16 +411,17 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False, bound: int = EXHA
     return cls, trace
 
 
-def classify(m: int, n: int, *, oracle: bool = False, bound: int = EXHAUSTIVE_BOUND) -> Classification:
+def classify(m: int, n: int, *, oracle: bool = False) -> Classification:
     """Decide whether RC_m => RC_n is provable; attach a certificate if not.
 
     Degenerate inputs are accepted: (1, 1) is diagonal, and m = 1 is blocked
     by every decomposition.  For n = 1 with m != 1 no decomposition of n
     exists at all (the implication holds trivially), which surfaces as
     CertificateSearchFailed rather than a fabricated verdict.  Every other
-    non-provable pair gets a recipe certificate; bound only limits the oracle.
+    non-provable pair gets a recipe certificate; oracle=True also checks the
+    verdict against the oracle when n <= COLUMN_BOUND.
     """
-    return classify_detailed(m, n, oracle=oracle, bound=bound)[0]
+    return classify_detailed(m, n, oracle=oracle)[0]
 
 
 # Imported last: certificates imports this module, so whichever of the two is

@@ -11,15 +11,7 @@ import io
 from dataclasses import dataclass, field
 
 from .certificates import Recipe
-from .decomposition import (
-    EXHAUSTIVE_BOUND,
-    Reason,
-    Verdict,
-    check_column_bound,
-    classify_detailed,
-    oracle_checks,
-    provable_reason,
-)
+from .decomposition import COLUMN_BOUND, Reason, Verdict, classify_detailed, provable_reason
 from .errors import BoundExceeded, OracleDisagreement
 
 # The cost of one pair of a scan in units of one column step: a pair costs
@@ -146,18 +138,22 @@ class ScanReport:
 
 
 def scan_work(max_m: int, max_n: int) -> int:
-    """Estimated work of a scan: its pairs times the cost of the widest one."""
+    """Estimated work of a scan: its pairs times the cost of the widest one.
+
+    With oracle=True a scan also builds the oracle's columns up to
+    min(max_n, COLUMN_BOUND) once per process, at most about 2 s, which this
+    estimate leaves out.
+    """
     return (max_m - 1) * (max_n - 1) * (SCAN_PAIR_COST + max_n)
 
 
-def run_scan(max_m: int, max_n: int, *, bound: int = EXHAUSTIVE_BOUND, oracle: bool = False):
+def run_scan(max_m: int, max_n: int, *, oracle: bool = False):
     """Classify the grid 2..max_m x 2..max_n.
 
-    Returns (report, disagreements); with oracle=True every pair within the
-    bound is also checked against the direct decomposition search, and the
-    report counts those pairs.  A box whose scan_work exceeds
-    SCAN_WORK_BOUND, or with oracle=True a column above COLUMN_BOUND,
-    raises BoundExceeded before any pair is classified.
+    Returns (report, disagreements); with oracle=True every pair with
+    n <= COLUMN_BOUND is also checked against the oracle's column table, and
+    the report counts those pairs.  A box whose scan_work exceeds
+    SCAN_WORK_BOUND raises BoundExceeded before any pair is classified.
     """
     if max_m < 2 or max_n < 2:
         raise ValueError("scan needs max_m >= 2 and max_n >= 2")
@@ -165,14 +161,12 @@ def run_scan(max_m: int, max_n: int, *, bound: int = EXHAUSTIVE_BOUND, oracle: b
         raise BoundExceeded(
             f"a scan of 2..{max_m} x 2..{max_n} takes more than {SCAN_WORK_BOUND} steps"
         )
-    if oracle:
-        check_column_bound(min(max_n, bound))
     rows = []
     disagreements = []
     for m in range(2, max_m + 1):
         for n in range(2, max_n + 1):
             try:
-                cls_, trace = classify_detailed(m, n, oracle=oracle, bound=bound)
+                cls_, trace = classify_detailed(m, n, oracle=oracle)
             except OracleDisagreement as exc:
                 disagreements.append((m, n, str(exc)))
                 cls_, trace = exc.result
@@ -183,5 +177,5 @@ def run_scan(max_m: int, max_n: int, *, bound: int = EXHAUSTIVE_BOUND, oracle: b
             rows.append(
                 ScanRow(m, n, cls_.verdict._value_, cls_.reason._value_, recipe, parts)
             )
-    checked = sum(oracle_checks(r.n, bound) for r in rows) if oracle else None
+    checked = (max_m - 1) * (min(max_n, COLUMN_BOUND) - 1) if oracle else None
     return ScanReport(max_m, max_n, rows, checked), disagreements

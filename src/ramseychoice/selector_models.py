@@ -348,14 +348,14 @@ def _catalog_tables(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     subsets, at most 2*10^6 under the guards) plus four lookup lists of
     about m^(s/2) entries each.
     """
-    subsets = list(combinations(range(k), m))
-    n_subsets = len(subsets)
+    n_subsets = math.comb(k, m)
     if n_subsets > 20:
         raise BoundExceeded(f"{n_subsets} m-subsets exceed the catalog guard of 20")
-    if math.factorial(k) > 50_000:
-        raise BoundExceeded(f"{k}! relabelings exceed the catalog guard")
+    if k > 20:  # only m >= k gets here (at most 20 subsets force k <= 20 for m < k)
+        raise BoundExceeded(f"{k} atoms exceed the catalog guard of 20")
     if n_subsets and m**n_subsets > 2_000_000:
         raise BoundExceeded(f"{m}^{n_subsets} selector assignments exceed the catalog guard")
+    subsets = list(combinations(range(k), m))
     n_low = n_subsets // 2
     L = m**n_low
     # below k = 2 there is one table and S_k is trivial
@@ -396,11 +396,9 @@ def catalog_models(m: int, k: int) -> list[SelectorModel]:
         raise ValueError(f"arity must be >= 1, got {m}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    tables = _catalog_tables(m, k)
     subsets = list(combinations(range(k), m))
-    return [
-        SelectorModel(m, tuple(range(k)), dict(zip(subsets, table)))
-        for table in _catalog_tables(m, k)
-    ]
+    return [SelectorModel(m, tuple(range(k)), dict(zip(subsets, table))) for table in tables]
 
 
 @lru_cache(maxsize=4096)

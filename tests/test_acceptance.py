@@ -32,11 +32,14 @@ def _report(ok, line):
 
 def test_criterion_1_full_scan_with_oracle():
     start = time.perf_counter()
-    report, disagreements = run_scan(50, 50, oracle=True)
+    # the whole reach of the oracle: every column up to COLUMN_BOUND = 300
+    report, disagreements = run_scan(300, 300, oracle=True)
     elapsed = time.perf_counter() - start
-    ok = (report.total == 2401 and not disagreements and elapsed < 300.0)
-    _report(ok, "criterion 1: 50x50 scan, %d pairs, %d oracle disagreements, %.1fs"
-            % (report.total, len(disagreements), elapsed))
+    ok = (report.total == report.oracle_checked == 89401 and not disagreements
+          and elapsed < 300.0)
+    _report(ok, "criterion 1: 300x300 scan, %d pairs, %d oracle checked, "
+            "%d oracle disagreements, %.1fs"
+            % (report.total, report.oracle_checked, len(disagreements), elapsed))
 
 
 def test_criterion_2_pair_to_four_exhaustive():

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ramseychoice.cli import _dumps, build_parser, main
+from ramseychoice.decomposition import COLUMN_BOUND, provable_by_theorem
 from ramseychoice.numtheory import GOLDBACH_SEARCH_BOUND
 from ramseychoice.scan import ScanReport, ScanRow, run_scan
 
@@ -224,17 +226,26 @@ def test_scan_oracle_agreement_line(capsys):
     assert out.rstrip().endswith("oracle agreement: 49/49")
 
 
-def test_scan_oracle_counts_only_pairs_within_the_bound(capsys):
-    # pairs with n > bound skip the oracle: 11 values of m times n = 2..10
-    code, out, _ = run(capsys, "scan", "12", "12", "--oracle", "--bound", "10")
+def test_scan_oracle_counts_only_pairs_within_the_bound(capsys, monkeypatch):
+    import ramseychoice.decomposition as dm
+
+    # pairs with n > COLUMN_BOUND skip the oracle: 2 values of m times n = 2..300;
+    # the stand-in oracle builds no column
+    asked = []
+    monkeypatch.setattr(
+        dm, "oracle_blocks", lambda m, n: asked.append(n) or not provable_by_theorem(m, n)
+    )
+    max_n = str(COLUMN_BOUND + 1)
+    code, out, _ = run(capsys, "scan", "3", max_n, "--oracle")
     assert code == 0
-    assert out.rstrip().endswith("oracle agreement: 99/99")
-    code, out, _ = run(capsys, "scan", "12", "12", "--oracle", "--bound", "10", "--json")
+    assert out.rstrip().endswith("oracle agreement: 598/598")
+    assert max(asked) == COLUMN_BOUND
+    code, out, _ = run(capsys, "scan", "3", max_n, "--oracle", "--json")
     assert code == 0
-    assert json.loads(out)["oracle"] == {"checked": 99, "agree": 99}
-    assert out.endswith('  "oracle": {\n    "checked": 99,\n    "agree": 99\n  }\n}\n')
+    assert json.loads(out)["oracle"] == {"checked": 598, "agree": 598}
+    assert out.endswith('  "oracle": {\n    "checked": 598,\n    "agree": 598\n  }\n}\n')
     # the report carries the count; a scan without the oracle has none
-    assert run_scan(12, 12, bound=10, oracle=True)[0].oracle_checked == 99
+    assert run_scan(3, COLUMN_BOUND + 1, oracle=True)[0].oracle_checked == 598
     assert run_scan(3, 3)[0].oracle_checked is None
 
 
@@ -293,7 +304,13 @@ def test_scan_oracle_disagreement_exits_one(capsys, monkeypatch):
 
 def test_options_of_the_removed_fallback_are_usage_errors(capsys):
     # dispatch has no exhaustive fallback, so nothing is left for these to control
-    for argv in (["scan", "12", "12", "--constructive-only"], ["certificate", "6", "9", "--bound", "3"]):
+    # and the oracle's reach is COLUMN_BOUND, which no option sets
+    for argv in (
+        ["scan", "12", "12", "--constructive-only"],
+        ["certificate", "6", "9", "--bound", "3"],
+        ["classify", "3", "7", "--bound", "10"],
+        ["scan", "12", "12", "--oracle", "--bound", "10"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -364,10 +381,21 @@ def test_catalog_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
-def test_catalog_guard_exits_three(capsys):
+def test_catalog_guard_exits_three(capsys, monkeypatch):
+    import ramseychoice.selector_models as sm
+
     code, _, err = run(capsys, "catalog", "2", "9")
     assert code == 3
     assert err
+
+    def no_listing(*args):
+        raise AssertionError("the catalog listed its subsets")
+
+    # the guard counts the subsets before listing any: k^2 / 2 of them would exhaust memory
+    monkeypatch.setattr(sm, "combinations", no_listing)
+    assert run(capsys, "catalog", "2", "100000") == (
+        3, "", "error: 4999950000 m-subsets exceed the catalog guard of 20\n"
+    )
 
 
 def test_fraisse_output(capsys):
@@ -556,6 +584,25 @@ def test_parser_has_all_subcommands():
     for name in ("classify", "scan", "certificate", "model", "catalog",
                  "fraisse", "verify"):
         assert name in text
+
+
+def test_each_subcommand_has_exactly_its_options():
+    # the values a user can set, in parser order, so adding or dropping one is a visible change
+    want = {
+        "classify": ["--json", "--oracle", "--timing"],
+        "scan": ["--json", "--csv", "--oracle", "--timing"],
+        "certificate": ["--json", "--timing"],
+        "model": ["--json", "--timing"],
+        "catalog": ["--json", "--timing"],
+        "fraisse": ["--check", "--ground-limit", "--max-atoms", "--max-domain", "--json", "--timing"],
+        "verify": ["--qmax", "--max", "--json", "--bound", "--timing"],
+    }
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
+        for name, sub in subcommands.choices.items()
+    }
+    assert got == want
 
 
 def test_scan_row_is_plain_data():

@@ -25,6 +25,7 @@ from ramseychoice.decomposition import (
     classify_detailed,
     find_blocking_decomposition,
     iter_decompositions,
+    oracle_blocks,
     provable_by_theorem,
     provable_reason,
 )
@@ -347,27 +348,21 @@ def test_blockable_columns_match_the_theorem():
             assert unblockable == provable_by_theorem(m, n), (m, n)
 
 
-def test_column_bound_refuses_before_any_column_is_built(capsys, monkeypatch):
-    import ramseychoice.scan as scan
-
+def test_column_bound_refuses_before_any_column_is_built(capsys):
     built = len(_COLUMNS)
-    assert main(["classify", "3", "5000", "--oracle", "--bound", "5000"]) == 3
-    assert capsys.readouterr() == (
-        "", f"error: the oracle's column n = 5000 exceeds the column bound {COLUMN_BOUND}\n"
-    )
+    # COLUMN_BOUND is the oracle's reach: a larger n skips the check and builds no column
+    assert main(["classify", "3", "5000"]) == 0
+    plain = capsys.readouterr()
+    assert main(["classify", "3", "5000", "--oracle"]) == 0
+    assert capsys.readouterr() == plain
+    assert classify(3, COLUMN_BOUND + 1, oracle=True) == classify(3, COLUMN_BOUND + 1)
     assert len(_COLUMNS) == built
-
-    def no_pair(*args, **kwargs):
-        raise AssertionError("a pair was classified")
-
-    # a scan refuses before its first pair; the bound, not the box, caps its columns
-    monkeypatch.setattr(scan, "classify_detailed", no_pair)
-    with pytest.raises(BoundExceeded):
-        scan.run_scan(2, COLUMN_BOUND + 1, bound=COLUMN_BOUND + 1, oracle=True)
-    with pytest.raises(AssertionError):
-        scan.run_scan(2, COLUMN_BOUND + 1, bound=COLUMN_BOUND, oracle=True)
-    with pytest.raises(AssertionError):
-        scan.run_scan(2, COLUMN_BOUND + 1, bound=COLUMN_BOUND + 1)
+    # asked directly, the oracle refuses a column above its reach before building any
+    with pytest.raises(BoundExceeded) as info:
+        oracle_blocks(2, 5000)
+    assert str(info.value) == (
+        f"the oracle's column n = 5000 exceeds the column bound {COLUMN_BOUND}"
+    )
     assert len(_COLUMNS) == built
 
 
@@ -422,19 +417,24 @@ def test_classify_oracle_mode_agrees_everywhere():
 def test_oracle_disagreement_on_a_provable_pair(monkeypatch):
     import ramseychoice.decomposition as dm
 
-    # the column bit decides; the scan is asked only to name the witness
+    def scan(*args, **kwargs):
+        raise AssertionError("the column bit alone names the disagreement")
+
     monkeypatch.setattr(dm, "oracle_blocks", lambda m, n: True)
-    monkeypatch.setattr(dm, "find_blocking_decomposition", lambda m, n, bound: Decomposition((n,)))
+    monkeypatch.setattr(dm, "find_blocking_decomposition", scan)
     with pytest.raises(OracleDisagreement) as info:
         classify_detailed(4, 4, oracle=True)
-    assert str(info.value) == "(4, 4) should be provable but 4 blocks m = 4"
+    assert str(info.value) == "(4, 4) should be provable but the oracle's column 4 blocks m = 4"
     assert info.value.result == classify_detailed(4, 4)
     with pytest.raises(OracleDisagreement) as info:
         classify(2, 4, oracle=True)
-    assert str(info.value) == "(2, 4) should be provable but 4 blocks m = 2"
-    # the oracle only runs when asked, and only within its bound
+    assert str(info.value) == "(2, 4) should be provable but the oracle's column 4 blocks m = 2"
+    with pytest.raises(OracleDisagreement):
+        classify(COLUMN_BOUND, COLUMN_BOUND, oracle=True)
+    # the oracle only runs when asked, and only within its reach
     assert classify(4, 4).verdict == Verdict.PROVABLE
-    assert classify(70, 70, oracle=True).verdict == Verdict.PROVABLE
+    n = COLUMN_BOUND + 1
+    assert classify(n, n, oracle=True).verdict == Verdict.PROVABLE
 
 
 def test_oracle_disagreement_on_a_certified_pair(monkeypatch):

@@ -567,7 +567,10 @@ def test_catalog_guards():
     with pytest.raises(BoundExceeded):
         catalog_models(3, 6)  # 3^20 assignments
     with pytest.raises(BoundExceeded):
-        catalog_models(1, 9)  # 9! relabelings
+        catalog_models(21, 21)  # 21 atoms, one subset
+    # k! bounds no work: m = 1 or m >= k leaves one class up to 20 atoms
+    for m, k in [(1, 9), (1, 20), (9, 9), (20, 20), (21, 20)]:
+        assert len(catalog_models(m, k)) == 1, (m, k)
     with pytest.raises(ValueError):
         catalog_models(0, 3)
     with pytest.raises(ValueError):
