@@ -177,5 +177,5 @@ def run_scan(max_m: int, max_n: int, *, oracle: bool = False):
             rows.append(
                 ScanRow(m, n, cls_.verdict._value_, cls_.reason._value_, recipe, parts)
             )
-    checked = (max_m - 1) * (min(max_n, COLUMN_BOUND) - 1) if oracle else None
+    checked = sum(row.n <= COLUMN_BOUND for row in rows) if oracle else None
     return ScanReport(max_m, max_n, rows, checked), disagreements

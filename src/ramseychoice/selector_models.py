@@ -348,11 +348,11 @@ def _catalog_tables(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     subsets, at most 2*10^6 under the guards) plus four lookup lists of
     about m^(s/2) entries each.
     """
+    if k > 20:  # first, so math.comb stays small; for m < k it means over 20 subsets too
+        raise BoundExceeded(f"{k} atoms exceed the catalog guard of 20")
     n_subsets = math.comb(k, m)
     if n_subsets > 20:
         raise BoundExceeded(f"{n_subsets} m-subsets exceed the catalog guard of 20")
-    if k > 20:  # only m >= k gets here (at most 20 subsets force k <= 20 for m < k)
-        raise BoundExceeded(f"{k} atoms exceed the catalog guard of 20")
     if n_subsets and m**n_subsets > 2_000_000:
         raise BoundExceeded(f"{m}^{n_subsets} selector assignments exceed the catalog guard")
     subsets = list(combinations(range(k), m))
@@ -406,8 +406,13 @@ def _extensions(m: int, k: int, table: tuple[int, ...]) -> tuple[tuple, ...]:
     """The extensions the catalog demands over a k-atom base with this sel
     table in positions: per cataloged R on k + 1 atoms, in catalog order, a
     tuple of (R's sorted table, images, spare atom's point type over images)
-    per embedding of the base into R, in find_embeddings order.
+    per embedding of the base into R, in find_embeddings order.  Where the
+    m-subsets leave them free (m = 1, or m > k + 1) the embeddings are all
+    (k + 1)! injections, so a k + 1 with (k + 1)! > 50,000 raises
+    BoundExceeded before any is listed.
     """
+    if math.factorial(k + 1) > 50_000:
+        raise BoundExceeded(f"{k + 1}! embeddings into {k + 1} atoms exceed the extension guard")
     base = SelectorModel(m, tuple(range(k)), dict(zip(combinations(range(k), m), table)))
     return tuple(
         tuple((tuple(sorted(R.sel.items())), images,

@@ -391,10 +391,15 @@ def test_catalog_guard_exits_three(capsys, monkeypatch):
     def no_listing(*args):
         raise AssertionError("the catalog listed its subsets")
 
-    # the guard counts the subsets before listing any: k^2 / 2 of them would exhaust memory
+    # the guards run before any subset is listed: k^2 / 2 of them would exhaust memory
     monkeypatch.setattr(sm, "combinations", no_listing)
     assert run(capsys, "catalog", "2", "100000") == (
-        3, "", "error: 4999950000 m-subsets exceed the catalog guard of 20\n"
+        3, "", "error: 100000 atoms exceed the catalog guard of 20\n"
+    )
+    # and before math.comb, which on these would build a 10^8-bit integer
+    monkeypatch.setattr(sm.math, "comb", no_listing)
+    assert run(capsys, "catalog", "50000000", "100000000") == (
+        3, "", "error: 100000000 atoms exceed the catalog guard of 20\n"
     )
 
 
@@ -426,6 +431,15 @@ def test_fraisse_check_over_the_bound_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: 10439548 point types for k = 5 on 49 atoms exceed 2000000\n"
+
+
+def test_fraisse_check_over_the_extension_guard_exits_three(capsys):
+    # m = 20 leaves every injection an embedding: the check reaches 9-atom
+    # structures, whose 9! embeddings the extension guard refuses
+    code, out, err = run(capsys, "fraisse", "20", "9", "--ground-limit", "0", "--check", "9")
+    assert code == 3
+    assert out == ""
+    assert err == "error: 9! embeddings into 9 atoms exceed the extension guard\n"
 
 
 def test_fraisse_check_four_counts_every_missing_extension(capsys):

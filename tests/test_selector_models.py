@@ -26,7 +26,7 @@ from ramseychoice.selector_models import (
     verify_gcd_claim,
     witness_no_invariant_choice,
 )
-from ramseychoice.selector_models import _bit_slices, _fixed_subsets
+from ramseychoice.selector_models import _bit_slices, _extensions, _fixed_subsets
 
 
 def test_selector_model_validate():
@@ -575,6 +575,22 @@ def test_catalog_guards():
         catalog_models(0, 3)
     with pytest.raises(ValueError):
         catalog_models(2, -1)
+
+
+def test_extension_guard_refuses_before_listing_embeddings(monkeypatch):
+    import ramseychoice.selector_models as sm
+
+    # m > k + 1 or m = 1 leaves every injection into k + 1 atoms an embedding
+    assert [len(per_R) for per_R in _extensions(20, 7, ())] == [math.factorial(8)]
+    assert [len(per_R) for per_R in _extensions(1, 7, tuple(range(7)))] == [math.factorial(8)]
+
+    def no_listing(*args):
+        raise AssertionError("the embeddings were listed")
+
+    monkeypatch.setattr(sm, "find_embeddings", no_listing)
+    for m, k in [(20, 8), (1, 8), (9, 8), (20, 12)]:
+        with pytest.raises(BoundExceeded, match=rf"^{k + 1}! embeddings"):
+            _extensions(m, k, () if m > k else tuple(range(k)))
 
 
 def test_fraisse_stage_sizes_and_f2_table():
