@@ -8,12 +8,7 @@ over a single atom is already realized inside the structure, which is the
 finite shadow of the amalgamation argument.
 """
 
-from ramseychoice import (
-    StageCaps,
-    catalog_models,
-    check_one_point_extension,
-    run_fraisse_stages,
-)
+from ramseychoice import catalog_models, check_one_point_extension, run_fraisse_stages
 
 
 def main():
@@ -37,7 +32,7 @@ def main():
 
     print()
     print("a third stage adds a witness for every pair-sized base:")
-    chain = run_fraisse_stages(2, 3, StageCaps(max_new_atoms=60))
+    chain = run_fraisse_stages(2, 3)
     print(f"  sizes: {[len(m.domain) for m in chain]}")
 
 

@@ -27,7 +27,6 @@ from .certificates import Recipe, RecipeTrace, build_certificate
 from .errors import (
     BadSubset,
     BoundExceeded,
-    CapExceeded,
     CertificateSearchFailed,
     EmptyResult,
     InvalidPart,
@@ -51,7 +50,6 @@ from .scan import ScanReport, ScanRow, run_scan
 from .selector_models import (
     CyclicAutomorphism,
     SelectorModel,
-    StageCaps,
     build_cyclic_model,
     build_fraisse_stage,
     catalog_models,
@@ -70,7 +68,6 @@ __all__ = [
     "AdmissibleSumSet",
     "BadSubset",
     "BoundExceeded",
-    "CapExceeded",
     "CertificateSearchFailed",
     "Classification",
     "CyclicAutomorphism",
@@ -92,7 +89,6 @@ __all__ = [
     "ScanRow",
     "ScoreProfile",
     "SelectorModel",
-    "StageCaps",
     "Verdict",
     "admissible_sums",
     "allowed_contributions",

@@ -7,7 +7,7 @@ construction, and verify reruns the exhaustive checks (pair-to-four rule,
 cycle gcd claim, ternary Goldbach sweep).
 
 Exit codes: 0 success, 1 a verification or search came back negative,
-2 usage errors, 3 a configured bound or cap was exceeded.  Default output
+2 usage errors, 3 a fixed bound was exceeded.  Default output
 is deterministic; timing is opt-in so byte-for-byte comparisons stay valid.
 """
 
@@ -22,7 +22,6 @@ from .certificates import build_certificate
 from .decomposition import Decomposition, Reason, Verdict, classify_detailed
 from .errors import (
     BoundExceeded,
-    CapExceeded,
     CertificateSearchFailed,
     EmptyResult,
     InvalidPart,
@@ -35,7 +34,6 @@ from .numtheory import GOLDBACH_SEARCH_BOUND, iter_goldbach_triples
 from .rc24 import check_equivariance, verify_rc24
 from .scan import ScanReport, ScanRow, run_scan  # noqa: F401  (ScanReport, ScanRow: re-exported)
 from .selector_models import (
-    StageCaps,
     build_cyclic_model,
     catalog_models,
     check_one_point_extension,
@@ -181,12 +179,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_fraisse(args) -> int:
-    caps = StageCaps(
-        ground_limit=args.ground_limit,
-        max_new_atoms=args.max_atoms,
-        max_domain=args.max_domain,
-    )
-    chain = run_fraisse_stages(args.m, args.stages, caps)
+    chain = run_fraisse_stages(args.m, args.stages, ground_limit=args.ground_limit)
     complete = None
     missing = []
     if args.check is not None:
@@ -260,15 +253,15 @@ def cmd_verify(args) -> int:
             print(f"invariant subsets checked: {total}")
         return 0 if ok else 1
     # target == "goldbach"
-    first_over = max(7, (args.bound + 1) | 1)  # the first odd target the bound refuses
+    first_over = max(7, (GOLDBACH_SEARCH_BOUND + 1) | 1)  # the first odd target the bound refuses
     if args.max >= first_over:  # refuse before any search, with the library's own error
-        iter_goldbach_triples(first_over, bound=args.bound)
+        iter_goldbach_triples(first_over, bound=GOLDBACH_SEARCH_BOUND)
     failures = []
     checked = 0
     for n in range(7, args.max + 1, 2):
         checked += 1
         try:
-            next(iter_goldbach_triples(n, bound=args.bound))
+            next(iter_goldbach_triples(n, bound=GOLDBACH_SEARCH_BOUND))
         except EmptyResult:
             failures.append(n)
     ok = not failures
@@ -282,20 +275,13 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(sub, *, csv_flag=False, oracle=False, bound=None):
+def _add_common(sub, *, csv_flag=False, oracle=False):
     sub.add_argument("--json", action="store_true", help="machine readable output")
     if csv_flag:
         sub.add_argument("--csv", action="store_true", help="CSV table output")
     if oracle:
-        sub.add_argument(
-            "--oracle",
-            action="store_true",
-            help="cross-check against the direct decomposition search",
-        )
-    if bound is not None:
-        sub.add_argument(
-            "--bound", type=int, default=bound, help="search bound (default %(default)s)"
-        )
+        sub.add_argument("--oracle", action="store_true",
+                         help="cross-check against the oracle's column table")
     sub.add_argument("--timing", action="store_true", help="print elapsed time")
 
 
@@ -343,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", type=int, default=None, metavar="K",
                    help="verify one-point extensions for substructures below K")
     p.add_argument("--ground-limit", type=int, default=None)
-    p.add_argument("--max-atoms", type=int, default=512)
-    p.add_argument("--max-domain", type=int, default=4096)
     _add_common(p)
     p.set_defaults(func=cmd_fraisse)
 
@@ -352,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=("rc24", "claim", "goldbach"))
     p.add_argument("--qmax", type=int, default=12, help="cycle length cap for claim")
     p.add_argument("--max", type=int, default=1001, help="largest odd target for goldbach")
-    _add_common(p, bound=GOLDBACH_SEARCH_BOUND)
+    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -364,7 +348,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args)
-    except (BoundExceeded, CapExceeded) as exc:
+    except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CertificateSearchFailed, OracleDisagreement, NotBlocking) as exc:

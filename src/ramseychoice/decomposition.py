@@ -405,7 +405,7 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False):
             f"({m}, {n}) should be provable but the oracle's column {n} blocks m = {m}"
             if trace is None
             else f"recipes produced a certificate for ({m}, {n}) "
-            "but the exhaustive scan found none",
+            f"but the oracle's column {n} admits m = {m}",
             result=(cls, trace),
         )
     return cls, trace

@@ -10,7 +10,7 @@ class InvalidPart(RamseyChoiceError):
 
 
 class BoundExceeded(RamseyChoiceError):
-    """A requested computation lies outside the configured search bounds."""
+    """A requested computation lies outside a fixed search bound."""
 
 
 class EmptyResult(RamseyChoiceError):
@@ -48,14 +48,6 @@ class NotBlocking(RamseyChoiceError):
     with their cycle lengths; the construction failing in exactly this way is
     a second oracle for the blocking test.
     """
-
-
-class CapExceeded(RamseyChoiceError):
-    """A staged construction hit its size cap; carries a progress report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report or {}
 
 
 class BadSubset(RamseyChoiceError):

@@ -1,7 +1,7 @@
 """Grid scans: classify every pair of a box and report the verdicts.
 
-run_scan classifies 2..max_m x 2..max_n, optionally against the exhaustive
-oracle; ScanReport holds the rows and round-trips them through JSON and CSV.
+run_scan classifies 2..max_m x 2..max_n, optionally against the oracle's
+column table; ScanReport holds the rows and round-trips them through JSON and CSV.
 """
 
 from __future__ import annotations

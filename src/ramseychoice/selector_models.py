@@ -13,13 +13,13 @@ extension type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations, groupby, islice
 from operator import eq, itemgetter
 
 from .decomposition import Decomposition
-from .errors import BoundExceeded, CapExceeded, NotBlocking
+from .errors import BoundExceeded, NotBlocking
 
 # build_cyclic_model refuses tables of more atoms (m-subsets times m) before any
 # work; atoms, not subsets, because m near the domain gives few, huge subsets.
@@ -29,6 +29,9 @@ EXTENSION_TYPE_BOUND = 2 * 10**6
 # verify_gcd_claim refuses more (power, subset) tests, one bit of a 2^q-bit slice
 # AND each: q_max = 20 (3.8e7 tests, 20 slices of 128 KiB at q = 20), not 21 (8e7)
 CLAIM_STEP_BOUND = 4 * 10**7
+# run_fraisse_stages refuses more bases walked plus m-subsets held, summed over
+# its stages: fraisse 5 3 (C(49, 5) = 1,906,884 subsets, 1.7 s) answers, 6 3 not.
+STAGE_WORK_BOUND = 2 * 10**6
 
 
 @dataclass(frozen=True, eq=True)
@@ -401,18 +404,25 @@ def catalog_models(m: int, k: int) -> list[SelectorModel]:
     return [SelectorModel(m, tuple(range(k)), dict(zip(subsets, table))) for table in tables]
 
 
+def _extension_guard(m: int, k: int) -> None:
+    """Refuse k-atom bases as _extensions does: (k + 1)! > 50,000, then the catalog's guards."""
+    if math.factorial(k + 1) > 50_000:
+        raise BoundExceeded(f"{k + 1}! embeddings into {k + 1} atoms exceed the extension guard")
+    _catalog_tables(m, k + 1)
+
+
 @lru_cache(maxsize=4096)
 def _extensions(m: int, k: int, table: tuple[int, ...]) -> tuple[tuple, ...]:
     """The extensions the catalog demands over a k-atom base with this sel
     table in positions: per cataloged R on k + 1 atoms, in catalog order, a
     tuple of (R's sorted table, images, spare atom's point type over images)
-    per embedding of the base into R, in find_embeddings order.  Where the
-    m-subsets leave them free (m = 1, or m > k + 1) the embeddings are all
-    (k + 1)! injections, so a k + 1 with (k + 1)! > 50,000 raises
-    BoundExceeded before any is listed.
+    per embedding of the base into R, in find_embeddings order.  For every m
+    a k + 1 with (k + 1)! > 50,000 raises BoundExceeded before any is listed:
+    m = 1 or m > k leaves all (k + 1)! injections embeddings, and for other m
+    the catalog's guards refuse such a k + 1 anyway.  The walkers run the same
+    guard (_extension_guard) on each base size, smallest first, before any walk.
     """
-    if math.factorial(k + 1) > 50_000:
-        raise BoundExceeded(f"{k + 1}! embeddings into {k + 1} atoms exceed the extension guard")
+    _extension_guard(m, k)
     base = SelectorModel(m, tuple(range(k)), dict(zip(combinations(range(k), m), table)))
     return tuple(
         tuple((tuple(sorted(R.sel.items())), images,
@@ -422,57 +432,56 @@ def _extensions(m: int, k: int, table: tuple[int, ...]) -> tuple[tuple, ...]:
     )
 
 
-@dataclass(frozen=True)
-class StageCaps:
-    """Limits for one staged extension.
-
-    ground_limit bounds the size of the base subsets receiving witnesses; the
-    stage driver sets it to the stage index when left as None.
-    """
-
-    ground_limit: int | None = None
-    max_new_atoms: int = 512
-    max_domain: int = 4096
+def _bases(n: int, limit: int) -> int:
+    """The subsets of at most limit of n atoms: 2^min(limit, n) or more."""
+    return sum(math.comb(n, size) for size in range(min(limit, n) + 1))
 
 
-def build_fraisse_stage(m: int, prev: SelectorModel, caps: StageCaps) -> SelectorModel:
+def build_fraisse_stage(m: int, prev: SelectorModel, *, ground_limit: int | None = None,
+                        spent: int = 0) -> SelectorModel:
     """Extend prev by one witness per (base subset, extension type, embedding).
 
-    For every subset A of the previous domain within the ground limit, every
-    cataloged structure R on |A| + 1 atoms, and every embedding of A's induced
-    substructure into R, a fresh atom gets the point type R demands of its
-    spare atom, read from _extensions by A's relabeled table; every remaining
-    new m-subset selects its largest element.  So every one-point extension
-    over such an A is realized; A holding new atoms gets no witness.
-    Embeddings are consumed in reverse lexicographic order per R: under the
-    max-element completion the highest fresh atoms win all unconstrained
-    comparisons, so the last witnesses are the ones pinned down as dominated,
-    which for m = 2 also realizes each extension over one new atom at stage 2.
+    For every subset A of the previous domain of at most ground_limit atoms
+    (any when None), every cataloged structure R on |A| + 1 atoms, and every
+    embedding of A's induced substructure into R, a fresh atom gets the point
+    type R demands of its spare atom, read from _extensions by A's relabeled
+    table; every remaining new m-subset selects its largest element.  So
+    every one-point extension over such an A is realized; A holding new atoms
+    gets no witness.  Embeddings are consumed in reverse lexicographic order
+    per R: under the max-element completion the highest fresh atoms win all
+    unconstrained comparisons, so the last witnesses are the ones pinned down
+    as dominated, which for m = 2 also realizes each extension over one new
+    atom at stage 2.  BoundExceeded is raised before any write when spent,
+    the earlier stages' work, plus the bases (in closed form), then plus the
+    new m-subsets (one pass over _extensions counts the atoms), exceeds
+    STAGE_WORK_BOUND.
     """
     prev.validate()
     if prev.domain != tuple(range(len(prev.domain))):
         raise ValueError("previous stage domain must be the initial segment 0..s-1")
-    limit = caps.ground_limit if caps.ground_limit is not None else len(prev.domain)
-    grounds = []
-    for size in range(0, min(limit, len(prev.domain)) + 1):
-        grounds.extend(combinations(prev.domain, size))
-
     a = base = len(prev.domain)  # a: the next fresh atom
+    limit = base if ground_limit is None else ground_limit
+    sizes = range(min(limit, base) + 1)
+    # 2^(len(sizes) - 1) bases or more: past the bound's bit length, refused unsummed
+    if len(sizes) > STAGE_WORK_BOUND.bit_length() or spent + _bases(base, limit) > STAGE_WORK_BOUND:
+        raise BoundExceeded(f"bases of up to {limit} of {base} atoms take the stages "
+                            f"over the stage work bound {STAGE_WORK_BOUND}")
+    spent += _bases(base, limit)
+    for size in sizes:
+        _extension_guard(m, size)
+    grounds = [A for size in sizes for A in combinations(prev.domain, size)]
+    demands = [_extensions(m, len(A), tuple(A.index(prev.sel[P]) for P in combinations(A, m)))
+               for A in grounds]
+    N = base + sum(len(per_R) for per_A in demands for per_R in per_A)
+    # C(N, m) >= 2^min(m, N - m), as in build_cyclic_model
+    if min(m, N - m) >= STAGE_WORK_BOUND.bit_length() or spent + math.comb(N, m) > STAGE_WORK_BOUND:
+        raise BoundExceeded(f"C({N}, {m}) m-subsets take the stages over the stage work bound "
+                            f"{STAGE_WORK_BOUND}")
+
     sel = dict(prev.sel)
-    for A in grounds:
-        table = tuple(A.index(prev.sel[P]) for P in combinations(A, m))
-        for per_R in _extensions(m, len(A), table):
+    for A, per_A in zip(grounds, demands):
+        for per_R in per_A:
             for _, _, demanded in reversed(per_R):
-                if a - base >= caps.max_new_atoms:
-                    raise CapExceeded(
-                        f"stage needs more than {caps.max_new_atoms} fresh atoms",
-                        report={"atoms_planned": a - base, "ground": A},
-                    )
-                if a >= caps.max_domain:
-                    raise CapExceeded(
-                        f"stage domain would exceed {caps.max_domain}",
-                        report={"atoms_planned": a - base, "ground": A},
-                    )
                 for rest, z in zip(combinations(A, m - 1), demanded):
                     sel[rest + (a,)] = a if z is None else A[z]  # sorted: a exceeds all of A
                 a += 1
@@ -485,19 +494,31 @@ def build_fraisse_stage(m: int, prev: SelectorModel, caps: StageCaps) -> Selecto
     return SelectorModel(m, domain, sel)
 
 
-def run_fraisse_stages(m: int, stages: int, caps: StageCaps | None = None) -> list[SelectorModel]:
+def run_fraisse_stages(m: int, stages: int, *, ground_limit: int | None = None) -> list[SelectorModel]:
     """Run the staged construction from the empty structure.
 
-    Returns the chain of models, starting with the empty stage 0.  When caps
-    leaves ground_limit unset, stage i gets witnesses over ground subsets of
+    Returns the chain of models, starting with the empty stage 0.  With
+    ground_limit unset, stage i gets witnesses over ground subsets of
     size <= i - 1, so it realizes every one-point extension over every A
-    inside the domain of stage i - 1 with |A| <= i - 1.
+    inside the domain of stage i - 1 with |A| <= i - 1.  Each stage checks
+    the chain's work against STAGE_WORK_BOUND before it writes.  Stage i
+    walks the empty base and holds C(i, m) subsets at least, so stages +
+    C(stages + 1, m + 1) over the bound is refused before any stage; with
+    ground_limit 0 that is exactly the chain's work.
     """
-    caps = caps or StageCaps()
+    if m < 1 or stages < 0:
+        raise ValueError(f"need m >= 1 and stages >= 0, got ({m}, {stages})")
+    n, k = stages + 1, m + 1
+    # C(n, k) >= 2^min(k, n - k), as in build_cyclic_model
+    if min(k, n - k) >= STAGE_WORK_BOUND.bit_length() or stages + math.comb(n, k) > STAGE_WORK_BOUND:
+        raise BoundExceeded(f"at least {stages} bases and C({n}, {k}) m-subsets take the stages "
+                            f"over the stage work bound {STAGE_WORK_BOUND}")
     chain = [empty_model(m)]
+    spent = 0
     for i in range(stages):
-        eff = replace(caps, ground_limit=i) if caps.ground_limit is None else caps
-        chain.append(build_fraisse_stage(m, chain[-1], eff))
+        prev, limit = chain[-1], i if ground_limit is None else ground_limit
+        chain.append(build_fraisse_stage(m, prev, ground_limit=limit, spent=spent))
+        spent += _bases(len(prev.domain), limit) + len(chain[-1].sel)
     return chain
 
 
@@ -513,7 +534,8 @@ def check_one_point_extension(model: SelectorModel, m: int, k: int):
     itself is picked.  A demanded type is realized exactly when the AND of
     its picks over the (m - 1)-subsets of A, less A's own bits, is nonzero.
     BoundExceeded is raised before any work when the pairs (A, w) number
-    more than EXTENSION_TYPE_BOUND.  Returns (ok, missing) where missing
+    more than EXTENSION_TYPE_BOUND, then at the first size of A that
+    _extension_guard refuses.  Returns (ok, missing) where missing
     lists (A, R table, embedding images) for every unrealized extension.
     Stage i of run_fraisse_stages passes for A inside stage i - 1 with
     |A| <= i - 1; other A may miss: stage 3 for m = 2 misses 996 extensions
@@ -526,6 +548,8 @@ def check_one_point_extension(model: SelectorModel, m: int, k: int):
     cost = sum(math.comb(N, s) * (N - s) for s in sizes)
     if cost > EXTENSION_TYPE_BOUND:
         raise BoundExceeded(f"{cost} point types for k = {k} on {N} atoms exceed {EXTENSION_TYPE_BOUND}")
+    for size in sizes:
+        _extension_guard(m, size)
     bit = {a: 1 << i for i, a in enumerate(model.domain)}
     picks: dict[tuple[int, ...], dict[int | None, int]] = {}
     # only an A of at least m - 1 atoms reads picks; without one, skip the pass

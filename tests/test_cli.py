@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -283,7 +284,7 @@ def test_scan_records_oracle_disagreements(monkeypatch):
     # every row is still emitted, exactly as without the oracle
     assert report == clean
     assert disagreements == [
-        (m, n, f"recipes produced a certificate for ({m}, {n}) but the exhaustive scan found none")
+        (m, n, f"recipes produced a certificate for ({m}, {n}) but the oracle's column {n} admits m = {m}")
         for m, n in [(2, 3), (3, 2)]
     ]
     # the row comes from the disagreement itself: each pair's recipes run once
@@ -297,19 +298,23 @@ def test_scan_oracle_disagreement_exits_one(capsys, monkeypatch):
     assert out.rstrip().endswith("oracle agreement: 2/4")
     assert err.splitlines() == [
         f"oracle disagreement at ({m},{n}): recipes produced a certificate for ({m}, {n}) "
-        "but the exhaustive scan found none"
+        f"but the oracle's column {n} admits m = {m}"
         for m, n in [(2, 3), (3, 2)]
     ]
 
 
 def test_options_of_the_removed_fallback_are_usage_errors(capsys):
-    # dispatch has no exhaustive fallback, so nothing is left for these to control
-    # and the oracle's reach is COLUMN_BOUND, which no option sets
+    # dispatch has no exhaustive fallback, so nothing is left for these to control;
+    # the oracle's reach is COLUMN_BOUND, the staged construction's work
+    # STAGE_WORK_BOUND and the triple search's GOLDBACH_SEARCH_BOUND, which no option sets
     for argv in (
         ["scan", "12", "12", "--constructive-only"],
         ["certificate", "6", "9", "--bound", "3"],
         ["classify", "3", "7", "--bound", "10"],
         ["scan", "12", "12", "--oracle", "--bound", "10"],
+        ["fraisse", "2", "3", "--max-atoms", "5"],
+        ["fraisse", "2", "3", "--max-domain", "20"],
+        ["verify", "goldbach", "--max", "11", "--bound", "7"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -421,9 +426,36 @@ def test_fraisse_incomplete_exits_one(capsys):
 
 
 def test_fraisse_cap_exits_three(capsys):
-    code, _, err = run(capsys, "fraisse", "2", "3", "--max-atoms", "5")
-    assert code == 3
-    assert err
+    # the one cap left is the work bound: stage 4 would walk the subsets of up
+    # to 30 of 265 atoms, 2^30 or more, so they are refused without summing
+    code, out, err = run(capsys, "fraisse", "1", "4", "--ground-limit", "30")
+    assert (code, out) == (3, "")
+    assert err == "error: bases of up to 30 of 265 atoms take the stages over the stage work bound 2000000\n"
+
+
+@pytest.mark.parametrize("argv, answered, message", [
+    ("6 3", 4, "C(49, 6) m-subsets"),
+    ("7 3", 4, "C(49, 7) m-subsets"),
+    ("8 3", 4, "C(49, 8) m-subsets"),
+    ("2 4", 49, "C(228292, 2) m-subsets"),
+    ("3 4", 49, "C(891556, 3) m-subsets"),
+    ("3 600 --ground-limit 0", 0, "at least 600 bases and C(601, 4) m-subsets"),
+    ("2 100000 --ground-limit 0", 0, "at least 100000 bases and C(100001, 3) m-subsets"),
+])
+def test_fraisse_over_the_work_bound_exits_three_before_the_stage_writes(capsys, monkeypatch, argv, answered, message):
+    # answered: the atoms of the last stage within the bound; the refused
+    # stage must not list the m-subsets of its larger domain to complete them
+    import ramseychoice.selector_models as sm
+
+    def no_completion(atoms, r):
+        atoms = tuple(atoms)
+        assert len(atoms) <= answered, "the refused stage listed its own m-subsets"
+        return combinations(atoms, r)
+
+    monkeypatch.setattr(sm, "combinations", no_completion)
+    code, out, err = run(capsys, "fraisse", *argv.split())
+    assert (code, out) == (3, "")
+    assert err == f"error: {message} take the stages over the stage work bound 2000000\n"
 
 
 def test_fraisse_check_over_the_bound_exits_three(capsys):
@@ -439,6 +471,24 @@ def test_fraisse_check_over_the_extension_guard_exits_three(capsys):
     code, out, err = run(capsys, "fraisse", "20", "9", "--ground-limit", "0", "--check", "9")
     assert code == 3
     assert out == ""
+    assert err == "error: 9! embeddings into 9 atoms exceed the extension guard\n"
+
+
+def test_fraisse_check_refuses_the_large_bases_before_walking_the_small_ones(capsys, monkeypatch):
+    # the 12 stages use only the empty base; the check refuses the 8-atom
+    # bases before it lists any embedding of a smaller one
+    import ramseychoice.selector_models as sm
+
+    find = sm.find_embeddings
+
+    def stage_only(sub, target):
+        assert not sub.domain, "a base of the check was walked"
+        return find(sub, target)
+
+    sm._extensions.cache_clear()
+    monkeypatch.setattr(sm, "find_embeddings", stage_only)
+    code, out, err = run(capsys, "fraisse", "20", "12", "--ground-limit", "0", "--check", "12")
+    assert (code, out) == (3, "")
     assert err == "error: 9! embeddings into 9 atoms exceed the extension guard\n"
 
 
@@ -489,10 +539,13 @@ def test_verify_goldbach_output(capsys):
     assert out == "odd targets 7..101: all admit a prime triple (48 checked)\n"
 
 
-def test_verify_goldbach_bound_exits_three(capsys):
-    code, _, err = run(capsys, "verify", "goldbach", "--max", "11", "--bound", "7")
-    assert code == 3
-    assert err
+def test_verify_goldbach_bound_exits_three(capsys, monkeypatch):
+    import ramseychoice.cli as cli
+
+    monkeypatch.setattr(cli, "GOLDBACH_SEARCH_BOUND", 7)
+    code, out, err = run(capsys, "verify", "goldbach", "--max", "11")
+    assert (code, out) == (3, "")
+    assert err == "error: n = 9 exceeds the triple search bound 7\n"
 
 
 def test_verify_goldbach_refuses_max_over_the_bound_before_any_search(capsys, monkeypatch):
@@ -509,10 +562,14 @@ def test_verify_goldbach_refuses_max_over_the_bound_before_any_search(capsys, mo
     assert (code, out, calls) == (3, "", [])
     assert err == "error: n = 1000001 exceeds the triple search bound 1000000\n"
     # a bound below 7 refuses the first target; a max just under the first refused one searches
-    code, out, err = run(capsys, "verify", "goldbach", "--max", "7", "--bound", "5")
+    import ramseychoice.cli as cli
+
+    monkeypatch.setattr(cli, "GOLDBACH_SEARCH_BOUND", 5)
+    code, out, err = run(capsys, "verify", "goldbach", "--max", "7")
     assert (code, out, calls) == (3, "", [])
     assert err == "error: n = 7 exceeds the triple search bound 5\n"
-    code, out, _ = run(capsys, "verify", "goldbach", "--max", "12", "--bound", "12")
+    monkeypatch.setattr(cli, "GOLDBACH_SEARCH_BOUND", 12)
+    code, out, _ = run(capsys, "verify", "goldbach", "--max", "12")
     assert (code, out, calls) == (0, "odd targets 7..12: all admit a prime triple (3 checked)\n", [7, 9, 11])
 
 
@@ -525,9 +582,9 @@ def test_classify_odd_n_searches_goldbach_up_to_two_to_the_63(capsys):
     code, out, err = run(capsys, "classify", "3", str(2**63 + 1))
     assert (code, out) == (3, "")
     assert "exceeds the triple search bound" in err
-    # listing every triple keeps the 10^6 ceiling
-    assert build_parser().parse_args(["verify", "goldbach"]).bound == GOLDBACH_SEARCH_BOUND
+    # listing every triple keeps the 10^6 ceiling, which no option changes
     assert GOLDBACH_SEARCH_BOUND == 10**6
+    assert not hasattr(build_parser().parse_args(["verify", "goldbach"]), "bound")
 
 
 def test_classify_json_refuses_huge_tables(capsys):
@@ -608,8 +665,8 @@ def test_each_subcommand_has_exactly_its_options():
         "certificate": ["--json", "--timing"],
         "model": ["--json", "--timing"],
         "catalog": ["--json", "--timing"],
-        "fraisse": ["--check", "--ground-limit", "--max-atoms", "--max-domain", "--json", "--timing"],
-        "verify": ["--qmax", "--max", "--json", "--bound", "--timing"],
+        "fraisse": ["--check", "--ground-limit", "--json", "--timing"],
+        "verify": ["--qmax", "--max", "--json", "--timing"],
     }
     (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     got = {

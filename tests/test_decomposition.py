@@ -448,7 +448,7 @@ def test_oracle_disagreement_on_a_certified_pair(monkeypatch):
     with pytest.raises(OracleDisagreement) as info:
         classify_detailed(3, 7, oracle=True)
     assert str(info.value) == (
-        "recipes produced a certificate for (3, 7) but the exhaustive scan found none"
+        "recipes produced a certificate for (3, 7) but the oracle's column 7 admits m = 3"
     )
     assert info.value.result == classify_detailed(3, 7)
     assert classify(3, 7).certificate.parts == (7,)

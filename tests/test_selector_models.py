@@ -2,19 +2,20 @@ import math
 from dataclasses import replace
 from itertools import accumulate, combinations, permutations, product
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ramseychoice.decomposition import Decomposition, blocks, iter_decompositions
-from ramseychoice.errors import BoundExceeded, CapExceeded, NotBlocking
+from ramseychoice.errors import BoundExceeded, NotBlocking
 from ramseychoice.selector_models import (
     CLAIM_STEP_BOUND,
     EXTENSION_TYPE_BOUND,
+    STAGE_WORK_BOUND,
     CyclicAutomorphism,
     SelectorModel,
-    StageCaps,
     build_cyclic_model,
     build_fraisse_stage,
     catalog_models,
@@ -587,10 +588,23 @@ def test_extension_guard_refuses_before_listing_embeddings(monkeypatch):
     def no_listing(*args):
         raise AssertionError("the embeddings were listed")
 
+    prev = run_fraisse_stages(20, 8, ground_limit=0)[-1]  # 8 atoms
+    pairs = run_fraisse_stages(2, 8, ground_limit=0)[-1]
     monkeypatch.setattr(sm, "find_embeddings", no_listing)
     for m, k in [(20, 8), (1, 8), (9, 8), (20, 12)]:
         with pytest.raises(BoundExceeded, match=rf"^{k + 1}! embeddings"):
             _extensions(m, k, () if m > k else tuple(range(k)))
+    # both walkers refuse the 8-atom bases before they walk any smaller one
+    _extensions.cache_clear()
+    with pytest.raises(BoundExceeded, match=r"^9! embeddings"):
+        build_fraisse_stage(20, prev, ground_limit=8)
+    with pytest.raises(BoundExceeded, match=r"^9! embeddings"):
+        check_one_point_extension(prev, 20, 9)
+    # the catalog's guards count as well, in walk order: for m = 2 the 6-atom bases come first
+    with pytest.raises(BoundExceeded, match=r"^21 m-subsets exceed the catalog guard"):
+        build_fraisse_stage(2, pairs, ground_limit=8)
+    with pytest.raises(BoundExceeded, match=r"^21 m-subsets exceed the catalog guard"):
+        check_one_point_extension(pairs, 2, 9)
 
 
 def test_fraisse_stage_sizes_and_f2_table():
@@ -614,17 +628,59 @@ def test_fraisse_third_stage_size():
     chain[-1].validate()
 
 
-def test_fraisse_stage_caps():
-    with pytest.raises(CapExceeded) as info:
-        run_fraisse_stages(2, 3, StageCaps(max_new_atoms=10))
-    assert info.value.report is not None
-    with pytest.raises(CapExceeded):
-        run_fraisse_stages(2, 3, StageCaps(max_domain=20))
+def stage_work(chain, ground_limit=None):
+    """Reference: the bases each stage walked plus the m-subsets each stage holds, summed."""
+    work = 0
+    for i, (prev, stage) in enumerate(zip(chain, chain[1:])):
+        limit, n = i if ground_limit is None else ground_limit, len(prev.domain)
+        work += sum(math.comb(n, s) for s in range(min(limit, n) + 1)) + len(stage.sel)
+    return work
+
+
+def test_fraisse_stage_work_bound(monkeypatch):
+    import ramseychoice.selector_models as sm
+
+    assert STAGE_WORK_BOUND == 2 * 10**6
+    work = stage_work(run_fraisse_stages(2, 3))
+    assert work == (1 + 0) + (2 + 6) + (11 + math.comb(49, 2))  # (bases + subsets) per stage
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work)
+    assert [len(stage.domain) for stage in run_fraisse_stages(2, 3)] == [0, 1, 4, 49]
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work - 1)
+    with pytest.raises(BoundExceeded, match=r"^C\(49, 2\) m-subsets take the stages over"):
+        run_fraisse_stages(2, 3)
+    # stage 4 for m = 1 walks the 19,650 bases of up to 3 of stage 3's 49 atoms
+    work = stage_work(run_fraisse_stages(1, 3))
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work + 19649)
+    with pytest.raises(BoundExceeded, match=r"^bases of up to 3 of 49 atoms"):
+        run_fraisse_stages(1, 4)
+    # with ground limit 0 each stage adds one atom, so the check before any stage is exact
+    work = 20 + math.comb(21, 4)
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work)
+    assert stage_work(run_fraisse_stages(3, 20, ground_limit=0), 0) == work
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work - 1)
+    monkeypatch.setattr(sm, "build_fraisse_stage", None)  # refused before any stage
+    with pytest.raises(BoundExceeded, match=r"^at least 20 bases and C\(21, 4\) m-subsets"):
+        run_fraisse_stages(3, 20, ground_limit=0)
+    with pytest.raises(ValueError):
+        run_fraisse_stages(0, 1)
+    with pytest.raises(ValueError):
+        run_fraisse_stages(2, -1)
+
+
+@given(st.integers(1, 8), st.integers(0, 400), st.sampled_from([None, 0, 1, 2]))
+def test_fraisse_stages_answer_within_the_work_bound_or_refuse(m, stages, ground_limit):
+    with mock.patch("ramseychoice.selector_models.STAGE_WORK_BOUND", 5000):
+        try:
+            chain = run_fraisse_stages(m, stages, ground_limit=ground_limit)
+        except BoundExceeded:
+            return
+    assert len(chain) == stages + 1
+    assert stage_work(chain, ground_limit) <= 5000
 
 
 def test_fraisse_stage_ground_limit_zero():
     prev = run_fraisse_stages(2, 1)[-1]
-    nxt = build_fraisse_stage(2, prev, StageCaps(ground_limit=0))
+    nxt = build_fraisse_stage(2, prev, ground_limit=0)
     assert nxt.domain == (0, 1)
     assert nxt.sel == {(0, 1): 1}
 
@@ -632,7 +688,7 @@ def test_fraisse_stage_ground_limit_zero():
 def test_fraisse_stage_rejects_gappy_domain():
     bad = SelectorModel(2, (0, 2), {(0, 2): 0})
     with pytest.raises(ValueError):
-        build_fraisse_stage(2, bad, StageCaps(ground_limit=1))
+        build_fraisse_stage(2, bad, ground_limit=1)
 
 
 def restrict(model, atoms):
@@ -670,7 +726,7 @@ def test_fraisse_stage_matches_embedding_search(m, stages):
     for i, prev in enumerate(chain[:-1]):
         assert chain[i + 1].sel == stage_by_embedding_search(m, prev, i).sel, i
         for limit in (0, 1):
-            got = build_fraisse_stage(m, prev, StageCaps(ground_limit=limit))
+            got = build_fraisse_stage(m, prev, ground_limit=limit)
             assert got.sel == stage_by_embedding_search(m, prev, limit).sel, (i, limit)
 
 
