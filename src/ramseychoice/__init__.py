@@ -7,7 +7,6 @@ on exact integers; there is no randomness and no floating point.
 """
 
 from .decomposition import (
-    EXHAUSTIVE_BOUND,
     AdmissibleSumSet,
     Classification,
     Decomposition,
@@ -73,7 +72,6 @@ __all__ = [
     "CyclicAutomorphism",
     "Decomposition",
     "EmptyResult",
-    "EXHAUSTIVE_BOUND",
     "GOLDBACH_SEARCH_BOUND",
     "GoldbachTriple",
     "InvalidPart",

@@ -21,13 +21,9 @@ from typing import Iterator
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
 from .numtheory import _prime_factors_up_to, primes_up_to
 
-# Default bound of find_blocking_decomposition, the partition scan; no library
-# path calls the scan, which only names witnesses for demos and tests.
-EXHAUSTIVE_BOUND = 64
-
-# The oracle's reach: classify_detailed(oracle=True) checks every pair with
-# n <= COLUMN_BOUND and skips larger n.  Columns up to 300 take about 2 s, and
-# the cost grows about fourfold per 50 columns beyond that.
+# The oracle's reach: classify_detailed(oracle=True) checks every pair with n <=
+# COLUMN_BOUND and skips larger n; find_blocking_decomposition refuses them for m <= n.
+# Columns up to 300 take about 2 s, and the cost grows about fourfold per 50 beyond.
 COLUMN_BOUND = 300
 
 # Largest (number of parts) * total admissible_sums builds; admits classify 4 1000000 --json.
@@ -297,20 +293,18 @@ def oracle_blocks(m: int, n: int) -> bool:
     return m > n or bool(_blockable(n) >> m & 1)
 
 
-def find_blocking_decomposition(
-    m: int, n: int, bound: int = EXHAUSTIVE_BOUND
-) -> Decomposition | None:
+def find_blocking_decomposition(m: int, n: int) -> Decomposition | None:
     """First decomposition of n blocking m in the canonical scan order.
 
     Returns None when every decomposition admits m, at once when
-    oracle_blocks says so.  Otherwise the scan order is fixed
-    (reverse-lexicographic over non-increasing part lists), so the returned
-    certificate is canonical for the pair.
+    oracle_blocks says so; n > COLUMN_BOUND with m <= n raises its
+    BoundExceeded.  Otherwise the scan order is fixed (reverse-lexicographic
+    over non-increasing part lists), so the returned certificate is
+    canonical for the pair.  No library path calls the scan, which names
+    witnesses for demos and tests.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need positive m and n, got ({m}, {n})")
-    if n > bound:
-        raise BoundExceeded(f"n = {n} exceeds the exhaustive search bound {bound}")
     if not oracle_blocks(m, n):
         return None
     for d in iter_decompositions(n):

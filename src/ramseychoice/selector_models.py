@@ -24,14 +24,19 @@ from .errors import BoundExceeded, NotBlocking
 # build_cyclic_model refuses tables of more atoms (m-subsets times m) before any
 # work; atoms, not subsets, because m near the domain gives few, huge subsets.
 MODEL_ATOM_BOUND = 10**6
-# check_one_point_extension refuses more point types: k = 4, not 5, on stage 3 of m = 2
-EXTENSION_TYPE_BOUND = 2 * 10**6
 # verify_gcd_claim refuses more (power, subset) tests, one bit of a 2^q-bit slice
 # AND each: q_max = 20 (3.8e7 tests, 20 slices of 128 KiB at q = 20), not 21 (8e7)
 CLAIM_STEP_BOUND = 4 * 10**7
-# run_fraisse_stages refuses more bases walked plus m-subsets held, summed over
-# its stages: fraisse 5 3 (C(49, 5) = 1,906,884 subsets, 1.7 s) answers, 6 3 not.
+# run_fraisse_stages refuses more bases walked plus atoms and m-subsets held, summed
+# over its stages: fraisse 5 3 (1,906,952, 1.7 s) answers, 6 3 not.  The one-point
+# extension check counts its own work against it: k = 4, not 5, on stage 3 of m = 2.
 STAGE_WORK_BOUND = 2 * 10**6
+
+
+def _subsets(pool, r: int):
+    """combinations(pool, r), empty at once when r exceeds the pool: combinations
+    itself allocates r indices before it looks at the pool."""
+    return combinations(pool, r) if r <= len(pool) else iter(())
 
 
 @dataclass(frozen=True, eq=True)
@@ -43,7 +48,7 @@ class SelectorModel:
     sel: dict[tuple[int, ...], int] = field(default_factory=dict)
 
     def subsets(self):
-        return combinations(self.domain, self.m)
+        return _subsets(self.domain, self.m)
 
     def validate(self) -> None:
         if list(self.domain) != sorted(set(self.domain)):
@@ -98,7 +103,7 @@ def _point_type(sel, atoms, w, m: int) -> tuple:
     order, the position in atoms of the atom sel picks from it plus w, or None
     for w itself.  Positions let bases with one relabeled table share types.
     """
-    picks = (sel[tuple(sorted((*rest, w)))] for rest in combinations(atoms, m - 1))
+    picks = (sel[tuple(sorted((*rest, w)))] for rest in _subsets(atoms, m - 1))
     return tuple(None if z == w else atoms.index(z) for z in picks)
 
 
@@ -175,9 +180,9 @@ def build_cyclic_model(m: int, S_size: int, d: Decomposition) -> CyclicAutomorph
 
     # the subsets meeting S come first and pick their least, an S-element
     head = math.comb(N, m) - math.comb(d.total, m)
-    sel = dict(zip(islice(combinations(domain, m), head), map(itemgetter(0), combinations(domain, m))))
+    sel = dict(zip(islice(_subsets(domain, m), head), map(itemgetter(0), _subsets(domain, m))))
     image, cycle = sigma.__getitem__, cycle_of.__getitem__
-    for P in combinations(domain[S_size:], m):
+    for P in _subsets(domain[S_size:], m):
         if P in sel:
             continue
         for i, xs in groupby(P, cycle):  # P n C per cycle C met, in cycle order
@@ -227,8 +232,8 @@ def verify_equivariance(c: CyclicAutomorphism):
     sel, sigma, domain, m = c.model.sel, c.sigma, c.model.domain, c.model.m
     try:
         if len(sel) == math.comb(len(domain), m) and len(set(domain)) == len(domain):
-            images = map(tuple, map(sorted, combinations([sigma[a] for a in domain], m)))
-            picks = map(sel.get, combinations(domain, m))
+            images = map(tuple, map(sorted, _subsets([sigma[a] for a in domain], m)))
+            picks = map(sel.get, _subsets(domain, m))
             if all(map(eq, map(sel.get, images), map(sigma.__getitem__, picks))):
                 return True, None
     except (KeyError, TypeError, IndexError, ValueError):
@@ -358,7 +363,7 @@ def _catalog_tables(m: int, k: int) -> tuple[tuple[int, ...], ...]:
         raise BoundExceeded(f"{n_subsets} m-subsets exceed the catalog guard of 20")
     if n_subsets and m**n_subsets > 2_000_000:
         raise BoundExceeded(f"{m}^{n_subsets} selector assignments exceed the catalog guard")
-    subsets = list(combinations(range(k), m))
+    subsets = list(_subsets(range(k), m))
     n_low = n_subsets // 2
     L = m**n_low
     # below k = 2 there is one table and S_k is trivial
@@ -400,7 +405,7 @@ def catalog_models(m: int, k: int) -> list[SelectorModel]:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     tables = _catalog_tables(m, k)
-    subsets = list(combinations(range(k), m))
+    subsets = list(_subsets(range(k), m))
     return [SelectorModel(m, tuple(range(k)), dict(zip(subsets, table))) for table in tables]
 
 
@@ -414,27 +419,37 @@ def _extension_guard(m: int, k: int) -> None:
 @lru_cache(maxsize=4096)
 def _extensions(m: int, k: int, table: tuple[int, ...]) -> tuple[tuple, ...]:
     """The extensions the catalog demands over a k-atom base with this sel
-    table in positions: per cataloged R on k + 1 atoms, in catalog order, a
-    tuple of (R's sorted table, images, spare atom's point type over images)
-    per embedding of the base into R, in find_embeddings order.  For every m
-    a k + 1 with (k + 1)! > 50,000 raises BoundExceeded before any is listed:
-    m = 1 or m > k leaves all (k + 1)! injections embeddings, and for other m
-    the catalog's guards refuse such a k + 1 anyway.  The walkers run the same
-    guard (_extension_guard) on each base size, smallest first, before any walk.
+    table in positions: (R's sorted table, images, spare atom's point type
+    over images) per cataloged R on k + 1 atoms, in catalog order, and per
+    embedding of the base into R, in find_embeddings order.  For every m
+    a k + 1 with (k + 1)! > 50,000 raises BoundExceeded before any is listed
+    (_extension_guard): m = 1 or m > k leaves all (k + 1)! injections
+    embeddings, and for other m the catalog's guards refuse such a k + 1.
     """
     _extension_guard(m, k)
-    base = SelectorModel(m, tuple(range(k)), dict(zip(combinations(range(k), m), table)))
+    base = SelectorModel(m, tuple(range(k)), dict(zip(_subsets(range(k), m), table)))
     return tuple(
-        tuple((tuple(sorted(R.sel.items())), images,
-               _point_type(R.sel, images, next(x for x in R.domain if x not in images), m))
-              for images in find_embeddings(base, R))
-        for R in catalog_models(m, k + 1)
+        (tuple(sorted(R.sel.items())), images,
+         _point_type(R.sel, images, next(x for x in R.domain if x not in images), m))
+        for R in catalog_models(m, k + 1) for images in find_embeddings(base, R)
     )
 
 
-def _bases(n: int, limit: int) -> int:
-    """The subsets of at most limit of n atoms: 2^min(limit, n) or more."""
-    return sum(math.comb(n, size) for size in range(min(limit, n) + 1))
+def _grounds(model: SelectorModel, m: int, sizes: range, spent: int) -> list[tuple]:
+    """Each base A of model's domain with |A| in sizes, in combinations order, with
+    _extensions(m, |A|, A's relabeled table).  Before any is listed, BoundExceeded is
+    raised when spent plus the bases exceeds STAGE_WORK_BOUND, then at the first
+    size _extension_guard refuses."""
+    N = len(model.domain)
+    # sizes 0 or 1 to t <= N hold 2^t - 1 bases or more: past the bound's bit length, refused unsummed
+    if (len(sizes) > STAGE_WORK_BOUND.bit_length()
+            or spent + sum(math.comb(N, s) for s in sizes) > STAGE_WORK_BOUND):
+        raise BoundExceeded(f"bases of up to {sizes.stop - 1} of {N} atoms take the stages "
+                            f"over the stage work bound {STAGE_WORK_BOUND}")
+    for size in sizes:
+        _extension_guard(m, size)
+    return [(A, _extensions(m, size, tuple(A.index(model.sel[P]) for P in _subsets(A, m))))
+            for size in sizes for A in _subsets(model.domain, size)]
 
 
 def build_fraisse_stage(m: int, prev: SelectorModel, *, ground_limit: int | None = None,
@@ -445,49 +460,39 @@ def build_fraisse_stage(m: int, prev: SelectorModel, *, ground_limit: int | None
     (any when None), every cataloged structure R on |A| + 1 atoms, and every
     embedding of A's induced substructure into R, a fresh atom gets the point
     type R demands of its spare atom, read from _extensions by A's relabeled
-    table; every remaining new m-subset selects its largest element.  So
-    every one-point extension over such an A is realized; A holding new atoms
-    gets no witness.  Embeddings are consumed in reverse lexicographic order
-    per R: under the max-element completion the highest fresh atoms win all
-    unconstrained comparisons, so the last witnesses are the ones pinned down
-    as dominated, which for m = 2 also realizes each extension over one new
-    atom at stage 2.  BoundExceeded is raised before any write when spent,
-    the earlier stages' work, plus the bases (in closed form), then plus the
-    new m-subsets (one pass over _extensions counts the atoms), exceeds
-    STAGE_WORK_BOUND.
+    table (_grounds); every remaining new m-subset selects its largest
+    element.  So every one-point extension over such an A is realized; A
+    holding new atoms gets no witness.  Embeddings are consumed in reverse
+    lexicographic order per R: under the max-element completion the highest
+    fresh atoms win all unconstrained comparisons, so the last witnesses are
+    the ones pinned down as dominated, which for m = 2 also realizes each
+    extension over one new atom at stage 2.  BoundExceeded is raised before
+    any write when spent, the earlier stages' work, plus the bases, then
+    plus the stage's atoms and m-subsets, exceeds STAGE_WORK_BOUND.
     """
     prev.validate()
     if prev.domain != tuple(range(len(prev.domain))):
         raise ValueError("previous stage domain must be the initial segment 0..s-1")
     a = base = len(prev.domain)  # a: the next fresh atom
     limit = base if ground_limit is None else ground_limit
-    sizes = range(min(limit, base) + 1)
-    # 2^(len(sizes) - 1) bases or more: past the bound's bit length, refused unsummed
-    if len(sizes) > STAGE_WORK_BOUND.bit_length() or spent + _bases(base, limit) > STAGE_WORK_BOUND:
-        raise BoundExceeded(f"bases of up to {limit} of {base} atoms take the stages "
-                            f"over the stage work bound {STAGE_WORK_BOUND}")
-    spent += _bases(base, limit)
-    for size in sizes:
-        _extension_guard(m, size)
-    grounds = [A for size in sizes for A in combinations(prev.domain, size)]
-    demands = [_extensions(m, len(A), tuple(A.index(prev.sel[P]) for P in combinations(A, m)))
-               for A in grounds]
-    N = base + sum(len(per_R) for per_A in demands for per_R in per_A)
+    grounds = _grounds(prev, m, range(min(limit, base) + 1), spent)
+    N = base + sum(len(per_A) for _, per_A in grounds)
+    spent += len(grounds) + N
     # C(N, m) >= 2^min(m, N - m), as in build_cyclic_model
     if min(m, N - m) >= STAGE_WORK_BOUND.bit_length() or spent + math.comb(N, m) > STAGE_WORK_BOUND:
         raise BoundExceeded(f"C({N}, {m}) m-subsets take the stages over the stage work bound "
                             f"{STAGE_WORK_BOUND}")
 
     sel = dict(prev.sel)
-    for A, per_A in zip(grounds, demands):
-        for per_R in per_A:
-            for _, _, demanded in reversed(per_R):
-                for rest, z in zip(combinations(A, m - 1), demanded):
+    for A, per_A in grounds:
+        for _, per_R in groupby(per_A, itemgetter(0)):  # one R's embeddings, by its table
+            for _, _, demanded in reversed(list(per_R)):
+                for rest, z in zip(_subsets(A, m - 1), demanded):
                     sel[rest + (a,)] = a if z is None else A[z]  # sorted: a exceeds all of A
                 a += 1
 
     domain = tuple(range(a))
-    for Q in combinations(domain, m):
+    for Q in _subsets(domain, m):
         if Q not in sel:
             sel[Q] = Q[-1]  # completion rule: the largest element
 
@@ -502,15 +507,17 @@ def run_fraisse_stages(m: int, stages: int, *, ground_limit: int | None = None) 
     size <= i - 1, so it realizes every one-point extension over every A
     inside the domain of stage i - 1 with |A| <= i - 1.  Each stage checks
     the chain's work against STAGE_WORK_BOUND before it writes.  Stage i
-    walks the empty base and holds C(i, m) subsets at least, so stages +
-    C(stages + 1, m + 1) over the bound is refused before any stage; with
-    ground_limit 0 that is exactly the chain's work.
+    walks the empty base and holds i atoms and C(i, m) subsets at least, so
+    stages + C(stages + 1, 2) + C(stages + 1, m + 1) over the bound is
+    refused before any stage; with ground_limit 0 that is exactly the
+    chain's work.
     """
     if m < 1 or stages < 0:
         raise ValueError(f"need m >= 1 and stages >= 0, got ({m}, {stages})")
     n, k = stages + 1, m + 1
     # C(n, k) >= 2^min(k, n - k), as in build_cyclic_model
-    if min(k, n - k) >= STAGE_WORK_BOUND.bit_length() or stages + math.comb(n, k) > STAGE_WORK_BOUND:
+    if (min(k, n - k) >= STAGE_WORK_BOUND.bit_length()
+            or stages + math.comb(n, 2) + math.comb(n, k) > STAGE_WORK_BOUND):
         raise BoundExceeded(f"at least {stages} bases and C({n}, {k}) m-subsets take the stages "
                             f"over the stage work bound {STAGE_WORK_BOUND}")
     chain = [empty_model(m)]
@@ -518,7 +525,8 @@ def run_fraisse_stages(m: int, stages: int, *, ground_limit: int | None = None) 
     for i in range(stages):
         prev, limit = chain[-1], i if ground_limit is None else ground_limit
         chain.append(build_fraisse_stage(m, prev, ground_limit=limit, spent=spent))
-        spent += _bases(len(prev.domain), limit) + len(chain[-1].sel)
+        bases = sum(math.comb(len(prev.domain), s) for s in range(min(limit, len(prev.domain)) + 1))
+        spent += bases + len(chain[-1].domain) + len(chain[-1].sel)
     return chain
 
 
@@ -528,32 +536,33 @@ def check_one_point_extension(model: SelectorModel, m: int, k: int):
     For each nonempty subset A of the domain with |A| < k, each cataloged
     structure R on |A| + 1 atoms, and each embedding of A's substructure
     into R, some atom outside A must have the point type R demands of its
-    spare atom, as read from _extensions by A's relabeled table.  One pass
-    over sel builds the pick masks: picks[rest][z] holds a bit per atom w,
-    by position in the domain, with sel(rest + w) = z, or z = None when w
-    itself is picked.  A demanded type is realized exactly when the AND of
-    its picks over the (m - 1)-subsets of A, less A's own bits, is nonzero.
-    BoundExceeded is raised before any work when the pairs (A, w) number
-    more than EXTENSION_TYPE_BOUND, then at the first size of A that
-    _extension_guard refuses.  Returns (ok, missing) where missing
-    lists (A, R table, embedding images) for every unrealized extension.
-    Stage i of run_fraisse_stages passes for A inside stage i - 1 with
-    |A| <= i - 1; other A may miss: stage 3 for m = 2 misses 996 extensions
-    at k = 3, each over an A with a stage-3 atom.
+    spare atom, as read from _extensions by A's relabeled table (_grounds).
+    One pass over sel builds the pick masks: picks[rest][z] holds a bit per
+    atom w, by position in the domain, with sel(rest + w) = z, or z = None
+    when w itself is picked.  A demanded type is realized exactly when the
+    AND of its picks over the (m - 1)-subsets of A, less A's own bits, is
+    nonzero.  Past _grounds' refusals, BoundExceeded is raised before the
+    pick pass when its m per sel entry, plus ceil(N / 64) words per base (its
+    N-bit mask) and per demanded extension (its AND chain), exceed
+    STAGE_WORK_BOUND.  Returns (ok, missing) where missing lists (A, R table,
+    embedding images) for every unrealized extension.  Stage 3 for m = 2
+    misses 996 extensions at k = 3, each over an A with a stage-3 atom.
     """
     if model.m != m:
         raise ValueError("arity mismatch")
     N = len(model.domain)
     sizes = range(1, min(k, N + 1))
-    cost = sum(math.comb(N, s) * (N - s) for s in sizes)
-    if cost > EXTENSION_TYPE_BOUND:
-        raise BoundExceeded(f"{cost} point types for k = {k} on {N} atoms exceed {EXTENSION_TYPE_BOUND}")
-    for size in sizes:
-        _extension_guard(m, size)
+    grounds = _grounds(model, m, sizes, 0)
+    if not grounds:  # nothing to check, so no N-bit masks either
+        return True, []
+    demands = sum(len(per_A) for _, per_A in grounds)
+    # only an A of at least m - 1 atoms reads picks; without one, skip the pass
+    entries = model.sel.items() if sizes[-1] >= m - 1 else ()
+    if (len(grounds) + demands) * -(-N // 64) + len(entries) * m > STAGE_WORK_BOUND:
+        raise BoundExceeded(f"{len(grounds)} bases demanding {demands} extensions and {len(entries)} "
+                            f"m-subsets on {N} atoms exceed the stage work bound {STAGE_WORK_BOUND}")
     bit = {a: 1 << i for i, a in enumerate(model.domain)}
     picks: dict[tuple[int, ...], dict[int | None, int]] = {}
-    # only an A of at least m - 1 atoms reads picks; without one, skip the pass
-    entries = model.sel.items() if sizes and sizes[-1] >= m - 1 else ()
     for P, x in entries:
         for i, w in enumerate(P):
             by_pick = picks.setdefault(P[:i] + P[i + 1:], {})
@@ -561,16 +570,13 @@ def check_one_point_extension(model: SelectorModel, m: int, k: int):
             by_pick[z] = by_pick.get(z, 0) | bit[w]
     everyone = (1 << N) - 1
     missing = []
-    for size in sizes:
-        for A in combinations(model.domain, size):
-            outside = everyone ^ sum(bit[a] for a in A)
-            rows = [picks.get(rest, {}) for rest in combinations(A, m - 1)]
-            table = tuple(A.index(model.sel[P]) for P in combinations(A, m))
-            for per_R in _extensions(m, size, table):
-                for R_tab, images, demanded in per_R:
-                    mask = outside
-                    for by_pick, z in zip(rows, demanded):
-                        mask &= by_pick.get(z if z is None else A[z], 0)
-                    if not mask:
-                        missing.append((A, R_tab, images))
+    for A, per_A in grounds:
+        outside = everyone ^ sum(bit[a] for a in A)
+        rows = [picks.get(rest, {}) for rest in _subsets(A, m - 1)]
+        for R_tab, images, demanded in per_A:
+            mask = outside
+            for by_pick, z in zip(rows, demanded):
+                mask &= by_pick.get(z if z is None else A[z], 0)
+            if not mask:
+                missing.append((A, R_tab, images))
     return not missing, missing

@@ -459,10 +459,47 @@ def test_fraisse_over_the_work_bound_exits_three_before_the_stage_writes(capsys,
 
 
 def test_fraisse_check_over_the_bound_exits_three(capsys):
+    # the 231,525 bases of up to 4 of 49 atoms and their extensions, one word each
     code, out, err = run(capsys, "fraisse", "2", "3", "--check", "5")
     assert code == 3
     assert out == ""
-    assert err == "error: 10439548 point types for k = 5 on 49 atoms exceed 2000000\n"
+    assert err == ("error: 231525 bases demanding 4911882 extensions and 1176 m-subsets "
+                   "on 49 atoms exceed the stage work bound 2000000\n")
+
+
+def run_limited(*argv):
+    """The CLI in a subprocess under a 3 GiB address-space limit, so that a
+    run out of memory fails the test and leaves the test process alone."""
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+            "from ramseychoice.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_fraisse_check_of_a_wide_stage_exits_three_under_three_gib():
+    # stage 4 of m = 1 holds 449,380 atoms: its masks of as many bits, one per
+    # base and per demanded extension, take 7,022 words each
+    assert run_limited("fraisse", "1", "4", "--check", "2") == (3, "", (
+        "error: 449380 bases demanding 898760 extensions and 449380 m-subsets "
+        "on 449380 atoms exceed the stage work bound 2000000\n"
+    ))
+    # k = 1 leaves no base, so no mask is built and the check answers
+    code, out, err = run_limited("fraisse", "1", "4", "--check", "1")
+    assert (code, err) == (0, "")
+    assert out.endswith("stage 4: 449380 atoms\none-point extensions up to k=1: complete\n")
+
+
+@pytest.mark.parametrize("small, huge", [
+    ("fraisse 20 2", "fraisse 2000000000 2"),
+    ("catalog 20 5", "catalog 2000000000 5"),
+    ("model 30 0 3", "model 3000000000 0 3"),
+])
+def test_huge_arities_answer_as_small_ones(capsys, small, huge):
+    # combinations(pool, m) allocates m indices first; an arity above every pool lists nothing
+    code, want, _ = run(capsys, *small.split())
+    assert code == 0
+    m, big = small.split()[1], huge.split()[1]
+    assert run_limited(*huge.split()) == (0, want.replace(f"m={m} ", f"m={big} "), "")
 
 
 def test_fraisse_check_over_the_extension_guard_exits_three(capsys):

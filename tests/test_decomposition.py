@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ramseychoice.cli import main
 from ramseychoice.decomposition import (
     COLUMN_BOUND,
-    EXHAUSTIVE_BOUND,
     _COLUMNS,
     _blockable,
     Classification,
@@ -371,10 +370,35 @@ def test_find_blocking_decomposition_bounds():
         find_blocking_decomposition(0, 5)
     with pytest.raises(ValueError):
         find_blocking_decomposition(5, 0)
-    with pytest.raises(BoundExceeded):
-        find_blocking_decomposition(2, EXHAUSTIVE_BOUND + 1)
-    # raising the bound re-enables the search
-    assert find_blocking_decomposition(2, 65, bound=65) is not None
+    # the scan's reach is the oracle's: column COLUMN_BOUND answers, the next one is refused
+    assert find_blocking_decomposition(2, COLUMN_BOUND) is not None
+    with pytest.raises(BoundExceeded, match=rf"^the oracle's column n = {COLUMN_BOUND + 1} exceeds"):
+        find_blocking_decomposition(2, COLUMN_BOUND + 1)
+
+
+def test_find_blocking_decomposition_stops_early_within_the_column_bound(monkeypatch):
+    """Behind the column gate the scan meets a blocking decomposition within 57
+    yields for every non-provable pair with m < n <= COLUMN_BOUND, and a
+    provable pair scans nothing."""
+    import ramseychoice.decomposition as dm
+
+    yields = {}
+
+    def counting(n):  # m: the pair's m in the loop below
+        for d in iter_decompositions(n):
+            yields[m, n] += 1
+            assert yields[m, n] <= 57, (m, n)  # fail, not hang, on a long scan
+            yield d
+
+    monkeypatch.setattr(dm, "iter_decompositions", counting)
+    for n in range(2, COLUMN_BOUND + 1):
+        for m in range(1, n + 1):
+            yields[m, n] = 0
+            found = find_blocking_decomposition(m, n)
+            assert (found is None) == provable_by_theorem(m, n), (m, n)
+    scanned = [count for (m, n), count in yields.items() if not provable_by_theorem(m, n)]
+    assert (len(scanned), max(scanned)) == (44_849, 57)
+    assert len(yields) - len(scanned) == 300 and sum(yields.values()) == sum(scanned)
 
 
 def test_provable_by_theorem():

@@ -5,14 +5,13 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseychoice.decomposition import Decomposition, blocks, iter_decompositions
 from ramseychoice.errors import BoundExceeded, NotBlocking
 from ramseychoice.selector_models import (
     CLAIM_STEP_BOUND,
-    EXTENSION_TYPE_BOUND,
     STAGE_WORK_BOUND,
     CyclicAutomorphism,
     SelectorModel,
@@ -582,8 +581,9 @@ def test_extension_guard_refuses_before_listing_embeddings(monkeypatch):
     import ramseychoice.selector_models as sm
 
     # m > k + 1 or m = 1 leaves every injection into k + 1 atoms an embedding
-    assert [len(per_R) for per_R in _extensions(20, 7, ())] == [math.factorial(8)]
-    assert [len(per_R) for per_R in _extensions(1, 7, tuple(range(7)))] == [math.factorial(8)]
+    for m, table in [(20, ()), (1, tuple(range(7)))]:
+        listed = _extensions(m, 7, table)  # one R
+        assert (len(listed), len({R_tab for R_tab, _, _ in listed})) == (math.factorial(8), 1)
 
     def no_listing(*args):
         raise AssertionError("the embeddings were listed")
@@ -629,11 +629,11 @@ def test_fraisse_third_stage_size():
 
 
 def stage_work(chain, ground_limit=None):
-    """Reference: the bases each stage walked plus the m-subsets each stage holds, summed."""
+    """Reference: the bases each stage walked plus the atoms and m-subsets each stage holds, summed."""
     work = 0
     for i, (prev, stage) in enumerate(zip(chain, chain[1:])):
         limit, n = i if ground_limit is None else ground_limit, len(prev.domain)
-        work += sum(math.comb(n, s) for s in range(min(limit, n) + 1)) + len(stage.sel)
+        work += sum(math.comb(n, s) for s in range(min(limit, n) + 1)) + len(stage.domain) + len(stage.sel)
     return work
 
 
@@ -642,7 +642,7 @@ def test_fraisse_stage_work_bound(monkeypatch):
 
     assert STAGE_WORK_BOUND == 2 * 10**6
     work = stage_work(run_fraisse_stages(2, 3))
-    assert work == (1 + 0) + (2 + 6) + (11 + math.comb(49, 2))  # (bases + subsets) per stage
+    assert work == (1 + 1 + 0) + (2 + 4 + 6) + (11 + 49 + math.comb(49, 2))  # bases + atoms + subsets
     monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work)
     assert [len(stage.domain) for stage in run_fraisse_stages(2, 3)] == [0, 1, 4, 49]
     monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work - 1)
@@ -653,8 +653,14 @@ def test_fraisse_stage_work_bound(monkeypatch):
     monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work + 19649)
     with pytest.raises(BoundExceeded, match=r"^bases of up to 3 of 49 atoms"):
         run_fraisse_stages(1, 4)
+    # an arity above every stage size holds no m-subset, but the atoms count
+    work = stage_work(run_fraisse_stages(200, 3, ground_limit=3), 3)
+    assert work == (1 + 1) + (2 + 4) + (15 + 145)
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work - 1)
+    with pytest.raises(BoundExceeded, match=r"^C\(145, 200\) m-subsets take the stages over"):
+        run_fraisse_stages(200, 3, ground_limit=3)
     # with ground limit 0 each stage adds one atom, so the check before any stage is exact
-    work = 20 + math.comb(21, 4)
+    work = 20 + math.comb(21, 2) + math.comb(21, 4)
     monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work)
     assert stage_work(run_fraisse_stages(3, 20, ground_limit=0), 0) == work
     monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work - 1)
@@ -814,22 +820,77 @@ def test_fraisse_stage_three_misses_only_over_new_atoms(m):
     assert all(max(A) >= inner for A, _, _ in missing)
 
 
+def check_work(model, m, k):
+    """Reference: the work the check counts, (bases + demanded extensions) *
+    ceil(N / 64) plus m per sel entry when some base reads picks, with the
+    extensions counted by find_embeddings once per relabeled table."""
+    N, bases, demands, by_table = len(model.domain), 0, 0, {}
+    for size in range(1, min(k, N + 1)):
+        for A in combinations(model.domain, size):
+            table = size, tuple(A.index(model.sel[P]) for P in combinations(A, m))
+            if table not in by_table:
+                sub = restrict(model, A)
+                by_table[table] = sum(len(find_embeddings(sub, R)) for R in catalog_models(m, size + 1))
+            bases, demands = bases + 1, demands + by_table[table]
+    picks = len(model.sel) * m if 0 < bases and min(k - 1, N) >= m - 1 else 0
+    return (bases + demands) * -(-N // 64) + picks
+
+
 def test_one_point_extension_check_cost_bound(monkeypatch):
-    """Pairs (A, w) the estimate counts on the 49-atom stage 3: 57,624 for
-    k = 3, 905,128 for k = 4, 10,439,548 for k = 5; the bound admits k = 4
-    and refuses k = 5."""
+    """The check's work on the 49-atom stage 3 of m = 2: it answers at the
+    bound and refuses one less; k = 4 answers and k = 5 is refused."""
     import ramseychoice.selector_models as sm
 
     stage3 = run_fraisse_stages(2, 3)[-1]
-    assert 905_128 <= EXTENSION_TYPE_BOUND < 10_439_548
-    with pytest.raises(BoundExceeded, match="10439548 point types for k = 5 on 49 atoms"):
+    with pytest.raises(BoundExceeded, match=r"^231525 bases demanding 4911882 extensions and 1176 "
+                       r"m-subsets on 49 atoms exceed the stage work bound 2000000$"):
         check_one_point_extension(stage3, 2, 5)
-    monkeypatch.setattr(sm, "EXTENSION_TYPE_BOUND", 57_624)
-    assert len(check_one_point_extension(stage3, 2, 3)[1]) == 996
-    with pytest.raises(BoundExceeded, match="905128 point types for k = 4"):
-        check_one_point_extension(stage3, 2, 4)
+    for k, missing in [(3, 996), (4, 92629)]:
+        work = check_work(stage3, 2, k)
+        monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work)
+        assert len(check_one_point_extension(stage3, 2, k)[1]) == missing
+        monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work - 1)
+        with pytest.raises(BoundExceeded, match=r" m-subsets on 49 atoms exceed the stage work bound"):
+            check_one_point_extension(stage3, 2, k)
+    assert check_work(stage3, 2, 3) == (49 + 1176) + (49 * 2 + 1176 * 6) + 2 * 1176
+    assert check_work(stage3, 2, 4) <= STAGE_WORK_BOUND
+    # past 64 atoms a mask takes two words: 65 bases demanding 130 extensions, and 65 picks
+    chain65 = run_fraisse_stages(1, 65, ground_limit=0)[-1]
+    assert check_work(chain65, 1, 2) == (65 + 130) * 2 + 65
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", 455)
+    assert check_one_point_extension(chain65, 1, 2)[0]
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", 454)
+    with pytest.raises(BoundExceeded, match=r"^65 bases demanding 130 extensions and 65 m-subsets on 65 atoms"):
+        check_one_point_extension(chain65, 1, 2)
+    # the 1,225 bases alone, in closed form, are refused before any is listed
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", 1225)
+    with pytest.raises(BoundExceeded, match=r"^1225 bases demanding 7154 extensions"):
+        check_one_point_extension(stage3, 2, 3)
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", 1224)
+    monkeypatch.setattr(sm, "_extensions", None)
+    with pytest.raises(BoundExceeded, match=r"^bases of up to 2 of 49 atoms"):
+        check_one_point_extension(stage3, 2, 3)
     # sizes past the domain add nothing, so a huge k on a tiny model is cheap
     assert check_one_point_extension(empty_model(2), 2, 10**9) == (True, [])
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3), st.integers(0, 70), st.integers(0, 5), st.sampled_from([300, 3000]), st.randoms())
+def test_one_point_extension_check_answers_within_its_work_or_refuses(m, n, k, bound, rnd):
+    """Random tables on n atoms with gaps: the check answers exactly when its
+    counted work is within the bound; past 64 atoms each mask takes two words."""
+    domain = tuple(sorted(rnd.sample(range(100), n)))
+    model = SelectorModel(m, domain, {P: rnd.choice(P) for P in combinations(domain, m)})
+    # the work is at least the bases, so more bases than the bound need not be walked
+    bases = sum(math.comb(n, size) for size in range(1, min(k, n + 1)))
+    over = bases > bound or check_work(model, m, k) > bound
+    with mock.patch("ramseychoice.selector_models.STAGE_WORK_BOUND", bound):
+        try:
+            check_one_point_extension(model, m, k)
+        except BoundExceeded:
+            assert over
+            return
+    assert not over
 
 
 def test_one_point_extension_check():
