@@ -43,6 +43,7 @@ from .numtheory import (
     iter_goldbach_triples,
     prime_factors,
     primes_up_to,
+    verify_goldbach,
 )
 from .rc24 import PairChoice, ScoreProfile, check_equivariance, choose4, score, verify_rc24
 from .scan import ScanReport, ScanRow, run_scan
@@ -117,6 +118,7 @@ __all__ = [
     "score",
     "verify_equivariance",
     "verify_gcd_claim",
+    "verify_goldbach",
     "verify_rc24",
     "witness_no_invariant_choice",
 ]

@@ -154,9 +154,9 @@ def recipe_prime_power(m: int, n: int) -> RecipeTrace | None:
 
 @lru_cache(maxsize=1024)
 def _odd_plan(n: int) -> tuple[GoldbachTriple, tuple]:
-    """The first all-odd-preferred Goldbach triple of n and recipe_odd's proposals
-    in proof order, each a (parts, narrative) pair; none depends on m."""
-    t = next(iter_goldbach_triples(n, all_odd_preferred=True))
+    """The first Goldbach triple of n and recipe_odd's proposals in proof
+    order, each a (parts, narrative) pair; none depends on m."""
+    t = next(iter_goldbach_triples(n))
     p1, p2, p3 = t.as_tuple()
     head = f"goldbach triple ({p1}, {p2}, {p3})"
     proposals = [((p1, p2, p3), (head, "triple blocks m directly"))]
@@ -231,7 +231,7 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
         return _trace_if_blocking(
             m, n, Recipe.EVEN_GAP, (p, n - p), narrative, f"split {n} = {p} + {n - p}"
         )
-    for t in iter_goldbach_triples(n - p, all_odd_preferred=True):
+    for t in iter_goldbach_triples(n - p):
         trace = _trace_if_blocking(
             m, n, Recipe.EVEN_GAP, (p,) + t.as_tuple(), narrative,
             f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}",

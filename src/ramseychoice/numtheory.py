@@ -23,7 +23,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _MAX_INPUT = 2**63
 
-# Ceiling for listing every Goldbach triple; a lazy search goes to is_prime's 2^63.
+# Ceiling for goldbach_triples and verify_goldbach; a lazy search goes to is_prime's 2^63.
 GOLDBACH_SEARCH_BOUND = 1_000_000
 
 
@@ -131,54 +131,68 @@ class GoldbachTriple:
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.p1, self.p2, self.p3)
 
-    @property
-    def all_odd(self) -> bool:
-        return self.p1 != 2
 
-
-def iter_goldbach_triples(
-    n: int, all_odd_preferred: bool = False, bound: int = _MAX_INPUT
-) -> Iterator[GoldbachTriple]:
-    """Prime triples p1 <= p2 <= p3 with p1 + p2 + p3 = n, lazily, lexicographic.
-
-    With all_odd_preferred, triples avoiding the prime 2 come first (still in
-    lexicographic order within each group).  Candidates are tested with
-    is_prime as they are reached, so a caller that stops at the first useful
-    triple pays only for the triples before it.  n is checked on call, also
-    against bound (by default is_prime's 2^63); EmptyResult is raised only if
-    the iterator runs out without yielding, which would falsify ternary Goldbach.
-    """
+def _check_target(n: int, bound: int) -> None:
     if n % 2 == 0 or n <= 5:
         raise ValueError(f"goldbach_triples needs an odd n > 5, got {n}")
     if n > bound:
         raise BoundExceeded(f"n = {n} exceeds the triple search bound {bound}")
-    return _walk_goldbach_triples(n, all_odd_preferred)
 
 
-def _walk_goldbach_triples(n: int, all_odd_preferred: bool) -> Iterator[GoldbachTriple]:
+def iter_goldbach_triples(n: int) -> Iterator[GoldbachTriple]:
+    """Prime triples p1 <= p2 <= p3 with p1 + p2 + p3 = n, lazily.
+
+    The all-odd triples come first, in lexicographic order, then
+    (2, 2, n - 4) when n - 4 is prime.  Candidates are tested with is_prime
+    as they are reached, so a caller that stops at the first useful triple
+    pays only for the triples before it.  n is checked on call, also against
+    is_prime's 2^63; EmptyResult is raised only if the iterator runs out
+    without yielding, which would falsify ternary Goldbach.
+    """
+    _check_target(n, _MAX_INPUT)
+    return _walk_goldbach_triples(n)
+
+
+def _walk_goldbach_triples(n: int) -> Iterator[GoldbachTriple]:
     # p2 + p3 = n - 2 is odd, so (2, 2, n - 4) is the only triple holding a 2;
     # every other triple has odd p1 <= n/3 and odd p2 <= (n - p1)/2.
-    with_two = (GoldbachTriple(2, 2, n - 4, n),) if is_prime(n - 4) else ()
-    if not all_odd_preferred:
-        yield from with_two
-    found = bool(with_two)
+    found = False
     for p1 in filter(is_prime, range(3, n // 3 + 1, 2)):
         for p2 in filter(is_prime, range(p1, (n - p1) // 2 + 1, 2)):
             if is_prime(n - p1 - p2):
                 found = True
                 yield GoldbachTriple(p1, p2, n - p1 - p2, n)
-    if all_odd_preferred:
-        yield from with_two
-    if not found:
+    if is_prime(n - 4):
+        yield GoldbachTriple(2, 2, n - 4, n)
+    elif not found:
         raise EmptyResult(f"no prime triple sums to {n}; ternary Goldbach violated in range")
 
 
-def goldbach_triples(
-    n: int, all_odd_preferred: bool = False, bound: int = GOLDBACH_SEARCH_BOUND
-) -> list[GoldbachTriple]:
-    """All prime triples summing to n, listed in iter_goldbach_triples order.
+def goldbach_triples(n: int) -> list[GoldbachTriple]:
+    """All prime triples summing to n, in iter_goldbach_triples order.
 
-    Kept for callers that want the whole set at once; an empty result raises
-    EmptyResult, as the iterator does.
+    An n above GOLDBACH_SEARCH_BOUND raises BoundExceeded, after the
+    ValueError of a bad target; an empty result raises EmptyResult.
     """
-    return list(iter_goldbach_triples(n, all_odd_preferred, bound))
+    _check_target(n, GOLDBACH_SEARCH_BOUND)
+    return list(_walk_goldbach_triples(n))
+
+
+def verify_goldbach(max_n: int) -> tuple[int, list[int]]:
+    """Look for a prime triple of every odd target 7..max_n.
+
+    Returns (targets checked, targets with no triple).  Before any search,
+    the first target above GOLDBACH_SEARCH_BOUND, if max_n reaches one, is
+    refused with goldbach_triples' BoundExceeded.
+    """
+    targets = range(7, max_n + 1, 2)
+    over = targets[len(range(7, GOLDBACH_SEARCH_BOUND + 1, 2)):]  # a slice, as len(targets) may overflow
+    if over:
+        _check_target(over[0], GOLDBACH_SEARCH_BOUND)
+    failures = []
+    for n in targets:
+        try:
+            next(iter_goldbach_triples(n))
+        except EmptyResult:
+            failures.append(n)
+    return len(targets), failures

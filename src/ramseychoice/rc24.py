@@ -21,6 +21,13 @@ from itertools import combinations, permutations
 
 from .errors import BadSubset
 
+# The 4-set the exhaustive checks run on; the rule is local, so any other is a relabeling.
+FOUR_SET = (0, 1, 2, 3)
+ORIENTATIONS = 64  # 2^6 ways to orient the six pairs
+EQUIVARIANCE_CHECKS = ORIENTATIONS * 24  # each orientation under the 4! relabelings
+# The census key of each argmin case, by the size of M.
+_CASES = {1: "case_singleton_min", 2: "case_pair_min", 3: "case_triple_min"}
+
 
 @dataclass(frozen=True)
 class PairChoice:
@@ -102,56 +109,38 @@ def choose4(z, f2: PairChoice) -> int:
     raise RuntimeError(f"impossible score profile {prof.scores} on {prof.z}")
 
 
-def verify_rc24(universe=(0, 1, 2, 3)):
-    """Exhaust all pair orientations on a 4-set.
+def verify_rc24():
+    """Exhaust all pair orientations on FOUR_SET.
 
     Returns (ok, census) where census counts how often each argmin case
-    fired over the 64 orientations.
+    fired over the ORIENTATIONS orientations.
     """
-    universe = tuple(sorted(universe))
-    if len(universe) != 4:
-        raise ValueError("the exhaustive check runs on a 4-element universe")
-    census = {
-        "total": 0,
-        "case_singleton_min": 0,
-        "case_pair_min": 0,
-        "case_triple_min": 0,
-    }
+    census = {"total": 0, **dict.fromkeys(_CASES.values(), 0)}
     ok = True
-    for bits in range(64):
-        f2 = PairChoice.from_bits(universe, bits)
-        prof = score(universe, f2)
-        picked = choose4(universe, f2)
-        if picked not in universe:
+    for bits in range(ORIENTATIONS):
+        f2 = PairChoice.from_bits(FOUR_SET, bits)
+        prof = score(FOUR_SET, f2)
+        picked = choose4(FOUR_SET, f2)
+        if picked not in FOUR_SET:
             ok = False
         census["total"] += 1
-        key = {
-            1: "case_singleton_min",
-            2: "case_pair_min",
-            3: "case_triple_min",
-        }[len(prof.argmin)]
-        census[key] += 1
-    census["all_cases_covered"] = all(
-        census[k] > 0
-        for k in ("case_singleton_min", "case_pair_min", "case_triple_min")
-    )
-    return ok and census["total"] == 64, census
+        census[_CASES[len(prof.argmin)]] += 1
+    census["all_cases_covered"] = all(census[k] > 0 for k in _CASES.values())
+    return ok and census["total"] == ORIENTATIONS, census
 
 
-def check_equivariance(universe=(0, 1, 2, 3)):
-    """choose4 commutes with every relabeling of the 4-set.
+def check_equivariance():
+    """choose4 commutes with every relabeling of FOUR_SET.
 
-    Returns (ok, first counterexample or None), checking 64 x 24 instances.
+    Returns (ok, first counterexample or None), checking EQUIVARIANCE_CHECKS
+    (64 x 24) instances.
     """
-    universe = tuple(sorted(universe))
-    if len(universe) != 4:
-        raise ValueError("the exhaustive check runs on a 4-element universe")
-    for bits in range(64):
-        f2 = PairChoice.from_bits(universe, bits)
-        picked = choose4(universe, f2)
-        for images in permutations(universe):
-            perm = dict(zip(universe, images))
+    for bits in range(ORIENTATIONS):
+        f2 = PairChoice.from_bits(FOUR_SET, bits)
+        picked = choose4(FOUR_SET, f2)
+        for images in permutations(FOUR_SET):
+            perm = dict(zip(FOUR_SET, images))
             g2 = f2.conjugate(perm)
-            if choose4(universe, g2) != perm[picked]:
+            if choose4(FOUR_SET, g2) != perm[picked]:
                 return False, (bits, images)
     return True, None

@@ -33,6 +33,12 @@ CLAIM_STEP_BOUND = 4 * 10**7
 STAGE_WORK_BOUND = 2 * 10**6
 
 
+def _comb_over(n: int, k: int, budget: int) -> bool:
+    """C(n, k) > budget, answered without math.comb when budget < 0 or when
+    C(n, k) >= 2^min(k, n - k) already exceeds it: a huge C(n, k) is never built."""
+    return budget < 0 or min(k, n - k) >= budget.bit_length() or math.comb(n, k) > budget
+
+
 def _subsets(pool, r: int):
     """combinations(pool, r), empty at once when r exceeds the pool: combinations
     itself allocates r indices before it looks at the pool."""
@@ -163,8 +169,7 @@ def build_cyclic_model(m: int, S_size: int, d: Decomposition) -> CyclicAutomorph
     if S_size < 0:
         raise ValueError(f"S_size must be >= 0, got {S_size}")
     N = S_size + d.total
-    # C(N, m) >= 2^min(m, N - m) > bound once the exponent reaches the bound's bit length
-    if min(m, N - m) >= MODEL_ATOM_BOUND.bit_length() or math.comb(N, m) * m > MODEL_ATOM_BOUND:
+    if _comb_over(N, m, MODEL_ATOM_BOUND // m):  # C(N, m) * m > MODEL_ATOM_BOUND
         raise BoundExceeded(f"C({N}, {m}) m-subsets hold more than {MODEL_ATOM_BOUND} atoms")
     domain = tuple(range(N))
     sigma = list(domain)
@@ -478,10 +483,9 @@ def build_fraisse_stage(m: int, prev: SelectorModel, *, ground_limit: int | None
     grounds = _grounds(prev, m, range(min(limit, base) + 1), spent)
     N = base + sum(len(per_A) for _, per_A in grounds)
     spent += len(grounds) + N
-    # C(N, m) >= 2^min(m, N - m), as in build_cyclic_model
-    if min(m, N - m) >= STAGE_WORK_BOUND.bit_length() or spent + math.comb(N, m) > STAGE_WORK_BOUND:
-        raise BoundExceeded(f"C({N}, {m}) m-subsets take the stages over the stage work bound "
-                            f"{STAGE_WORK_BOUND}")
+    if _comb_over(N, m, STAGE_WORK_BOUND - spent):
+        raise BoundExceeded(f"C({N}, {m}) m-subsets and {N} atoms take the stages over the stage "
+                            f"work bound {STAGE_WORK_BOUND}")
 
     sel = dict(prev.sel)
     for A, per_A in grounds:
@@ -515,11 +519,9 @@ def run_fraisse_stages(m: int, stages: int, *, ground_limit: int | None = None) 
     if m < 1 or stages < 0:
         raise ValueError(f"need m >= 1 and stages >= 0, got ({m}, {stages})")
     n, k = stages + 1, m + 1
-    # C(n, k) >= 2^min(k, n - k), as in build_cyclic_model
-    if (min(k, n - k) >= STAGE_WORK_BOUND.bit_length()
-            or stages + math.comb(n, 2) + math.comb(n, k) > STAGE_WORK_BOUND):
-        raise BoundExceeded(f"at least {stages} bases and C({n}, {k}) m-subsets take the stages "
-                            f"over the stage work bound {STAGE_WORK_BOUND}")
+    if _comb_over(n, k, STAGE_WORK_BOUND - stages - math.comb(n, 2)):
+        raise BoundExceeded(f"at least {stages} bases, C({n}, 2) atoms and C({n}, {k}) m-subsets "
+                            f"take the stages over the stage work bound {STAGE_WORK_BOUND}")
     chain = [empty_model(m)]
     spent = 0
     for i in range(stages):

@@ -434,13 +434,16 @@ def test_fraisse_cap_exits_three(capsys):
 
 
 @pytest.mark.parametrize("argv, answered, message", [
-    ("6 3", 4, "C(49, 6) m-subsets"),
-    ("7 3", 4, "C(49, 7) m-subsets"),
-    ("8 3", 4, "C(49, 8) m-subsets"),
-    ("2 4", 49, "C(228292, 2) m-subsets"),
-    ("3 4", 49, "C(891556, 3) m-subsets"),
-    ("3 600 --ground-limit 0", 0, "at least 600 bases and C(601, 4) m-subsets"),
-    ("2 100000 --ground-limit 0", 0, "at least 100000 bases and C(100001, 3) m-subsets"),
+    ("6 3", 4, "C(49, 6) m-subsets and 49 atoms"),
+    ("7 3", 4, "C(49, 7) m-subsets and 49 atoms"),
+    ("8 3", 4, "C(49, 8) m-subsets and 49 atoms"),
+    ("2 4", 49, "C(228292, 2) m-subsets and 228292 atoms"),
+    ("3 4", 49, "C(891556, 3) m-subsets and 891556 atoms"),
+    # no m-subset at all: the atoms alone exceed the bound
+    ("100000000 4 --ground-limit 3", 145, "C(12006436, 100000000) m-subsets and 12006436 atoms"),
+    ("3 600 --ground-limit 0", 0, "at least 600 bases, C(601, 2) atoms and C(601, 4) m-subsets"),
+    ("2 100000 --ground-limit 0", 0,
+     "at least 100000 bases, C(100001, 2) atoms and C(100001, 3) m-subsets"),
 ])
 def test_fraisse_over_the_work_bound_exits_three_before_the_stage_writes(capsys, monkeypatch, argv, answered, message):
     # answered: the atoms of the last stage within the bound; the refused
@@ -577,9 +580,9 @@ def test_verify_goldbach_output(capsys):
 
 
 def test_verify_goldbach_bound_exits_three(capsys, monkeypatch):
-    import ramseychoice.cli as cli
+    import ramseychoice.numtheory as numtheory
 
-    monkeypatch.setattr(cli, "GOLDBACH_SEARCH_BOUND", 7)
+    monkeypatch.setattr(numtheory, "GOLDBACH_SEARCH_BOUND", 7)
     code, out, err = run(capsys, "verify", "goldbach", "--max", "11")
     assert (code, out) == (3, "")
     assert err == "error: n = 9 exceeds the triple search bound 7\n"
@@ -590,24 +593,35 @@ def test_verify_goldbach_refuses_max_over_the_bound_before_any_search(capsys, mo
 
     walk, calls = numtheory._walk_goldbach_triples, []
 
-    def counted(n, all_odd_preferred):
+    def counted(n):
         calls.append(n)
-        return walk(n, all_odd_preferred)
+        return walk(n)
 
     monkeypatch.setattr(numtheory, "_walk_goldbach_triples", counted)
     code, out, err = run(capsys, "verify", "goldbach", "--max", "1000003")
     assert (code, out, calls) == (3, "", [])
     assert err == "error: n = 1000001 exceeds the triple search bound 1000000\n"
     # a bound below 7 refuses the first target; a max just under the first refused one searches
-    import ramseychoice.cli as cli
-
-    monkeypatch.setattr(cli, "GOLDBACH_SEARCH_BOUND", 5)
+    monkeypatch.setattr(numtheory, "GOLDBACH_SEARCH_BOUND", 5)
     code, out, err = run(capsys, "verify", "goldbach", "--max", "7")
     assert (code, out, calls) == (3, "", [])
     assert err == "error: n = 7 exceeds the triple search bound 5\n"
-    monkeypatch.setattr(cli, "GOLDBACH_SEARCH_BOUND", 12)
+    monkeypatch.setattr(numtheory, "GOLDBACH_SEARCH_BOUND", 12)
     code, out, _ = run(capsys, "verify", "goldbach", "--max", "12")
     assert (code, out, calls) == (0, "odd targets 7..12: all admit a prime triple (3 checked)\n", [7, 9, 11])
+
+
+def test_verify_goldbach_reports_a_target_without_a_triple(capsys, monkeypatch):
+    import ramseychoice.numtheory as numtheory
+
+    # with 5 and 7 taken for composites, 7 keeps (2, 2, 3) and 9 keeps (3, 3, 3), but 11 has no triple
+    is_prime = numtheory.is_prime
+    monkeypatch.setattr(numtheory, "is_prime", lambda x: x not in (5, 7) and is_prime(x))
+    code, out, err = run(capsys, "verify", "goldbach", "--max", "11")
+    assert (code, out, err) == (1, "odd targets 7..11: failures: [11] (3 checked)\n", "")
+    code, out, err = run(capsys, "verify", "goldbach", "--max", "11", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"max": 11, "checked": 3, "ok": False, "failures": [11]}
 
 
 def test_classify_odd_n_searches_goldbach_up_to_two_to_the_63(capsys):

@@ -71,8 +71,6 @@ def test_primes_up_to():
 def test_goldbach_triple_validation():
     t = GoldbachTriple(3, 5, 11, 19)
     assert t.as_tuple() == (3, 5, 11)
-    assert t.all_odd
-    assert not GoldbachTriple(2, 2, 3, 7).all_odd
     with pytest.raises(ValueError):
         GoldbachTriple(5, 3, 11, 19)  # not sorted
     with pytest.raises(ValueError):
@@ -92,19 +90,19 @@ def test_goldbach_triples_lex_order_and_completeness():
             for b in ps
             if a <= b <= n - a - b and is_prime(n - a - b)
         ]
-        assert got == sorted(want), n
+        assert got == sorted(want, key=lambda t: (t[0] == 2, t)), n  # all-odd first
         assert got
 
 
 def test_goldbach_all_odd_preferred_is_stable():
-    ts = goldbach_triples(13, all_odd_preferred=True)
-    odds = [t for t in ts if t.all_odd]
-    evens = [t for t in ts if not t.all_odd]
+    ts = goldbach_triples(15)
+    odds = [t for t in ts if t.p1 != 2]
+    evens = [t for t in ts if t.p1 == 2]
     assert ts == odds + evens
     # within each block the lex order survives
     assert odds == sorted(odds, key=lambda t: t.as_tuple())
-    assert evens == sorted(evens, key=lambda t: t.as_tuple())
-    assert odds[0].as_tuple() == (3, 3, 7)
+    assert [t.as_tuple() for t in evens] == [(2, 2, 11)]
+    assert odds[0].as_tuple() == (3, 5, 7)
 
 
 def test_goldbach_triples_rejects_bad_targets():
@@ -114,8 +112,6 @@ def test_goldbach_triples_rejects_bad_targets():
         goldbach_triples(12)
     with pytest.raises(BoundExceeded):
         goldbach_triples(GOLDBACH_SEARCH_BOUND + 1)
-    with pytest.raises(BoundExceeded):
-        goldbach_triples(9, bound=7)
 
 
 def test_goldbach_sweep_never_empty():
@@ -125,7 +121,7 @@ def test_goldbach_sweep_never_empty():
         assert sum(next(iter_goldbach_triples(n)).as_tuple()) == n
 
 
-def sieve_goldbach_triples(n, all_odd_preferred):
+def sieve_goldbach_triples(n):
     """Sieve-based enumeration: the reference for iter_goldbach_triples."""
     primes = primes_up_to(n)
     prime_set = set(primes)
@@ -139,28 +135,33 @@ def sieve_goldbach_triples(n, all_odd_preferred):
                 break
             if p3 in prime_set:
                 triples.append((p1, p2, p3))
-    if all_odd_preferred:
-        triples.sort(key=lambda t: t[0] == 2)
+    triples.sort(key=lambda t: t[0] == 2)  # all-odd first, each block still lexicographic
     return triples
 
 
 def test_iter_goldbach_triples_matches_sieve_enumeration():
     for n in range(7, 602, 2):
-        for preferred in (False, True):
-            got = [t.as_tuple() for t in iter_goldbach_triples(n, preferred)]
-            assert got == sieve_goldbach_triples(n, preferred), (n, preferred)
-            assert [t.as_tuple() for t in goldbach_triples(n, preferred)] == got
+        got = [t.as_tuple() for t in iter_goldbach_triples(n)]
+        assert got == sieve_goldbach_triples(n), n
+        assert [t.as_tuple() for t in goldbach_triples(n)] == got
 
 
-def test_iter_goldbach_triples_checks_target_on_call():
+def test_iter_goldbach_triples_checks_target_on_call(monkeypatch):
+    import ramseychoice.numtheory as numtheory
+
     # the target is validated before the first triple is asked for
     with pytest.raises(ValueError):
         iter_goldbach_triples(12)
-    with pytest.raises(BoundExceeded):
-        iter_goldbach_triples(9, bound=7)
-    # the first triple of a target near the bound comes without listing the rest
+    with pytest.raises(BoundExceeded, match=r"^n = 9223372036854775809 exceeds the triple search "
+                                            r"bound 9223372036854775808$"):
+        iter_goldbach_triples(2**63 + 1)
+    # the first triple of a target near the ceiling comes without listing the
+    # rest, and without testing n - 4, which only (2, 2, n - 4) needs
     n = GOLDBACH_SEARCH_BOUND - 1
-    assert next(iter_goldbach_triples(n, all_odd_preferred=True)).as_tuple() == (3, 13, n - 16)
+    tested = []
+    monkeypatch.setattr(numtheory, "is_prime", lambda x: tested.append(x) or is_prime(x))
+    assert next(iter_goldbach_triples(n)).as_tuple() == (3, 13, n - 16)
+    assert n - 4 not in tested
     assert not any(is_prime(p) and is_prime(n - 3 - p) for p in range(3, 13, 2))
 
 

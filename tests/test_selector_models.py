@@ -646,7 +646,7 @@ def test_fraisse_stage_work_bound(monkeypatch):
     monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work)
     assert [len(stage.domain) for stage in run_fraisse_stages(2, 3)] == [0, 1, 4, 49]
     monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work - 1)
-    with pytest.raises(BoundExceeded, match=r"^C\(49, 2\) m-subsets take the stages over"):
+    with pytest.raises(BoundExceeded, match=r"^C\(49, 2\) m-subsets and 49 atoms take the stages over"):
         run_fraisse_stages(2, 3)
     # stage 4 for m = 1 walks the 19,650 bases of up to 3 of stage 3's 49 atoms
     work = stage_work(run_fraisse_stages(1, 3))
@@ -657,7 +657,7 @@ def test_fraisse_stage_work_bound(monkeypatch):
     work = stage_work(run_fraisse_stages(200, 3, ground_limit=3), 3)
     assert work == (1 + 1) + (2 + 4) + (15 + 145)
     monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work - 1)
-    with pytest.raises(BoundExceeded, match=r"^C\(145, 200\) m-subsets take the stages over"):
+    with pytest.raises(BoundExceeded, match=r"^C\(145, 200\) m-subsets and 145 atoms take the stages over"):
         run_fraisse_stages(200, 3, ground_limit=3)
     # with ground limit 0 each stage adds one atom, so the check before any stage is exact
     work = 20 + math.comb(21, 2) + math.comb(21, 4)
@@ -665,8 +665,11 @@ def test_fraisse_stage_work_bound(monkeypatch):
     assert stage_work(run_fraisse_stages(3, 20, ground_limit=0), 0) == work
     monkeypatch.setattr(sm, "STAGE_WORK_BOUND", work - 1)
     monkeypatch.setattr(sm, "build_fraisse_stage", None)  # refused before any stage
-    with pytest.raises(BoundExceeded, match=r"^at least 20 bases and C\(21, 4\) m-subsets"):
+    with pytest.raises(BoundExceeded, match=r"^at least 20 bases, C\(21, 2\) atoms and C\(21, 4\) m-subsets"):
         run_fraisse_stages(3, 20, ground_limit=0)
+    # a chain far over the bound is refused without building its C(stages + 1, m + 1)
+    with pytest.raises(BoundExceeded, match=r"^at least 10{4000} bases"):
+        run_fraisse_stages(6000, 10**4000)
     with pytest.raises(ValueError):
         run_fraisse_stages(0, 1)
     with pytest.raises(ValueError):
