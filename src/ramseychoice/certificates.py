@@ -32,6 +32,7 @@ from itertools import permutations
 from .decomposition import Decomposition, blocks, provable_by_theorem
 from .errors import CertificateSearchFailed, PreconditionViolated
 from .numtheory import GoldbachTriple, bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
+from .records import slot_setters
 
 
 class Recipe(str, Enum):
@@ -47,7 +48,7 @@ class Recipe(str, Enum):
     EXHAUSTIVE = "ExhaustiveFallback"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecipeTrace:
     """A verified certificate plus the reasoning steps that produced it."""
 
@@ -56,6 +57,15 @@ class RecipeTrace:
     recipe: Recipe
     decomposition: Decomposition
     narrative: tuple[str, ...]
+
+    def __init__(
+        self, m: int, n: int, recipe: Recipe, decomposition: Decomposition, narrative: tuple[str, ...]
+    ) -> None:
+        _set_m(self, m)
+        _set_n(self, n)
+        _set_recipe(self, recipe)
+        _set_decomposition(self, decomposition)
+        _set_narrative(self, narrative)
 
     @classmethod
     def verified(cls, m, n, recipe, decomposition, narrative) -> "RecipeTrace":
@@ -78,6 +88,9 @@ class RecipeTrace:
             "narrative": list(self.narrative),
             "verified": True,
         }
+
+
+_set_m, _set_n, _set_recipe, _set_decomposition, _set_narrative = slot_setters(RecipeTrace)
 
 
 def _trace_if_blocking(m, n, recipe, parts, narrative, success) -> RecipeTrace | None:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import groupby
 from operator import mul
 from typing import Iterator
 
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
 from .numtheory import _prime_factors_up_to, primes_up_to
+from .records import slot_setters
 
 # The oracle's reach: classify_detailed(oracle=True) checks every pair with n <=
 # COLUMN_BOUND and skips larger n; find_blocking_decomposition refuses them for m <= n.
@@ -108,11 +109,7 @@ class Decomposition:
         return {"parts": list(self.parts)}
 
 
-# The slots' own setters, which the frozen __setattr__ does not block: the
-# constructors fill each field through them, faster than object.__setattr__.
-_set_values, _set_counts, _set_total, _set_parts = (
-    getattr(Decomposition, name).__set__ for name in ("_values", "_counts", "total", "_parts")
-)
+_set_values, _set_counts, _set_total, _set_parts = slot_setters(Decomposition)
 
 
 @dataclass(frozen=True)
@@ -324,13 +321,14 @@ class Reason(str, Enum):
     CERTIFICATE = "certificate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     """Verdict for one implication RC_m => RC_n.
 
     achievable_for_certificate, the full admissible-sum table of the
     certificate, is derived from the certificate on first access and then
-    kept; deciding the pair never builds it.
+    kept in the _achievable slot, which equality, hashing and repr ignore;
+    deciding the pair never builds it.
     """
 
     m: int
@@ -338,10 +336,25 @@ class Classification:
     verdict: Verdict
     reason: Reason
     certificate: Decomposition | None = None
+    _achievable: AdmissibleSumSet | None = field(init=False, repr=False, compare=False)
 
-    @cached_property
+    def __init__(
+        self, m: int, n: int, verdict: Verdict, reason: Reason, certificate: Decomposition | None = None
+    ) -> None:
+        _set_m(self, m)
+        _set_n(self, n)
+        _set_verdict(self, verdict)
+        _set_reason(self, reason)
+        _set_certificate(self, certificate)
+        _set_achievable(self, None)
+
+    @property
     def achievable_for_certificate(self) -> AdmissibleSumSet | None:
-        return admissible_sums(self.certificate) if self.certificate is not None else None
+        table = self._achievable
+        if table is None and self.certificate is not None:
+            table = admissible_sums(self.certificate)
+            _set_achievable(self, table)
+        return table
 
     def to_json_obj(self) -> dict:
         obj = {"m": self.m, "n": self.n, "verdict": self.verdict.value, "reason": self.reason.value}
@@ -361,6 +374,11 @@ class Classification:
             reason=Reason(obj["reason"]),
             certificate=Decomposition(cert["parts"]) if cert is not None else None,
         )
+
+
+_set_m, _set_n, _set_verdict, _set_reason, _set_certificate, _set_achievable = slot_setters(
+    Classification
+)
 
 
 def provable_reason(m: int, n: int) -> Reason | None:

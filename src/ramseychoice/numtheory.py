@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import BoundExceeded, EmptyResult
+from .records import slot_setters
 
 # Witness battery: the first twelve primes (2..37) decide primality correctly
 # for every n < psi_12 = 318665857834031151167461 (about 3.18e23), which covers
@@ -107,9 +108,14 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return tuple(p for p in _sieve(padded) if p <= limit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldbachTriple:
-    """Three primes p1 <= p2 <= p3 summing to an odd target > 5."""
+    """Three primes p1 <= p2 <= p3 summing to an odd target > 5.
+
+    The constructor checks all of this; the triple walker, which has just
+    tested each prime and guarantees the order and the sum, builds its
+    triples through _walked_triple without the checks.
+    """
 
     p1: int
     p2: int
@@ -130,6 +136,18 @@ class GoldbachTriple:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.p1, self.p2, self.p3)
+
+
+_set_p1, _set_p2, _set_p3, _set_target = slot_setters(GoldbachTriple)
+
+
+def _walked_triple(p1: int, p2: int, p3: int, n: int) -> GoldbachTriple:
+    t = object.__new__(GoldbachTriple)
+    _set_p1(t, p1)
+    _set_p2(t, p2)
+    _set_p3(t, p3)
+    _set_target(t, n)
+    return t
 
 
 def _check_target(n: int, bound: int) -> None:
@@ -161,9 +179,9 @@ def _walk_goldbach_triples(n: int) -> Iterator[GoldbachTriple]:
         for p2 in filter(is_prime, range(p1, (n - p1) // 2 + 1, 2)):
             if is_prime(n - p1 - p2):
                 found = True
-                yield GoldbachTriple(p1, p2, n - p1 - p2, n)
+                yield _walked_triple(p1, p2, n - p1 - p2, n)
     if is_prime(n - 4):
-        yield GoldbachTriple(2, 2, n - 4, n)
+        yield _walked_triple(2, 2, n - 4, n)
     elif not found:
         raise EmptyResult(f"no prime triple sums to {n}; ternary Goldbach violated in range")
 

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from .certificates import Recipe
 from .decomposition import COLUMN_BOUND, Reason, Verdict, classify_detailed, provable_reason
 from .errors import BoundExceeded, OracleDisagreement
+from .records import slot_setters
 
 # The cost of one pair of a scan in units of one column step: a pair costs
 # about SCAN_PAIR_COST + n units, as the widest sum table it folds and the
-# longest parts list it writes grow with n (on a 2-vCPU VM about 9 us per
-# pair plus 3 to 15 ns per unit of n).
+# longest parts list it writes grow with n (on a 2-vCPU VM about 5.5 us per
+# pair at perfbench's reference speed, and at most a few ns per unit of n).
 SCAN_PAIR_COST = 1000
 
 # Largest estimated work run_scan admits, a few seconds on that VM: the
@@ -25,7 +26,7 @@ SCAN_PAIR_COST = 1000
 SCAN_WORK_BOUND = 2**28
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanRow:
     m: int
     n: int
@@ -33,6 +34,20 @@ class ScanRow:
     reason: str
     recipe: str | None = None
     parts: tuple[int, ...] | None = None
+
+    def __init__(
+        self, m: int, n: int, verdict: str, reason: str, recipe: str | None = None,
+        parts: tuple[int, ...] | None = None,
+    ) -> None:
+        _set_m(self, m)
+        _set_n(self, n)
+        _set_verdict(self, verdict)
+        _set_reason(self, reason)
+        _set_recipe(self, recipe)
+        _set_parts(self, parts)
+
+
+_set_m, _set_n, _set_verdict, _set_reason, _set_recipe, _set_parts = slot_setters(ScanRow)
 
 
 @dataclass

@@ -79,6 +79,14 @@ def test_goldbach_triple_validation():
         GoldbachTriple(3, 5, 9, 17)  # 9 is not prime
 
 
+def test_walked_triples_pass_the_checked_constructor():
+    """The walker builds its triples without the constructor's checks; every
+    one it yields for odd 7 <= n < 2000 must pass them and compare equal."""
+    for n in range(7, 2000, 2):
+        for t in iter_goldbach_triples(n):
+            assert GoldbachTriple(t.p1, t.p2, t.p3, n) == t, (n, t)
+
+
 def test_goldbach_triples_lex_order_and_completeness():
     """Compare against a direct cube scan for every odd target up to 99."""
     for n in range(7, 100, 2):

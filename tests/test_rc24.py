@@ -2,6 +2,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from ramseychoice import rc24
 from ramseychoice.errors import BadSubset
 from ramseychoice.rc24 import (
     PairChoice,
@@ -83,6 +84,30 @@ def test_equivariance_all_relabelings():
     ok, counter = check_equivariance()
     assert ok
     assert counter is None
+
+
+@pytest.mark.parametrize(
+    "rule, counterexample",
+    [
+        (lambda z, f2: min(z), (0, (1, 0, 2, 3))),
+        (lambda z, f2: f2.pick(z[0], z[1]), (0, (2, 0, 1, 3))),
+    ],
+    ids=["least-element", "pick-of-first-pair"],
+)
+def test_equivariance_reports_the_first_counterexample_of_a_rule(monkeypatch, rule, counterexample):
+    """A rule that is not equivariant fails at the same (bits, images) as
+    when every conjugate ran its own choose4."""
+    monkeypatch.setattr(rc24, "choose4", rule)
+    assert check_equivariance() == (False, counterexample)
+
+
+def test_equivariance_scores_each_selector_once(monkeypatch):
+    # one choose4 per orientation, and one per distinct conjugate, of which
+    # there are again 64: not one per each of the 1536 checks
+    calls = []
+    monkeypatch.setattr(rc24, "choose4", lambda z, f2: calls.append(f2) or choose4(z, f2))
+    assert check_equivariance() == (True, None)
+    assert len(calls) == 2 * rc24.ORIENTATIONS
 
 
 def test_choice_is_local():
