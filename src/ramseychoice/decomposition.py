@@ -27,6 +27,9 @@ from .records import slot_setters
 # Columns up to 300 take about 2 s, and the cost grows about fourfold per 50 beyond.
 COLUMN_BOUND = 300
 
+# Widest sum table a decomposition keeps (8 KiB), far above every m of a scan.
+KEPT_TABLE_BITS = 2**16
+
 # Largest (number of parts) * total admissible_sums builds; admits classify 4 1000000 --json.
 # The fold updates its table of total + 1 bits at most once per part, and less for runs.
 TABLE_WORK_BOUND = 2**38
@@ -41,12 +44,18 @@ class Decomposition:
     constructor's argument; for a decomposition built from runs it is
     derived on first use and then kept.  When every part is distinct the
     counts are None and parts is the tuple of distinct parts itself.
+
+    _table holds the widest admissible-sum table kept so far, as a pair
+    (limit, bits) complete up to limit, or None before one is kept; see
+    _sums_up_to.  Like _parts it is derived from the runs, so equality,
+    hashing and repr ignore it.
     """
 
     _values: tuple[int, ...]
     _counts: tuple[int, ...] | None
     total: int = field(compare=False)
     _parts: tuple[int, ...] | None = field(compare=False)
+    _table: tuple[int, int] | None = field(compare=False, repr=False)
 
     def __init__(self, parts):
         ordered = tuple(sorted(parts, reverse=True))
@@ -67,6 +76,7 @@ class Decomposition:
         _set_counts(self, counts)
         _set_total(self, total)
         _set_parts(self, ordered)
+        _set_table(self, None)
 
     @classmethod
     def from_runs(cls, values: tuple[int, ...], counts: tuple[int, ...]) -> Decomposition:
@@ -81,6 +91,7 @@ class Decomposition:
         _set_counts(self, None if distinct else counts)
         _set_total(self, sum(map(mul, values, counts)))
         _set_parts(self, values if distinct else None)
+        _set_table(self, None)
         return self
 
     @property
@@ -109,7 +120,7 @@ class Decomposition:
         return {"parts": list(self.parts)}
 
 
-_set_values, _set_counts, _set_total, _set_parts = slot_setters(Decomposition)
+_set_values, _set_counts, _set_total, _set_parts, _set_table = slot_setters(Decomposition)
 
 
 @dataclass(frozen=True)
@@ -168,7 +179,16 @@ def _add_part(sums: int, primes: tuple[int, ...], reach: int) -> int:
 
 
 def _fold(d: Decomposition, limit: int) -> int:
-    """Bit table of the admissible sums up to limit (see blocks); stops once bit limit is set."""
+    """Bit table of the admissible sums up to limit, complete up to limit.
+
+    A part adds 0 or a multiple of one of its primes, one _progression per
+    prime; only its primes up to the limit matter.  The fold walks d's runs,
+    not its copies.  If the part of a run of k copies has one prime q up to
+    the limit, the k copies add exactly the multiples of q up to k * part,
+    in one _progression.  Any other run folds copy by copy until a copy
+    changes nothing; as a part may always contribute 0, the rest of the run
+    cannot change the table either.
+    """
     keep, sums = (1 << limit + 1) - 1, 1
     counts = d._counts and iter(d._counts)  # None when every count is 1; cheaper than zip
     for part in d._values:
@@ -184,41 +204,53 @@ def _fold(d: Decomposition, limit: int) -> int:
                 if step == sums:
                     break
                 sums, count = step, count - 1
-        if sums >> limit:
-            return sums
     return sums
+
+
+def _sums_up_to(d: Decomposition, m: int) -> int:
+    """d's kept sum table, folded first if it does not reach m; its bit m is exact.
+
+    A new table reaches the next 2^b - 1 at or above m, or d.total if that
+    is smaller, so it is at most 2m bits wide, and the m of one
+    decomposition take at most log2(d.total) + 1 folds in any order.  It
+    replaces the kept one only up to KEPT_TABLE_BITS bits, so the two
+    caches of shared decompositions in certificates keep at most 16 MiB of
+    tables; a wider question folds afresh each time.
+    """
+    table = d._table
+    if table is None or table[0] < m:
+        limit = min((1 << m.bit_length()) - 1, d.total)
+        table = (limit, _fold(d, limit))
+        if limit <= KEPT_TABLE_BITS:
+            _set_table(d, table)
+    return table[1]
 
 
 def admissible_sums(d: Decomposition) -> AdmissibleSumSet:
     """Full subset-sum table over the per-part allowed contributions.
 
-    This is the reporting view: the fold of blocks taken up to d.total,
-    which only the last part can reach, so the fold never stops early.  A
-    table whose cost, the number of parts times d.total, exceeds
-    TABLE_WORK_BOUND raises BoundExceeded before any work.
+    This is the reporting view: d's kept table (see _sums_up_to), widened
+    to d.total unless it reaches it already.  A table whose cost, the
+    number of parts times d.total, exceeds TABLE_WORK_BOUND raises
+    BoundExceeded before any work, even when the table is kept.
     """
     count = sum(d._counts) if d._counts else len(d._values)
     if count * d.total > TABLE_WORK_BOUND:
         raise BoundExceeded(f"{count} parts of total {d.total} exceed the table work bound")
-    return AdmissibleSumSet(d.total, _fold(d, d.total))
+    return AdmissibleSumSet(d.total, _sums_up_to(d, d.total))
 
 
 def blocks(d: Decomposition, m: int) -> bool:
     """True when no admissible combination of contributions sums to m.
 
     m above the total is always blocked, and m = 0 never is.  Otherwise this
-    reads bit m of one subset-sum fold that keeps only the sums up to m and
-    stops once m is reached.  A part adds 0 or a multiple of one of its
-    primes, one _progression per prime.  The fold walks d's runs, not its
-    copies.  If the part of a run of k copies has one prime q up to m, the
-    k copies add exactly the multiples of q up to k * part, in one
-    _progression.  Any other run folds copy by copy until a copy changes
-    nothing; as a part may always contribute 0, the rest of the run cannot
-    change the table either.
+    reads bit m of d's kept sum table, which is folded (_fold) only when it
+    does not reach m yet; the rows of a column share one decomposition, so
+    most of them only read.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    return m > d.total or not _fold(d, m) >> m
+    return m > d.total or not _sums_up_to(d, m) >> m & 1
 
 
 def iter_decompositions(n: int) -> Iterator[Decomposition]:

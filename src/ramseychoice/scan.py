@@ -17,7 +17,7 @@ from .records import slot_setters
 
 # The cost of one pair of a scan in units of one column step: a pair costs
 # about SCAN_PAIR_COST + n units, as the widest sum table it folds and the
-# longest parts list it writes grow with n (on a 2-vCPU VM about 5.5 us per
+# longest parts list it writes grow with n (on a 2-vCPU VM about 5 us per
 # pair at perfbench's reference speed, and at most a few ns per unit of n).
 SCAN_PAIR_COST = 1000
 
@@ -110,21 +110,36 @@ class ScanReport:
         return cls(obj["max_m"], obj["max_n"], rows)
 
     def to_csv(self) -> str:
+        """A header and one line per row, byte for byte what csv.writer writes
+        with newline line ends.
+
+        m and n are integers, which the writer never quotes, so each line is
+        "m,n," plus the writer's encoding of (verdict, recipe, parts); that
+        tail is encoded once per distinct triple, and the rows of a column
+        share a few.
+        """
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["m", "n", "verdict", "recipe", "parts"])
-        joined = {None: ""}  # each distinct parts tuple is formatted once; rows of a column share one
+        tails = {}
+        lines = ["m,n,verdict,recipe,parts\n"]
         for r in self.rows:
-            parts = joined.get(r.parts)
-            if parts is None:
-                parts = joined[r.parts] = "+".join(map(str, r.parts))
-            writer.writerow([r.m, r.n, r.verdict, r.recipe or "", parts])
-        return buf.getvalue()
+            key = (r.verdict, r.recipe, r.parts)
+            tail = tails.get(key)
+            if tail is None:
+                buf.seek(0)
+                buf.truncate()
+                writer.writerow([r.verdict, r.recipe or "", "+".join(map(str, r.parts or ()))])
+                tail = tails[key] = buf.getvalue()[:-1]
+            lines.append(f"{r.m},{r.n},{tail}\n")
+        return "".join(lines)
 
     @classmethod
     def from_csv(cls, text: str) -> "ScanReport":
-        """Read a to_csv table back; max_m and max_n are the largest m and n in it."""
-        reader = csv.reader(text.splitlines())
+        """Read a to_csv table back; max_m and max_n are the largest m and n in it.
+
+        The reader splits lines itself, so a quoted field keeps its newlines.
+        """
+        reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
         if header != ["m", "n", "verdict", "recipe", "parts"]:
             raise ValueError(f"unexpected CSV header {header}")

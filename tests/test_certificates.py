@@ -315,7 +315,7 @@ def test_the_per_n_caches_do_not_depend_on_the_order_of_the_pairs():
     import ramseychoice.certificates as cm
     import ramseychoice.decomposition as dm
 
-    for cached in (cm._odd_plan, cm._run, dm._part_primes):
+    for cached in (cm._odd_plan, cm._run, cm._decomposition, dm._part_primes):  # kept tables start cold
         cached.cache_clear()
     box = [(m, n) for n in range(2, 301) for m in range(2, 301) if not provable_by_theorem(m, n)]
     random.Random(14).shuffle(box)

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -327,6 +329,30 @@ def test_scan_json_round_trip():
     assert disagreements == []
     back = ScanReport.from_json_obj(json.loads(json.dumps(report.to_json_obj())))
     assert back == report
+
+
+# Fields the CSV writer must quote or double, and the empty string it must not.
+AWKWARD = ("", "a,b", 'say "x"', "two\nlines", '",\n"')
+
+
+def test_scan_csv_is_the_csv_writers_bytes():
+    triples = [(v, r, p) for v in AWKWARD + ("not_provable",) for r in AWKWARD + (None, "OddCase")
+               for p in (None, (2,), (7, 3, 3))]
+    # every triple twice, so the second meets the tail the first encoded
+    rows = [ScanRow(m, n, v, "certificate", r, p)
+            for m, (v, r, p) in enumerate(triples * 2, start=2) for n in (2, 11)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["m", "n", "verdict", "recipe", "parts"])
+    for r in rows:
+        writer.writerow([r.m, r.n, r.verdict, r.recipe or "", "+".join(map(str, r.parts or ()))])
+    report = ScanReport(max(r.m for r in rows), 11, rows)
+    assert report.to_csv() == buf.getvalue()
+    # the table reads back, newlines inside quoted fields included; an empty
+    # recipe is written as None is, so only the rows without one round-trip
+    kept = [r for r in rows if r.recipe != "" and r.m != r.n]
+    text = ScanReport(max(r.m for r in kept), 11, kept).to_csv()
+    assert ScanReport.from_csv(text) == ScanReport(max(r.m for r in kept), 11, kept)
 
 
 def test_scan_csv_round_trip():

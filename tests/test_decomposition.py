@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 from ramseychoice.cli import main
 from ramseychoice.decomposition import (
     COLUMN_BOUND,
+    KEPT_TABLE_BITS,
     _COLUMNS,
     _blockable,
     Classification,
     Decomposition,
     Reason,
     Verdict,
+    _fold,
     admissible_sums,
     allowed_contributions,
     blocks,
@@ -246,6 +249,57 @@ def test_run_built_decomposition_matches_the_expanded_one(runs, m):
             assert set(table.values()) == reference_sums(e.parts, d.total)
     # the expanded views last: they are what a run-built decomposition defers
     assert (repr(d), str(d), d.as_json(), d.parts) == (repr(e), str(e), e.as_json(), e.parts)
+
+
+@given(
+    st.lists(st.tuples(st.one_of(st.integers(2, 40), st.sampled_from((4, 9, 27, 30, 210, 2 * 1009))),
+                       st.integers(1, 20)), min_size=1, max_size=6),
+    st.data(),
+)
+def test_the_kept_table_does_not_depend_on_the_order_of_the_queries(runs, data):
+    d = Decomposition([part for part, count in runs for _ in range(count)])
+    ms = data.draw(st.lists(st.integers(0, d.total + 1), min_size=1, max_size=30))
+    ms += data.draw(st.permutations(ms))  # every m again, in another order
+    for m in ms:
+        if data.draw(st.booleans()):  # the reporting view widens the same table
+            assert admissible_sums(d).bits == _fold(d, d.total)
+        assert blocks(d, m) == (not _fold(d, m) >> m & 1), m
+    table = d._table
+    if min(ms) <= d.total <= KEPT_TABLE_BITS:  # m above the total needs no table
+        assert table is not None
+    assert table is None or table[0] <= d.total and table[1] == _fold(d, table[0])
+
+
+def test_a_table_wider_than_the_kept_bound_is_not_kept():
+    d = Decomposition((4194301, 3))
+    assert not blocks(d, 3) and d._table == (3, 0b1001)
+    assert blocks(d, 10**6) and d._table == (3, 0b1001)  # folded to 2^20 - 1, then dropped
+    assert admissible_sums(d).values() == [0, 3, 4194301, 4194304] and d._table == (3, 0b1001)
+
+
+def test_a_shared_decomposition_is_folded_about_log2_n_times(monkeypatch):
+    # every m of an odd and an even column, from cold caches: the rows of a
+    # column share their decompositions, and each widens its kept table at
+    # most once per doubling of m
+    import ramseychoice.certificates as cm
+    import ramseychoice.decomposition as dm
+
+    folds, alive = Counter(), []
+    fold = dm._fold
+
+    def counted(d, limit):
+        folds[id(d)] += 1
+        alive.append(d)  # no id is reused while the test counts
+        return fold(d, limit)
+
+    monkeypatch.setattr(dm, "_fold", counted)
+    for n in (299, 298):
+        for cached in (cm._odd_plan, cm._run, cm._decomposition):
+            cached.cache_clear()
+        folds.clear()
+        for m in range(1, n + 2):
+            classify_detailed(m, n)
+        assert len(folds) > 1 and max(folds.values()) <= n.bit_length() + 1, (n, max(folds.values()))
 
 
 def test_a_run_of_10_to_the_17_copies_is_never_expanded():
