@@ -3,12 +3,13 @@
 Every recipe has the signature recipe_*(m, n) -> RecipeTrace | None.  A
 recipe replays its proof once: it takes the case the proof picks (one
 Goldbach triple, one prime), proposes the decompositions of that case in
-proof order, and checks each proposal with exactly one blocking test.  It
-returns the first trace that blocks m, or None when (m, n) is not its case.
-A wrong guess can therefore cost completeness but never soundness.  Where
-the theorem guarantees blocking (greater, prime divisor, prime power, Fermat
-shift, both dense splits) the proposal goes through RecipeTrace.verified,
-which raises instead of declining: a failure there is a bug, not a decline.
+proof order, and checks each proposal through _propose, the one blocking
+test.  It returns the first trace that blocks m, or None when (m, n) is not
+its case.  A wrong guess can therefore cost completeness but never
+soundness.  Where the theorem guarantees blocking (greater, prime divisor,
+prime power, Fermat shift, both dense splits) the proposal goes through
+RecipeTrace.verified, which raises instead of declining: a failure there is
+a bug, not a decline.
 Together the recipes cover every non-provable pair with n >= 2.
 
 The work that depends only on n is done once per n and kept in bounded
@@ -67,17 +68,15 @@ class RecipeTrace:
         _set_decomposition(self, decomposition)
         _set_narrative(self, narrative)
 
-    @classmethod
-    def verified(cls, m, n, recipe, decomposition, narrative) -> "RecipeTrace":
-        if decomposition.total != n:
-            raise RuntimeError(
-                f"certificate {decomposition} does not decompose {n}; recipe {recipe.value} is buggy"
-            )
-        if not blocks(decomposition, m):
+    @staticmethod
+    def verified(m, n, recipe, decomposition, narrative) -> "RecipeTrace":
+        """_propose for a proposal its proof guarantees: a decline there is a bug, so it raises."""
+        trace = _propose(m, n, recipe, decomposition, narrative)
+        if trace is None:
             raise RuntimeError(
                 f"certificate {decomposition} admits m = {m}; recipe {recipe.value} is buggy"
             )
-        return cls(m, n, recipe, decomposition, tuple(narrative))
+        return trace
 
     def to_json_obj(self) -> dict:
         return {
@@ -93,12 +92,16 @@ class RecipeTrace:
 _set_m, _set_n, _set_recipe, _set_decomposition, _set_narrative = slot_setters(RecipeTrace)
 
 
-def _trace_if_blocking(m, n, recipe, parts, narrative, success) -> RecipeTrace | None:
-    """Test one proposal: its trace, ending with the success line, or None."""
-    d = Decomposition(parts)
+def _propose(m, n, recipe, d, narrative) -> RecipeTrace | None:
+    """Test one proposal: its trace if d blocks m, else None.
+
+    A proposal that does not decompose n is a bug in its recipe, so it raises.
+    """
+    if d.total != n:
+        raise RuntimeError(f"certificate {d} does not decompose {n}; recipe {recipe.value} is buggy")
     if not blocks(d, m):
         return None
-    return RecipeTrace(m, n, recipe, d, (*narrative, success))
+    return RecipeTrace(m, n, recipe, d, tuple(narrative))
 
 
 # One shared decomposition per parts tuple, built when a pair first tests it;
@@ -198,9 +201,9 @@ def recipe_odd(m: int, n: int) -> RecipeTrace | None:
     if n % 2 == 0 or n < 7:
         return None
     for parts, narrative in _odd_plan(n)[1]:
-        d = _decomposition(parts)
-        if blocks(d, m):
-            return RecipeTrace(m, n, Recipe.ODD, d, narrative)
+        trace = _propose(m, n, Recipe.ODD, _decomposition(parts), narrative)
+        if trace is not None:
+            return trace
     return None
 
 
@@ -239,24 +242,24 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
     p = next((q for q in range(n - 3, m, -2) if is_prime(q)), None)
     if p is None:
         return None
-    narrative = [f"prime {p} between m = {m} and n = {n}"]
+    head = f"prime {p} between m = {m} and n = {n}"
     if n - p in (3, 5):
-        return _trace_if_blocking(
-            m, n, Recipe.EVEN_GAP, (p, n - p), narrative, f"split {n} = {p} + {n - p}"
+        return _propose(
+            m, n, Recipe.EVEN_GAP, Decomposition((p, n - p)), (head, f"split {n} = {p} + {n - p}")
         )
     for t in iter_goldbach_triples(n - p):
-        trace = _trace_if_blocking(
-            m, n, Recipe.EVEN_GAP, (p,) + t.as_tuple(), narrative,
-            f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}",
+        trace = _propose(
+            m, n, Recipe.EVEN_GAP, Decomposition((p,) + t.as_tuple()),
+            (head, f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}"),
         )
         if trace is not None:
             return trace
     inner = recipe_odd(m, n - p)
     if inner is None:
         return None
-    return _trace_if_blocking(
-        m, n, Recipe.EVEN_GAP, (p,) + inner.decomposition.parts, narrative,
-        f"odd-case certificate {inner.decomposition} for ({m}, {n - p}); append {p}",
+    return _propose(
+        m, n, Recipe.EVEN_GAP, Decomposition((p,) + inner.decomposition.parts),
+        (head, f"odd-case certificate {inner.decomposition} for ({m}, {n - p}); append {p}"),
     )
 
 
@@ -326,11 +329,13 @@ def build_certificate(m: int, n: int) -> RecipeTrace:
     """Produce a verified blocking certificate for a non-provable pair.
 
     Recipes run in the fixed dispatch order; the first that returns a trace
-    wins.  n = 1 has no decomposition, so it raises CertificateSearchFailed.
-    If every recipe declines, that is a bug and RuntimeError is raised.
+    wins.  A non-positive m or n raises ValueError, as in classify_detailed,
+    and a provable pair PreconditionViolated.  n = 1 has no decomposition,
+    so it raises CertificateSearchFailed.  If every recipe declines, that is
+    a bug and RuntimeError is raised.
     """
     if m < 1 or n < 1:
-        raise PreconditionViolated(f"need positive m and n, got ({m}, {n})")
+        raise ValueError(f"need positive m and n, got ({m}, {n})")
     if provable_by_theorem(m, n):
         raise PreconditionViolated(f"({m}, {n}) is provable; no blocking certificate exists")
     if n == 1:

@@ -20,16 +20,7 @@ import time
 
 from .certificates import build_certificate
 from .decomposition import Decomposition, Reason, Verdict, classify_detailed
-from .errors import (
-    BoundExceeded,
-    CertificateSearchFailed,
-    EmptyResult,
-    InvalidPart,
-    NotBlocking,
-    OracleDisagreement,
-    PreconditionViolated,
-    RamseyChoiceError,
-)
+from .errors import BoundExceeded, InvalidPart, RamseyChoiceError
 from .numtheory import verify_goldbach
 from .rc24 import EQUIVARIANCE_CHECKS, ORIENTATIONS, check_equivariance, verify_rc24
 from .scan import ScanReport, ScanRow, run_scan  # noqa: F401  (ScanReport, ScanRow: re-exported)
@@ -105,13 +96,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    try:
-        trace = build_certificate(args.m, args.n)
-    except PreconditionViolated as exc:
-        if args.m < 1 or args.n < 1:  # a bad pair is a usage error (exit 2), as for classify
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    trace = build_certificate(args.m, args.n)
     if args.json:
         _print_json(trace.to_json_obj())
         return 0
@@ -341,13 +326,10 @@ def main(argv=None) -> int:
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CertificateSearchFailed, OracleDisagreement, NotBlocking) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidPart, PreconditionViolated, EmptyResult, ValueError) as exc:
+    except (InvalidPart, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RamseyChoiceError as exc:
+    except RamseyChoiceError as exc:  # a negative result: a provable pair, n = 1, a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.timing:

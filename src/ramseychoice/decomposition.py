@@ -42,8 +42,8 @@ class Decomposition:
 
     parts, one entry per copy in non-increasing order, is kept from the
     constructor's argument; for a decomposition built from runs it is
-    derived on first use and then kept.  When every part is distinct the
-    counts are None and parts is the tuple of distinct parts itself.
+    derived on first use and then kept, unless every count is 1 and parts
+    is the tuple of distinct parts itself.
 
     _table holds the widest admissible-sum table kept so far, as a pair
     (limit, bits) complete up to limit, or None before one is kept; see
@@ -52,7 +52,7 @@ class Decomposition:
     """
 
     _values: tuple[int, ...]
-    _counts: tuple[int, ...] | None
+    _counts: tuple[int, ...]
     total: int = field(compare=False)
     _parts: tuple[int, ...] | None = field(compare=False)
     _table: tuple[int, int] | None = field(compare=False, repr=False)
@@ -69,14 +69,10 @@ class Decomposition:
         for p in () if valid else ordered:  # the exact rule, naming the first bad part
             if not isinstance(p, int) or p < 2:
                 raise InvalidPart(f"part {p!r} is invalid; parts must be integers >= 2")
-        values, counts = ordered, None
+        values, counts = ordered, (1,) * len(ordered)
         if len(set(ordered)) < len(ordered):  # some part repeats
             values, counts = zip(*[(p, len(tuple(run))) for p, run in groupby(ordered)])
-        _set_values(self, values)
-        _set_counts(self, counts)
-        _set_total(self, total)
-        _set_parts(self, ordered)
-        _set_table(self, None)
+        _fill(self, values, counts, total, ordered)
 
     @classmethod
     def from_runs(cls, values: tuple[int, ...], counts: tuple[int, ...]) -> Decomposition:
@@ -84,20 +80,18 @@ class Decomposition:
 
         values must be strictly decreasing integers >= 2 and counts positive;
         nothing is sorted or checked, so a run of 10^17 copies costs O(1).
+        Lists are taken as tuples, so the result hashes and compares as one.
         """
         self = object.__new__(cls)
+        values, counts = tuple(values), tuple(counts)
         distinct = counts.count(1) == len(counts)
-        _set_values(self, values)
-        _set_counts(self, None if distinct else counts)
-        _set_total(self, sum(map(mul, values, counts)))
-        _set_parts(self, values if distinct else None)
-        _set_table(self, None)
+        _fill(self, values, counts, sum(map(mul, values, counts)), values if distinct else None)
         return self
 
     @property
     def runs(self) -> tuple[tuple[int, int], ...]:
         """(part, count) pairs, parts in decreasing order."""
-        return tuple(zip(self._values, self._counts or (1,) * len(self._values)))
+        return tuple(zip(self._values, self._counts))
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -121,6 +115,15 @@ class Decomposition:
 
 
 _set_values, _set_counts, _set_total, _set_parts, _set_table = slot_setters(Decomposition)
+
+
+def _fill(d: Decomposition, values, counts, total: int, parts) -> None:
+    """Fill d's slots: its runs and their total, its parts if known, and no kept table."""
+    _set_values(d, values)
+    _set_counts(d, counts)
+    _set_total(d, total)
+    _set_parts(d, parts)
+    _set_table(d, None)
 
 
 @dataclass(frozen=True)
@@ -190,9 +193,7 @@ def _fold(d: Decomposition, limit: int) -> int:
     cannot change the table either.
     """
     keep, sums = (1 << limit + 1) - 1, 1
-    counts = d._counts and iter(d._counts)  # None when every count is 1; cheaper than zip
-    for part in d._values:
-        count = next(counts) if counts else 1
+    for part, count in zip(d._values, d._counts):
         reach = part if part < limit else limit
         primes = _part_primes(part, reach)
         if len(primes) == 1:  # the count copies add exactly the multiples of q up to count * part
@@ -234,7 +235,7 @@ def admissible_sums(d: Decomposition) -> AdmissibleSumSet:
     number of parts times d.total, exceeds TABLE_WORK_BOUND raises
     BoundExceeded before any work, even when the table is kept.
     """
-    count = sum(d._counts) if d._counts else len(d._values)
+    count = sum(d._counts)
     if count * d.total > TABLE_WORK_BOUND:
         raise BoundExceeded(f"{count} parts of total {d.total} exceed the table work bound")
     return AdmissibleSumSet(d.total, _sums_up_to(d, d.total))
@@ -322,6 +323,22 @@ def oracle_blocks(m: int, n: int) -> bool:
     return m > n or bool(_blockable(n) >> m & 1)
 
 
+def oracle_disagreement(m: int, n: int, certified: bool) -> str | None:
+    """How the oracle's column n contradicts a verdict on (m, n), or None.
+
+    certified says whether the recipes blocked m.  The finding is None when
+    the column agrees, and when n > COLUMN_BOUND puts the pair out of the
+    oracle's reach.
+    """
+    if n > COLUMN_BOUND or oracle_blocks(m, n) == certified:
+        return None
+    if certified:
+        return (
+            f"recipes produced a certificate for ({m}, {n}) but the oracle's column {n} admits m = {m}"
+        )
+    return f"({m}, {n}) should be provable but the oracle's column {n} blocks m = {m}"
+
+
 def find_blocking_decomposition(m: int, n: int) -> Decomposition | None:
     """First decomposition of n blocking m in the canonical scan order.
 
@@ -358,9 +375,8 @@ class Classification:
     """Verdict for one implication RC_m => RC_n.
 
     achievable_for_certificate, the full admissible-sum table of the
-    certificate, is derived from the certificate on first access and then
-    kept in the _achievable slot, which equality, hashing and repr ignore;
-    deciding the pair never builds it.
+    certificate, is read through admissible_sums, so it is the certificate's
+    own kept table widened to its total; deciding the pair never builds it.
     """
 
     m: int
@@ -368,7 +384,6 @@ class Classification:
     verdict: Verdict
     reason: Reason
     certificate: Decomposition | None = None
-    _achievable: AdmissibleSumSet | None = field(init=False, repr=False, compare=False)
 
     def __init__(
         self, m: int, n: int, verdict: Verdict, reason: Reason, certificate: Decomposition | None = None
@@ -378,21 +393,15 @@ class Classification:
         _set_verdict(self, verdict)
         _set_reason(self, reason)
         _set_certificate(self, certificate)
-        _set_achievable(self, None)
 
     @property
     def achievable_for_certificate(self) -> AdmissibleSumSet | None:
-        table = self._achievable
-        if table is None and self.certificate is not None:
-            table = admissible_sums(self.certificate)
-            _set_achievable(self, table)
-        return table
+        return None if self.certificate is None else admissible_sums(self.certificate)
 
     def to_json_obj(self) -> dict:
         obj = {"m": self.m, "n": self.n, "verdict": self.verdict.value, "reason": self.reason.value}
         if self.certificate is not None:
             obj["certificate"] = self.certificate.as_json()
-        if self.achievable_for_certificate is not None:
             obj["achievable_sums"] = self.achievable_for_certificate.values()
         return obj
 
@@ -408,9 +417,7 @@ class Classification:
         )
 
 
-_set_m, _set_n, _set_verdict, _set_reason, _set_certificate, _set_achievable = slot_setters(
-    Classification
-)
+_set_m, _set_n, _set_verdict, _set_reason, _set_certificate = slot_setters(Classification)
 
 
 def provable_reason(m: int, n: int) -> Reason | None:
@@ -428,11 +435,9 @@ def provable_by_theorem(m: int, n: int) -> bool:
 def classify_detailed(m: int, n: int, *, oracle: bool = False):
     """Classify one pair and keep the recipe trace for reporting.
 
-    Returns (Classification, RecipeTrace | None).  With oracle=True and
-    n <= COLUMN_BOUND the oracle's column bit (oracle_blocks) is compared
-    with the verdict, and a disagreement (column n blocks m for a provable
-    pair, or does not for a certified one) is raised as a hard failure that
-    carries the recipe result.  Larger n skip the oracle.
+    Returns (Classification, RecipeTrace | None).  With oracle=True the
+    verdict is checked by oracle_disagreement, and its finding is raised as
+    OracleDisagreement.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need positive m and n, got ({m}, {n})")
@@ -444,14 +449,10 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False):
         cls = Classification(
             m, n, Verdict.NOT_PROVABLE, Reason.CERTIFICATE, certificate=trace.decomposition
         )
-    if oracle and n <= COLUMN_BOUND and oracle_blocks(m, n) != (trace is not None):
-        raise OracleDisagreement(
-            f"({m}, {n}) should be provable but the oracle's column {n} blocks m = {m}"
-            if trace is None
-            else f"recipes produced a certificate for ({m}, {n}) "
-            f"but the oracle's column {n} admits m = {m}",
-            result=(cls, trace),
-        )
+    if oracle:
+        finding = oracle_disagreement(m, n, trace is not None)
+        if finding is not None:
+            raise OracleDisagreement(finding)
     return cls, trace
 
 

@@ -17,12 +17,16 @@ class EmptyResult(RamseyChoiceError):
     """An enumeration that must be non-empty came back empty.
 
     Raised when no prime triple sums to an odd target in range; that would
-    contradict the ternary Goldbach theorem, so it is a hard failure.
+    contradict the ternary Goldbach theorem.  The command line reports it as
+    a negative result (exit 1).
     """
 
 
 class PreconditionViolated(RamseyChoiceError):
-    """A certificate was requested for a provable pair or a non-positive m or n."""
+    """A certificate was requested for a provable pair, which has none.
+
+    A non-positive m or n is a ValueError instead, as for classify.
+    """
 
 
 class CertificateSearchFailed(RamseyChoiceError):
@@ -32,13 +36,9 @@ class CertificateSearchFailed(RamseyChoiceError):
 class OracleDisagreement(RamseyChoiceError):
     """Two independent computations of the same fact disagreed.
 
-    Carries the pair's recipe result as `result`: the (Classification,
-    RecipeTrace | None) that classify_detailed would have returned.
+    classify_detailed(oracle=True) raises it with oracle_disagreement's
+    finding as the message; run_scan records the finding instead.
     """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 class NotBlocking(RamseyChoiceError):

@@ -11,8 +11,15 @@ import io
 from dataclasses import dataclass, field
 
 from .certificates import Recipe
-from .decomposition import COLUMN_BOUND, Reason, Verdict, classify_detailed, provable_reason
-from .errors import BoundExceeded, OracleDisagreement
+from .decomposition import (
+    COLUMN_BOUND,
+    Reason,
+    Verdict,
+    classify_detailed,
+    oracle_disagreement,
+    provable_reason,
+)
+from .errors import BoundExceeded
 from .records import slot_setters
 
 # The cost of one pair of a scan in units of one column step: a pair costs
@@ -110,16 +117,17 @@ class ScanReport:
         return cls(obj["max_m"], obj["max_n"], rows)
 
     def to_csv(self) -> str:
-        """A header and one line per row, byte for byte what csv.writer writes
-        with newline line ends.
+        """A header and one line per row, each ending in a newline.
 
-        m and n are integers, which the writer never quotes, so each line is
+        m and n are integers, which csv.writer never quotes, so each line is
         "m,n," plus the writer's encoding of (verdict, recipe, parts); that
         tail is encoded once per distinct triple, and the rows of a column
-        share a few.
+        share a few.  The writer ends its lines in "\r\n", so it quotes a
+        field holding either character and from_csv reads it back; the tail
+        is its line without that ending.
         """
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(buf, lineterminator="\r\n")
         tails = {}
         lines = ["m,n,verdict,recipe,parts\n"]
         for r in self.rows:
@@ -129,7 +137,7 @@ class ScanReport:
                 buf.seek(0)
                 buf.truncate()
                 writer.writerow([r.verdict, r.recipe or "", "+".join(map(str, r.parts or ()))])
-                tail = tails[key] = buf.getvalue()[:-1]
+                tail = tails[key] = buf.getvalue()[:-2]
             lines.append(f"{r.m},{r.n},{tail}\n")
         return "".join(lines)
 
@@ -138,6 +146,7 @@ class ScanReport:
         """Read a to_csv table back; max_m and max_n are the largest m and n in it.
 
         The reader splits lines itself, so a quoted field keeps its newlines.
+        A row without exactly five fields raises ValueError.
         """
         reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
@@ -145,6 +154,8 @@ class ScanReport:
             raise ValueError(f"unexpected CSV header {header}")
         rows = []
         for raw in reader:
+            if len(raw) != 5:
+                raise ValueError(f"CSV row {raw} has {len(raw)} fields, not 5")
             m, n = int(raw[0]), int(raw[1])
             reason = provable_reason(m, n) or Reason.CERTIFICATE
             recipe = raw[3] or None
@@ -195,11 +206,10 @@ def run_scan(max_m: int, max_n: int, *, oracle: bool = False):
     disagreements = []
     for m in range(2, max_m + 1):
         for n in range(2, max_n + 1):
-            try:
-                cls_, trace = classify_detailed(m, n, oracle=oracle)
-            except OracleDisagreement as exc:
-                disagreements.append((m, n, str(exc)))
-                cls_, trace = exc.result
+            cls_, trace = classify_detailed(m, n)
+            finding = oracle and oracle_disagreement(m, n, trace is not None)
+            if finding:
+                disagreements.append((m, n, finding))
             # _value_ is the member's own attribute: .value goes through enum's
             # descriptor at three to four times the cost, three reads a row
             recipe = trace.recipe._value_ if trace is not None else None

@@ -247,8 +247,11 @@ def test_build_certificate_rejects_provable_and_bad_pairs(capsys, caplog):
         build_certificate(2, 4)
     with pytest.raises(PreconditionViolated):
         build_certificate(7, 7)
-    with pytest.raises(PreconditionViolated):
+    # a non-positive pair is a bad argument, as for classify
+    with pytest.raises(ValueError, match=r"need positive m and n, got \(0, 5\)"):
         build_certificate(0, 5)
+    with pytest.raises(ValueError):
+        build_certificate(-1, 3)
     with pytest.raises(CertificateSearchFailed, match="no decomposition of 1"):
         build_certificate(3, 1)
     # the command line prints the error line and nothing else; pytest takes

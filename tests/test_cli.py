@@ -96,11 +96,29 @@ def test_certificate_provable_pair_fails(capsys):
 
 def test_a_nonpositive_pair_is_a_usage_error_for_every_subcommand(capsys):
     # certificate and classify agree: exit 2 with the same message; a
-    # provable pair stays a negative answer (exit 1)
+    # provable pair and n = 1 stay negative answers (exit 1)
     for command in ("certificate", "classify"):
         assert run(capsys, command, "0", "5") == (2, "", "error: need positive m and n, got (0, 5)\n")
-    assert run(capsys, "certificate", "2", "4") == (
-        1, "", "error: (2, 4) is provable; no blocking certificate exists\n"
+        assert run(capsys, command, "-1", "3") == (2, "", "error: need positive m and n, got (-1, 3)\n")
+    for m, n in ((2, 4), (7, 7)):
+        assert run(capsys, "certificate", str(m), str(n)) == (
+            1, "", f"error: ({m}, {n}) is provable; no blocking certificate exists\n"
+        )
+    assert run(capsys, "certificate", "3", "1") == (
+        1, "", "error: no decomposition of 1 exists, so (3, 1) has no certificate\n"
+    )
+
+
+def test_an_empty_goldbach_search_is_a_negative_answer(capsys, monkeypatch):
+    import ramseychoice.certificates as cm
+    import ramseychoice.numtheory as numtheory
+
+    # with 5 and 7 taken for composites, 11 has no prime triple
+    is_prime = numtheory.is_prime
+    monkeypatch.setattr(numtheory, "is_prime", lambda x: x not in (5, 7) and is_prime(x))
+    cm._odd_plan.cache_clear()
+    assert run(capsys, "classify", "3", "11") == (
+        1, "", "error: no prime triple sums to 11; ternary Goldbach violated in range\n"
     )
 
 
@@ -289,7 +307,7 @@ def test_scan_records_oracle_disagreements(monkeypatch):
         (m, n, f"recipes produced a certificate for ({m}, {n}) but the oracle's column {n} admits m = {m}")
         for m, n in [(2, 3), (3, 2)]
     ]
-    # the row comes from the disagreement itself: each pair's recipes run once
+    # the oracle's finding needs no second classification: each pair's recipes run once
     assert calls == [(2, 3), (3, 2)]
 
 
@@ -355,6 +373,14 @@ def test_scan_csv_is_the_csv_writers_bytes():
     assert ScanReport.from_csv(text) == ScanReport(max(r.m for r in kept), 11, kept)
 
 
+def test_scan_csv_quotes_a_carriage_return_and_reads_it_back():
+    rows = [ScanRow(2, 3, "a\rb", "certificate", "c\r\nd", (3,)),
+            ScanRow(3, 5, "e\r", "certificate", "f", (5,))]
+    text = ScanReport(3, 5, rows).to_csv()
+    assert text == 'm,n,verdict,recipe,parts\n2,3,"a\rb","c\r\nd",3\n3,5,"e\r",f,5\n'
+    assert ScanReport.from_csv(text) == ScanReport(3, 5, rows)
+
+
 def test_scan_csv_round_trip():
     report, _ = run_scan(9, 9)
     back = ScanReport.from_csv(report.to_csv())
@@ -368,6 +394,8 @@ def test_scan_csv_round_trip():
         ScanReport.from_csv("m,n,verdict,recipe,parts\n")
     with pytest.raises(ValueError):
         ScanReport.from_csv("")
+    with pytest.raises(ValueError, match=r"CSV row \['1', '2'\] has 2 fields"):
+        ScanReport.from_csv("m,n,verdict,recipe,parts\n1,2\n")
 
 
 def test_scan_row_counts():

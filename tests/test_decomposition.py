@@ -28,6 +28,7 @@ from ramseychoice.decomposition import (
     find_blocking_decomposition,
     iter_decompositions,
     oracle_blocks,
+    oracle_disagreement,
     provable_by_theorem,
     provable_reason,
 )
@@ -91,6 +92,12 @@ def test_decomposition_canonical_form():
     assert str(d) == "7+3+2"
     assert d.as_json() == {"parts": [7, 3, 2]}
     assert Decomposition([3, 7, 2]) == d
+    # built from parts or from runs, distinct or repeated, it is one value
+    for parts, values, counts in (((7, 3, 2), (7, 3, 2), (1, 1, 1)), ((5, 3, 3, 3), (5, 3), (1, 3)),
+                                  ((3, 3), [3], [2]), ((3,), [3], [1])):
+        e, r = Decomposition(parts), Decomposition.from_runs(values, counts)
+        assert e == r and hash(e) == hash(r)
+        assert e.runs == r.runs == tuple(zip(values, counts))
 
 
 def test_decomposition_total_is_stored_outside_equality():
@@ -503,7 +510,6 @@ def test_oracle_disagreement_on_a_provable_pair(monkeypatch):
     with pytest.raises(OracleDisagreement) as info:
         classify_detailed(4, 4, oracle=True)
     assert str(info.value) == "(4, 4) should be provable but the oracle's column 4 blocks m = 4"
-    assert info.value.result == classify_detailed(4, 4)
     with pytest.raises(OracleDisagreement) as info:
         classify(2, 4, oracle=True)
     assert str(info.value) == "(2, 4) should be provable but the oracle's column 4 blocks m = 2"
@@ -528,8 +534,27 @@ def test_oracle_disagreement_on_a_certified_pair(monkeypatch):
     assert str(info.value) == (
         "recipes produced a certificate for (3, 7) but the oracle's column 7 admits m = 3"
     )
-    assert info.value.result == classify_detailed(3, 7)
     assert classify(3, 7).certificate.parts == (7,)
+
+
+def test_oracle_disagreement_words_the_finding_within_the_column_bound(monkeypatch):
+    import ramseychoice.decomposition as dm
+
+    # the real column agrees with every verdict
+    assert oracle_disagreement(4, 4, False) is None
+    assert oracle_disagreement(3, 7, True) is None
+    assert oracle_disagreement(2, 4, False) is None
+    monkeypatch.setattr(dm, "oracle_blocks", lambda m, n: n % 2 == 0)
+    assert oracle_disagreement(4, 4, False) == (
+        "(4, 4) should be provable but the oracle's column 4 blocks m = 4"
+    )
+    assert oracle_disagreement(3, 7, True) == (
+        "recipes produced a certificate for (3, 7) but the oracle's column 7 admits m = 3"
+    )
+    assert oracle_disagreement(3, 8, True) is None and oracle_disagreement(7, 7, False) is None
+    # past the column bound there is no column to disagree with
+    n = COLUMN_BOUND + 1
+    assert oracle_disagreement(n, n, True) is None and oracle_disagreement(3, n + 1, False) is None
 
 
 def test_classify_rejects_nonpositive():

@@ -64,18 +64,15 @@ def test_classification_round_trips_through_json():
         assert Classification.from_json_obj(c.to_json_obj()) == c
 
 
-def test_achievable_table_is_built_once_and_ignored_by_eq_and_repr(monkeypatch):
+def test_achievable_table_is_read_on_demand_and_ignored_by_eq_and_repr(monkeypatch):
     calls = []
     real = decomposition.admissible_sums
     monkeypatch.setattr(decomposition, "admissible_sums", lambda d: calls.append(d) or real(d))
     c, fresh = classify_detailed(4, 9)[0], classify_detailed(4, 9)[0]
     assert calls == []  # deciding the pair never builds the table
-    first = c.achievable_for_certificate
-    assert c.achievable_for_certificate is first
-    assert len(calls) == 1
-    assert first.values() == [0, 3, 6, 9]
     assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
-    assert len(calls) == 1  # comparing, hashing and printing c read no table
-    provable = classify_detailed(7, 7)[0]
-    assert provable.achievable_for_certificate is None
+    assert calls == []  # comparing, hashing and printing c read no table
+    assert c.achievable_for_certificate.values() == [0, 3, 6, 9]
+    assert calls == [c.certificate]
+    assert classify_detailed(7, 7)[0].achievable_for_certificate is None
     assert len(calls) == 1
