@@ -14,9 +14,12 @@ Together the recipes cover every non-provable pair with n >= 2.
 
 The work that depends only on n is done once per n and kept in bounded
 caches: the odd plan (the first Goldbach triple and the proposals built
-from it) and the decompositions the recipes propose for n alone, such as
-{n} and n/p copies of p, which every row of a column then shares.  The
-caches hold no verdict; every pair still runs its own blocking test.
+from it), the even-gap prime (the largest odd prime <= n - 3), and the
+decompositions the recipes propose for n alone, which every row of a
+column then shares: {n}, n/p copies of p, the even-gap splits of p with
+n - p or with a triple of n - p, and the even-dense splits of the prime
+just above n/2.  The caches hold no verdict; every pair still runs its own
+blocking test.
 """
 
 from __future__ import annotations
@@ -227,29 +230,38 @@ def recipe_fermat_shift(m: int, n: int) -> RecipeTrace | None:
     )
 
 
+@lru_cache(maxsize=1024)
+def _gap_prime(n: int) -> int | None:
+    """The largest odd prime <= n - 3, or None when n < 6; it depends on n alone."""
+    return next(filter(is_prime, range(n - 3, 2, -2)), None)
+
+
 def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
     """Even m < n with an odd prime strictly between them (and below n - 1).
 
     Only the largest such prime p is tried: for m >= 2 it always verifies.
+    p is the largest odd prime <= n - 3 (_gap_prime, once per n); when it
+    is not above m, no odd prime lies between them and the recipe declines.
     p > m contributes 0.  If n - p is 3 or 5, the split p + (n - p) blocks
     the even m.  Otherwise p plus each Goldbach triple of n - p is tried, and
     the first blocks any m > n - p.  If none blocks, m < n - p (m is even,
     n - p odd), and recipe_odd(m, n - p) never declines, so its certificate
-    with p appended blocks m.
+    with p appended blocks m.  Every proposal but that last one depends on
+    n alone, so all m of a column share its decomposition.
     """
     if m % 2 != 0 or n % 2 != 0:
         return None
-    p = next((q for q in range(n - 3, m, -2) if is_prime(q)), None)
-    if p is None:
+    p = _gap_prime(n)
+    if p is None or p <= m:
         return None
     head = f"prime {p} between m = {m} and n = {n}"
     if n - p in (3, 5):
         return _propose(
-            m, n, Recipe.EVEN_GAP, Decomposition((p, n - p)), (head, f"split {n} = {p} + {n - p}")
+            m, n, Recipe.EVEN_GAP, _decomposition((p, n - p)), (head, f"split {n} = {p} + {n - p}")
         )
     for t in iter_goldbach_triples(n - p):
         trace = _propose(
-            m, n, Recipe.EVEN_GAP, Decomposition((p,) + t.as_tuple()),
+            m, n, Recipe.EVEN_GAP, _decomposition((p,) + t.as_tuple()),
             (head, f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}"),
         )
         if trace is not None:
@@ -303,12 +315,12 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
         if (n - p) % (m - p) == 0:  # the direct split admits m; see the last case below
             return None
         narrative += [f"m - p = {m - p} is an odd prime", f"direct split {n} = {p} + {n - p}"]
-        return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, Decomposition((p, n - p)), narrative)
+        return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, _decomposition((p, n - p)), narrative)
     narrative.append(f"m - p = {m - p} is not an odd prime; four-part splits")
     t = _odd_plan(n - p)[0]
     narrative.append(f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}")
     return RecipeTrace.verified(
-        m, n, Recipe.EVEN_DENSE, Decomposition((p,) + t.as_tuple()), narrative
+        m, n, Recipe.EVEN_DENSE, _decomposition((p,) + t.as_tuple()), narrative
     )
 
 

@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        code = args.func(args)
+        return args.func(args)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -332,9 +332,9 @@ def main(argv=None) -> int:
     except RamseyChoiceError as exc:  # a negative result: a provable pair, n = 1, a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.timing:
-        print(f"elapsed: {time.perf_counter() - start:.3f}s")
-    return code
+    finally:  # every exit is timed, also one through an exception
+        if args.timing:
+            print(f"elapsed: {time.perf_counter() - start:.3f}s")
 
 
 if __name__ == "__main__":

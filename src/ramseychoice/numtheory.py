@@ -1,10 +1,10 @@
 """Exact number-theoretic primitives.
 
-Everything here is deterministic: primality uses a fixed strong-pseudoprime
-base battery that is exact far beyond 63 bits, and the prime searches scan
-candidate ranges directly instead of sampling.  Nothing a certificate recipe
-calls sieves: factors come from trial division and Goldbach triples from
-is_prime, one candidate at a time.
+Everything here is deterministic: primality runs the fewest strong-pseudoprime
+bases of a fixed battery that are proven exact for its input, and the prime
+searches scan candidate ranges directly instead of sampling.  Nothing a
+certificate recipe calls sieves: factors come from trial division and
+Goldbach triples from is_prime, one candidate at a time.
 """
 
 from __future__ import annotations
@@ -17,10 +17,28 @@ from typing import Iterator
 from .errors import BoundExceeded, EmptyResult
 from .records import slot_setters
 
-# Witness battery: the first twelve primes (2..37) decide primality correctly
-# for every n < psi_12 = 318665857834031151167461 (about 3.18e23), which covers
-# the whole supported 63-bit range.  The 3.3e24 bound would need 41 as well.
+# Witness battery: the first twelve primes (2..37).  The first k of them are
+# exact for every x below psi_k, the least strong pseudoprime to all of them
+# (Jaeschke, Math. Comp. 61, 1993; Jiang and Deng, Math. Comp. 83, 2014;
+# Sorenson and Webster, Math. Comp. 86, 2017), so is_prime runs only the
+# first k bases for the least k with x < psi_k.  psi_8 = psi_7 and
+# psi_11 = psi_10 = psi_9, so those counts never help; psi_12 (about 3.18e23)
+# covers the whole supported 63-bit range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_ROUNDS = tuple(
+    (psi, _MR_BASES[:k])
+    for psi, k in (
+        (2_047, 1),
+        (1_373_653, 2),
+        (25_326_001, 3),
+        (3_215_031_751, 4),
+        (2_152_302_898_747, 5),
+        (3_474_749_660_383, 6),
+        (341_550_071_728_321, 7),
+        (3_825_123_056_546_413_051, 9),
+        (318_665_857_834_031_151_167_461, 12),
+    )
+)
 
 _MAX_INPUT = 2**63
 
@@ -48,7 +66,10 @@ def is_prime(x: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for psi, bases in _MR_ROUNDS:  # x <= 2^63 < psi_12, so some row holds it
+        if x < psi:
+            break
+    for a in bases:
         y = pow(a, d, x)
         if y == 1 or y == x - 1:
             continue

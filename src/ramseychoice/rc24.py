@@ -130,23 +130,42 @@ def verify_rc24():
     return ok and census["total"] == ORIENTATIONS, census
 
 
+def _source_slots(images: tuple[int, ...]) -> tuple[int, ...]:
+    """For the relabeling x -> images[x], the slot of the pair it maps onto each slot of _PAIRS."""
+    inverse = dict(zip(images, FOUR_SET))
+    return tuple(_PAIRS.index(tuple(sorted((inverse[a], inverse[b])))) for a, b in _PAIRS)
+
+
+# Every relabeling of FOUR_SET, as its images and the source slot of each pair
+# slot.  FOUR_SET is 0..3, so images[x] is the image of x, and the conjugate
+# of picks is (images[picks[i]] for i in the slots).
+_RELABELINGS = tuple((images, _source_slots(images)) for images in permutations(FOUR_SET))
+
+
+def _conjugate_picks(
+    picks: tuple[int, ...], images: tuple[int, ...], sources: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The six picks of the conjugate selector, slot by slot in _PAIRS order."""
+    return tuple(images[picks[i]] for i in sources)
+
+
 def check_equivariance():
     """choose4 commutes with every relabeling of FOUR_SET.
 
     Returns (ok, first counterexample or None), checking EQUIVARIANCE_CHECKS
     (64 x 24) instances.  choose4 reads only the six picks of a selector, so
-    it runs once per distinct conjugate, keyed on those picks.
+    a conjugate is composed as picks through _RELABELINGS, and choose4 runs
+    once per distinct pick tuple, on a selector built from it.
     """
     chosen = {}
     for bits in range(ORIENTATIONS):
         f2 = PairChoice.from_bits(FOUR_SET, bits)
         picked = choose4(FOUR_SET, f2)
-        for images in permutations(FOUR_SET):
-            perm = dict(zip(FOUR_SET, images))
-            g2 = f2.conjugate(perm)
-            picks = tuple(map(g2.choice.__getitem__, _PAIRS))
-            if picks not in chosen:
-                chosen[picks] = choose4(FOUR_SET, g2)
-            if chosen[picks] != perm[picked]:
+        picks = tuple(map(f2.choice.__getitem__, _PAIRS))
+        for images, sources in _RELABELINGS:
+            conjugate = _conjugate_picks(picks, images, sources)
+            if conjugate not in chosen:
+                chosen[conjugate] = choose4(FOUR_SET, PairChoice(FOUR_SET, dict(zip(_PAIRS, conjugate))))
+            if chosen[conjugate] != images[picked]:
                 return False, (bits, images)
     return True, None

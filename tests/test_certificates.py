@@ -318,8 +318,28 @@ def test_the_per_n_caches_do_not_depend_on_the_order_of_the_pairs():
     import ramseychoice.certificates as cm
     import ramseychoice.decomposition as dm
 
-    for cached in (cm._odd_plan, cm._run, cm._decomposition, dm._part_primes):  # kept tables start cold
+    for cached in (cm._odd_plan, cm._gap_prime, cm._run, cm._decomposition, dm._part_primes):  # kept tables start cold
         cached.cache_clear()
     box = [(m, n) for n in range(2, 301) for m in range(2, 301) if not provable_by_theorem(m, n)]
     random.Random(14).shuffle(box)
     assert _box_digest({pair: build_certificate(*pair) for pair in box}) == BOX_DIGEST
+
+
+def test_an_even_gap_column_shares_its_decompositions_and_finds_its_prime_once():
+    # from cold caches, the even-gap pairs of a column that propose the same
+    # parts get the same Decomposition object, so one kept sum table serves
+    # them all; the gap prime is searched for once per column
+    import ramseychoice.certificates as cm
+
+    for n, kinds in ((128, 3), (294, 1), (296, 1)):
+        cm._gap_prime.cache_clear()
+        cm._decomposition.cache_clear()
+        shared = {}
+        for m in range(2, n + 1):
+            if provable_by_theorem(m, n):
+                continue
+            tr = build_certificate(m, n)
+            if tr.recipe is Recipe.EVEN_GAP:
+                assert shared.setdefault(tr.decomposition.parts, tr.decomposition) is tr.decomposition, (m, n)
+        assert len(shared) == kinds, n
+        assert cm._gap_prime.cache_info().misses == 1, n

@@ -745,6 +745,17 @@ def test_timing_flag_appends_line(capsys):
     assert lines[1].startswith("elapsed: ")
 
 
+def test_timing_flag_appends_line_on_an_error_exit(capsys):
+    # an exit through an exception keeps its code and stderr and is timed too
+    for argv, code, err in (
+        (("classify", "0", "5"), 2, "error: need positive m and n, got (0, 5)\n"),
+        (("certificate", "2", "4"), 1, "error: (2, 4) is provable; no blocking certificate exists\n"),
+    ):
+        got_code, out, got_err = run(capsys, *argv, "--timing")
+        assert (got_code, got_err) == (code, err), argv
+        assert out.startswith("elapsed: ") and out.count("\n") == 1, argv
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ramseychoice", "classify", "3", "7"],

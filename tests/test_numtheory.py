@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ramseychoice.errors import BoundExceeded
@@ -33,6 +35,71 @@ def test_is_prime_known_composites():
     # Carmichael numbers and strong-pseudoprime bait
     for x in (561, 1105, 1729, 2465, 2821, 6601, 8911, 3215031751):
         assert not is_prime(x)
+
+
+# psi_k: the least strong pseudoprime to each of the first k prime bases
+# (psi_8 = psi_7 and psi_11 = psi_10 = psi_9); psi_12 lies above 2^63.
+PSI = {
+    1: 2_047,
+    2: 1_373_653,
+    3: 25_326_001,
+    4: 3_215_031_751,
+    5: 2_152_302_898_747,
+    6: 3_474_749_660_383,
+    7: 341_550_071_728_321,
+    9: 3_825_123_056_546_413_051,
+    12: 318_665_857_834_031_151_167_461,
+}
+
+
+def strong_probable_prime(x, a):
+    d, r = x - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    y = pow(a, d, x)
+    if y in (1, x - 1):
+        return True
+    for _ in range(r - 1):
+        y = y * y % x
+        if y == x - 1:
+            return True
+    return False
+
+
+def twelve_base_reference(x):
+    # all twelve bases on every x, the battery before it was cut to psi_k
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if x < 2:
+        return False
+    if x in bases:
+        return True
+    if any(x % a == 0 for a in bases):
+        return False
+    return all(strong_probable_prime(x, a) for a in bases)
+
+
+def test_each_psi_is_composite():
+    # psi_k passes the first k bases, so taking psi_k <= x for "the first k
+    # suffice" instead of x < psi_k calls it prime; psi_1 = 23 * 89 falls to
+    # trial division, and psi_12 is outside is_prime's range
+    for k, psi in PSI.items():
+        if k == 12:
+            assert psi > 2**63
+            with pytest.raises(ValueError):
+                is_prime(psi)
+            continue
+        assert all(strong_probable_prime(psi, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)[:k])
+        assert not is_prime(psi), k
+
+
+def test_is_prime_agrees_with_twelve_bases():
+    # around each psi_k, and on a seeded log-uniform sample below 2^63
+    near = [psi + d for psi in PSI.values() if psi < 2**63 for d in (-2, 2)]
+    rng = random.Random(25)
+    sample = [int(2 ** rng.uniform(1, 63)) for _ in range(3000)]
+    for x in near + sample:
+        assert is_prime(x) == twelve_base_reference(x), x
+    assert sum(map(is_prime, sample)) > 100  # the sample reaches primes too
 
 
 def test_is_prime_large_values():

@@ -110,6 +110,19 @@ def test_equivariance_scores_each_selector_once(monkeypatch):
     assert len(calls) == 2 * rc24.ORIENTATIONS
 
 
+def test_relabeling_table_agrees_with_conjugate():
+    # the composed picks of every (orientation, relabeling) are the picks of
+    # the conjugate selector built pair by pair
+    assert len(rc24._RELABELINGS) == 24
+    for bits in range(rc24.ORIENTATIONS):
+        f2 = PairChoice.from_bits(rc24.FOUR_SET, bits)
+        picks = tuple(f2.choice[p] for p in rc24._PAIRS)
+        for images, sources in rc24._RELABELINGS:
+            g2 = f2.conjugate(dict(zip(rc24.FOUR_SET, images)))
+            expected = tuple(g2.choice[p] for p in rc24._PAIRS)
+            assert rc24._conjugate_picks(picks, images, sources) == expected, (bits, images)
+
+
 def test_choice_is_local():
     """The rule on a 4-set ignores every pair leaving the set."""
     z = (1, 3, 4, 6)
