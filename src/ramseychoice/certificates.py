@@ -246,8 +246,10 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
     the even m.  Otherwise p plus each Goldbach triple of n - p is tried, and
     the first blocks any m > n - p.  If none blocks, m < n - p (m is even,
     n - p odd), and recipe_odd(m, n - p) never declines, so its certificate
-    with p appended blocks m.  Every proposal but that last one depends on
-    n alone, so all m of a column share its decomposition.
+    with p appended blocks m.  For n - p < 1600 only (m, n - p) = (2, 7),
+    (4, 7) and (10, 13) get there, as (4, 2^39) does.  Every proposal but
+    that last one depends on n alone, so all m of a column share its
+    decomposition.
     """
     if m % 2 != 0 or n % 2 != 0:
         return None

@@ -35,31 +35,8 @@ from .selector_models import (
 )
 
 
-def _dumps(obj, pad: str = "") -> str:
-    """json.dumps(obj, indent=2), byte for byte, with the C encoder doing the work.
-
-    indent makes json fall back to its pure-Python encoder, so this writes
-    the brackets of nested containers itself and hands each container of
-    scalars (empty containers count) to the C encoder, whose item separator
-    carries the newline and indent.
-    """
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)
-    inner = pad + "  "
-    values = obj.values() if isinstance(obj, dict) else obj
-    if not any(isinstance(v, (dict, list, tuple)) and v for v in values):
-        flat = json.dumps(obj, separators=(",\n" + inner, ": "))
-        return f"{flat[0]}\n{inner}{flat[1:-1]}\n{pad}{flat[-1]}"
-    if isinstance(obj, dict):
-        # keys as json writes them: a non-str key becomes the string of its JSON form
-        items = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_dumps(v, inner)}"
-                 for k, v in obj.items()]
-        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
-    return "[\n" + inner + f",\n{inner}".join(_dumps(v, inner) for v in obj) + f"\n{pad}]"
-
-
 def _print_json(obj) -> None:
-    print(_dumps(obj))
+    print(json.dumps(obj, indent=2))
 
 
 def cmd_classify(args) -> int:

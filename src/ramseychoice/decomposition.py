@@ -11,6 +11,7 @@ the single sporadic pair (2, 4).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -61,14 +62,10 @@ class Decomposition:
         ordered = tuple(sorted(parts, reverse=True))
         if not ordered:
             raise InvalidPart("a decomposition needs at least one part")
-        try:  # one C-level pass: a non-int part makes the sum a non-int, or raises
-            total = sum(ordered)
-            valid = type(total) is int and ordered[-1] >= 2
-        except TypeError:
-            valid = False
-        for p in () if valid else ordered:  # the exact rule, naming the first bad part
+        for p in ordered:  # in decreasing order, so the first bad part is named
             if not isinstance(p, int) or p < 2:
                 raise InvalidPart(f"part {p!r} is invalid; parts must be integers >= 2")
+        total = sum(ordered)
         values, counts = ordered, (1,) * len(ordered)
         if len(set(ordered)) < len(ordered):  # some part repeats
             values, counts = zip(*[(p, len(tuple(run))) for p, run in groupby(ordered)])
@@ -137,8 +134,8 @@ class AdmissibleSumSet:
         return 0 <= s <= self.total and bool(self.bits >> s & 1)
 
     def values(self) -> list[int]:
-        # One pass over the binary digits, lowest bit first.
-        return [s for s, digit in enumerate(bin(self.bits)[:1:-1]) if digit == "1"]
+        # One C-level scan of the binary digits, lowest bit first; Python steps once per sum.
+        return [hit.start() for hit in re.finditer("1", bin(self.bits)[:1:-1])]
 
 
 @lru_cache(maxsize=1024)

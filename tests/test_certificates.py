@@ -25,7 +25,7 @@ from ramseychoice.decomposition import (
     provable_by_theorem,
 )
 from ramseychoice.errors import CertificateSearchFailed, PreconditionViolated
-from ramseychoice.numtheory import bertrand_prime, is_prime, primes_up_to
+from ramseychoice.numtheory import bertrand_prime, is_prime, iter_goldbach_triples, primes_up_to
 
 
 def test_every_recipe_output_is_verified_blocking():
@@ -144,6 +144,43 @@ def test_recipe_even_gap():
     assert recipe_even_gap(10, 1250).decomposition.parts == (1237, 13)
     assert recipe_even_gap(2, 4) is None  # no odd prime in (2, 3)
     assert recipe_even_gap(3, 10) is None  # odd m
+
+
+def test_even_gap_fallback_census():
+    """Every (m, r) that reaches recipe_even_gap's last branch, for odd r = n - p < 1600.
+
+    p > m contributes nothing below p, so p plus a triple of r blocks the
+    even m < r exactly when the triple does, and a prime triple admits only
+    its sub-sums.  Three cases miss every triple: (2, 7), (4, 7) and
+    (10, 13).  recipe_odd answers each with the single part r, so the
+    fallback yields the split p + (n - p).  The proof through recipe_odd
+    covers every r; this census covers only r < 1600.
+    """
+    reached = []
+    for r in range(7, 1600, 2):
+        admitted = None  # the even m < r that every triple so far admits
+        for t in iter_goldbach_triples(r):
+            a, b, c = t.as_tuple()
+            sums = {a, b, c, a + b, a + c, b + c}
+            admitted = {s for s in sums if s % 2 == 0 and s < r} if admitted is None else admitted & sums
+            if not admitted:
+                break
+        reached += [(m, r) for m in sorted(admitted)]
+    assert reached == [(2, 7), (4, 7), (10, 13)]
+    for m, r in reached:
+        assert recipe_odd(m, r).decomposition.parts == (r,)
+
+
+def test_even_gap_fallback_fires_at_four_and_two_to_the_39(capsys):
+    # the gap prime of 2^39 is 2^39 - 7, and 7's only triple (2, 2, 3) admits 4
+    n = 2**39
+    assert main(["certificate", "4", str(n)]) == 0
+    assert capsys.readouterr().out == (
+        "RC_4 => RC_549755813888: blocked by 549755813881+7 (EvenGapCase)\n"
+        "  - prime 549755813881 between m = 4 and n = 549755813888\n"
+        "  - odd-case certificate 7 for (4, 7); append 549755813881\n"
+    )
+    assert build_certificate(2, n).recipe == Recipe.PRIME_POWER
 
 
 def test_recipe_even_gap_needs_one_prime():

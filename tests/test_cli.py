@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ramseychoice.cli import _dumps, build_parser, main
+from ramseychoice.cli import build_parser, main
 from ramseychoice.decomposition import COLUMN_BOUND, provable_by_theorem
 from ramseychoice.numtheory import GOLDBACH_SEARCH_BOUND
 from ramseychoice.scan import ScanReport, ScanRow, run_scan
@@ -62,20 +62,6 @@ JSON_COMMANDS = [
 def test_json_output_is_json_dumps_indent_2(capsys, argv):
     _, out, _ = run(capsys, *argv)
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
-
-
-def test_json_printer_matches_json_dumps_on_every_shape():
-    shapes = [
-        {}, [], (), 0, -1.5, True, None, "a, b", 'say "x", then {y}: [z]',
-        {"empty": [], "none": {}, "flags": [True, False, None], "s": ["a, b", "\"q\", r"]},
-        {"sel": [{"subset": [0, 1], "choice": 0}, {"subset": [], "choice": None}]},
-        [[], {}, [[]], [{}], [[1, [2, []]]], {"a": {"b": {"c": []}}}],
-        {1: [2], True: {"x": 1}, None: "n", 2.5: [3, (4, 5)]},
-        ("t", ("u", ()), {"v": ("w",)}),
-        {"unicode": "\u00e9\n\t\u2014", "table": list(range(50))},
-    ]
-    for obj in shapes:
-        assert _dumps(obj) == json.dumps(obj, indent=2), obj
 
 
 def test_certificate_output(capsys):

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ramseychoice.cli import main
@@ -15,6 +15,7 @@ from ramseychoice.decomposition import (
     KEPT_TABLE_BITS,
     _COLUMNS,
     _blockable,
+    AdmissibleSumSet,
     Classification,
     Decomposition,
     Reason,
@@ -121,6 +122,9 @@ def test_decomposition_rejects_bad_parts():
             Decomposition(parts)
     with pytest.raises(InvalidPart, match=r"part 2\.0 is invalid"):
         Decomposition([3, 2, 2.0, 2])
+    # the message names the first bad part in decreasing order
+    with pytest.raises(InvalidPart, match=r"part 2\.5 is invalid"):
+        Decomposition([1, 5, 2.5, 0])
 
     # an int subclass other than bool is still an int part
     class Size(int):
@@ -338,6 +342,31 @@ def test_values_on_a_sparse_wide_table():
     assert table.values() == [0, 3, 4194301, 4194304]
     dense = admissible_sums(Decomposition((12, 9, 4)))
     assert dense.values() == [s for s in range(dense.total + 1) if dense.bits >> s & 1]
+    # a 10^8-bit table built directly, with no fold: only the two ends are sums
+    assert AdmissibleSumSet(10**8, 1 | 1 << 10**8).values() == [0, 10**8]
+
+
+def set_bits(bits):
+    """Reference for AdmissibleSumSet.values: peel off the lowest set bit, one at a time."""
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(low.bit_length() - 1)
+        bits ^= low
+    return found
+
+
+sparse_tables = st.sets(st.integers(1, 2**20), max_size=8).map(lambda ss: sum(1 << s for s in ss) | 1)
+dense_tables = st.one_of(
+    st.integers(0, 2**4096 - 1).map(lambda bits: bits | 1),
+    st.integers(0, 4096).map(lambda top: (1 << top + 1) - 1),
+)
+
+
+@example(1)
+@given(st.one_of(sparse_tables, dense_tables))
+def test_values_lists_the_set_bits_lowest_first(bits):
+    assert AdmissibleSumSet(bits.bit_length() - 1, bits).values() == set_bits(bits)
 
 
 def test_iter_decompositions_order_and_count():
