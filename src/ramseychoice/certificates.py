@@ -24,14 +24,11 @@ blocking test.
 
 from __future__ import annotations
 
-# Unused: it keeps a pending generation-1 garbage collection inside import, out of
-# perfbench's `large` timed loop (wall_s +35% without it); see ROADMAP item 4 and
-# the FOUND: note on collector timing in `large` in CHANGES.md.
-import logging  # noqa: F401
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import permutations
+from operator import attrgetter
 
 from .decomposition import Decomposition, blocks, provable_by_theorem
 from .errors import CertificateSearchFailed, PreconditionViolated
@@ -51,8 +48,10 @@ class Recipe(str, Enum):
     # and the benchmark's per-recipe win counts still list it.
     EXHAUSTIVE = "ExhaustiveFallback"
 
+    value = property(attrgetter("_value_"))  # at attribute cost, as Verdict's (decomposition)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class RecipeTrace:
     """A verified certificate plus the reasoning steps that produced it."""
 

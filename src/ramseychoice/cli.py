@@ -13,7 +13,6 @@ is deterministic; timing is opt-in so byte-for-byte comparisons stay valid.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -237,7 +236,10 @@ def _add_common(sub, *, csv_flag=False, oracle=False):
     sub.add_argument("--timing", action="store_true", help="print elapsed time")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argument parser; argparse is imported here, so importing this module skips it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ramseychoice",
         description="Exact search and verification for Ramsey choice implications.",

@@ -12,12 +12,12 @@ the single sporadic pair (2, 4).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import groupby
-from operator import mul
-from typing import Iterator
+from operator import attrgetter, mul
 
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
 from .numtheory import _prime_factors_up_to, primes_up_to
@@ -36,7 +36,7 @@ KEPT_TABLE_BITS = 2**16
 TABLE_WORK_BOUND = 2**38
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Decomposition:
     """A multiset of parts >= 2, stored as runs: its distinct parts in
     decreasing order and the count of each.
@@ -134,8 +134,26 @@ class AdmissibleSumSet:
         return 0 <= s <= self.total and bool(self.bits >> s & 1)
 
     def values(self) -> list[int]:
-        # One C-level scan of the binary digits, lowest bit first; Python steps once per sum.
-        return [hit.start() for hit in re.finditer("1", bin(self.bits)[:1:-1])]
+        # One C-level scan finds the runs of nonzero bytes, lowest first, and
+        # _BIT_OFFSETS expands each byte: the table is read a byte, not a bit, at a time.
+        raw = self.bits.to_bytes(-(-self.bits.bit_length() // 8), "little")
+        return [
+            at + offset
+            for run in re.finditer(rb"[^\0]+", raw)
+            for at, byte in zip(range(run.start() << 3, run.end() << 3, 8), run.group())
+            for offset in _BIT_OFFSETS[byte]
+        ]
+
+
+# _BIT_OFFSETS[b] lists the set bits of the byte b in increasing order: the
+# table for bits 0..j-1 followed by each of its entries with bit j added.
+# The entries are bytes, which the garbage collector does not track, so the
+# 256 of them neither count toward its next pass nor lengthen its passes.
+_BIT_OFFSETS = [b""]
+for _bit in range(8):
+    _BIT_OFFSETS += [offsets + bytes((_bit,)) for offsets in _BIT_OFFSETS]
+_BIT_OFFSETS = tuple(_BIT_OFFSETS)
+del _bit
 
 
 @lru_cache(maxsize=1024)
@@ -356,9 +374,13 @@ def find_blocking_decomposition(m: int, n: int) -> Decomposition | None:
     return None
 
 
+# Each result enum reads .value as the member's own _value_ attribute: enum's
+# value descriptor costs about five times as much, and scans read it per row.
 class Verdict(str, Enum):
     PROVABLE = "provable"
     NOT_PROVABLE = "not_provable"
+
+    value = property(attrgetter("_value_"))
 
 
 class Reason(str, Enum):
@@ -366,8 +388,10 @@ class Reason(str, Enum):
     RC24 = "rc24"
     CERTIFICATE = "certificate"
 
+    value = property(attrgetter("_value_"))
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Classification:
     """Verdict for one implication RC_m => RC_n.
 

@@ -10,9 +10,9 @@ Goldbach triples from is_prime, one candidate at a time.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import BoundExceeded, EmptyResult
 from .records import slot_setters

@@ -4,8 +4,10 @@ A frozen dataclass's generated __init__ stores each field through
 object.__setattr__, which costs about as much as the rest of building a
 small record.  The slots' own descriptors store without that detour, and the
 frozen __setattr__ does not block them.  A record class declared with
-@dataclass(frozen=True, slots=True) writes its own __init__ that calls the
-setters slot_setters returns; assignment still raises FrozenInstanceError.
+@dataclass(frozen=True, slots=True, init=False) writes its own __init__ that
+calls the setters slot_setters returns; assignment still raises
+FrozenInstanceError.  init=False keeps @dataclass from generating (and
+compiling) an __init__ that the class's own would replace anyway.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ SCAN_PAIR_COST = 1000
 SCAN_WORK_BOUND = 2**28
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScanRow:
     m: int
     n: int
@@ -210,12 +210,8 @@ def run_scan(max_m: int, max_n: int, *, oracle: bool = False):
             finding = oracle and oracle_disagreement(m, n, trace is not None)
             if finding:
                 disagreements.append((m, n, finding))
-            # _value_ is the member's own attribute: .value goes through enum's
-            # descriptor at three to four times the cost, three reads a row
-            recipe = trace.recipe._value_ if trace is not None else None
+            recipe = trace.recipe.value if trace is not None else None
             parts = trace.decomposition.parts if trace is not None else None
-            rows.append(
-                ScanRow(m, n, cls_.verdict._value_, cls_.reason._value_, recipe, parts)
-            )
+            rows.append(ScanRow(m, n, cls_.verdict.value, cls_.reason.value, recipe, parts))
     checked = sum(row.n <= COLUMN_BOUND for row in rows) if oracle else None
     return ScanReport(max_m, max_n, rows, checked), disagreements

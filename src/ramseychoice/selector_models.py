@@ -440,19 +440,25 @@ def _extensions(m: int, k: int, table: tuple[int, ...]) -> tuple[tuple, ...]:
     )
 
 
-def _grounds(model: SelectorModel, m: int, sizes: range, spent: int) -> list[tuple]:
-    """Each base A of model's domain with |A| in sizes, in combinations order, with
-    _extensions(m, |A|, A's relabeled table).  Before any is listed, BoundExceeded is
-    raised when spent plus the bases exceeds STAGE_WORK_BOUND, then at the first
-    size _extension_guard refuses."""
+def _count_bases(model: SelectorModel, m: int, sizes: range, spent: int) -> int:
+    """The number of bases A of model's domain with |A| in sizes, which _grounds
+    lists.  BoundExceeded is raised when spent plus the bases exceeds
+    STAGE_WORK_BOUND, then at the first size _extension_guard refuses."""
     N = len(model.domain)
     # sizes 0 or 1 to t <= N hold 2^t - 1 bases or more: past the bound's bit length, refused unsummed
-    if (len(sizes) > STAGE_WORK_BOUND.bit_length()
-            or spent + sum(math.comb(N, s) for s in sizes) > STAGE_WORK_BOUND):
+    over = len(sizes) > STAGE_WORK_BOUND.bit_length()
+    bases = 0 if over else sum(math.comb(N, s) for s in sizes)
+    if over or spent + bases > STAGE_WORK_BOUND:
         raise BoundExceeded(f"bases of up to {sizes.stop - 1} of {N} atoms take the stages "
                             f"over the stage work bound {STAGE_WORK_BOUND}")
     for size in sizes:
         _extension_guard(m, size)
+    return bases
+
+
+def _grounds(model: SelectorModel, m: int, sizes: range) -> list[tuple]:
+    """Each base A of model's domain with |A| in sizes, in combinations order, with
+    _extensions(m, |A|, A's relabeled table); _count_bases refuses them first."""
     return [(A, _extensions(m, size, tuple(A.index(model.sel[P]) for P in _subsets(A, m))))
             for size in sizes for A in _subsets(model.domain, size)]
 
@@ -480,9 +486,11 @@ def build_fraisse_stage(m: int, prev: SelectorModel, *, ground_limit: int | None
         raise ValueError("previous stage domain must be the initial segment 0..s-1")
     a = base = len(prev.domain)  # a: the next fresh atom
     limit = base if ground_limit is None else ground_limit
-    grounds = _grounds(prev, m, range(min(limit, base) + 1), spent)
+    sizes = range(min(limit, base) + 1)
+    bases = _count_bases(prev, m, sizes, spent)
+    grounds = _grounds(prev, m, sizes)
     N = base + sum(len(per_A) for _, per_A in grounds)
-    spent += len(grounds) + N
+    spent += bases + N
     if _comb_over(N, m, STAGE_WORK_BOUND - spent):
         raise BoundExceeded(f"C({N}, {m}) m-subsets and {N} atoms take the stages over the stage "
                             f"work bound {STAGE_WORK_BOUND}")
@@ -543,10 +551,14 @@ def check_one_point_extension(model: SelectorModel, m: int, k: int):
     atom w, by position in the domain, with sel(rest + w) = z, or z = None
     when w itself is picked.  A demanded type is realized exactly when the
     AND of its picks over the (m - 1)-subsets of A, less A's own bits, is
-    nonzero.  Past _grounds' refusals, BoundExceeded is raised before the
-    pick pass when its m per sel entry, plus ceil(N / 64) words per base (its
-    N-bit mask) and per demanded extension (its AND chain), exceed
-    STAGE_WORK_BOUND.  Returns (ok, missing) where missing lists (A, R table,
+    nonzero.  The work is m per sel entry, plus ceil(N / 64) words per base
+    (its N-bit mask) and per demanded extension (its AND chain).  Past
+    _count_bases' refusals, BoundExceeded is raised before any base is listed
+    when that work with a lower bound for the demanded extensions exceeds
+    STAGE_WORK_BOUND, and again before the pick pass with their exact count.
+    A base of s atoms demands at least m^C(s, m - 1) extensions, one per
+    point type of the spare atom, so the first refusal never refuses a check
+    the second admits.  Returns (ok, missing) where missing lists (A, R table,
     embedding images) for every unrealized extension.  Stage 3 for m = 2
     misses 996 extensions at k = 3, each over an A with a stage-3 atom.
     """
@@ -554,15 +566,20 @@ def check_one_point_extension(model: SelectorModel, m: int, k: int):
         raise ValueError("arity mismatch")
     N = len(model.domain)
     sizes = range(1, min(k, N + 1))
-    grounds = _grounds(model, m, sizes, 0)
-    if not grounds:  # nothing to check, so no N-bit masks either
+    bases = _count_bases(model, m, sizes, 0)
+    if not bases:  # nothing to check, so no N-bit masks either
         return True, []
-    demands = sum(len(per_A) for _, per_A in grounds)
     # only an A of at least m - 1 atoms reads picks; without one, skip the pass
     entries = model.sel.items() if sizes[-1] >= m - 1 else ()
-    if (len(grounds) + demands) * -(-N // 64) + len(entries) * m > STAGE_WORK_BOUND:
-        raise BoundExceeded(f"{len(grounds)} bases demanding {demands} extensions and {len(entries)} "
-                            f"m-subsets on {N} atoms exceed the stage work bound {STAGE_WORK_BOUND}")
+
+    def refuse_over_bound(demands: int, qualifier: str) -> None:
+        if (bases + demands) * -(-N // 64) + len(entries) * m > STAGE_WORK_BOUND:
+            raise BoundExceeded(f"{bases} bases demanding {qualifier}{demands} extensions and {len(entries)} "
+                                f"m-subsets on {N} atoms exceed the stage work bound {STAGE_WORK_BOUND}")
+
+    refuse_over_bound(sum(math.comb(N, s) * m ** math.comb(s, m - 1) for s in sizes), "at least ")
+    grounds = _grounds(model, m, sizes)
+    refuse_over_bound(sum(len(per_A) for _, per_A in grounds), "")
     bit = {a: 1 << i for i, a in enumerate(model.domain)}
     picks: dict[tuple[int, ...], dict[int | None, int]] = {}
     for P, x in entries:

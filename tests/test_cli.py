@@ -14,6 +14,7 @@ from ramseychoice.cli import build_parser, main
 from ramseychoice.decomposition import COLUMN_BOUND, provable_by_theorem
 from ramseychoice.numtheory import GOLDBACH_SEARCH_BOUND
 from ramseychoice.scan import ScanReport, ScanRow, run_scan
+from ramseychoice.selector_models import run_fraisse_stages
 
 
 def run(capsys, *argv):
@@ -501,13 +502,26 @@ def test_fraisse_over_the_work_bound_exits_three_before_the_stage_writes(capsys,
     assert err == f"error: {message} take the stages over the stage work bound 2000000\n"
 
 
-def test_fraisse_check_over_the_bound_exits_three(capsys):
-    # the 231,525 bases of up to 4 of 49 atoms and their extensions, one word each
-    code, out, err = run(capsys, "fraisse", "2", "3", "--check", "5")
-    assert code == 3
-    assert out == ""
-    assert err == ("error: 231525 bases demanding 4911882 extensions and 1176 m-subsets "
-                   "on 49 atoms exceed the stage work bound 2000000\n")
+def test_fraisse_check_over_the_bound_exits_three(capsys, monkeypatch):
+    import ramseychoice.cli as cli
+    import ramseychoice.selector_models as sm
+
+    def stages_then_no_listing(*args, **kwargs):
+        chain = run_fraisse_stages(*args, **kwargs)
+        monkeypatch.setattr(sm, "_grounds", None)  # the check must refuse before it lists a base
+        return chain
+
+    # the 231,525 bases of up to 4 of 49 atoms and at least m^C(s, m - 1)
+    # extensions per base of s atoms, one word each, plus m words per m-subset
+    for m, message in [
+        (2, "231525 bases demanding at least 3542210 extensions and 1176 m-subsets"),
+        (3, "231525 bases demanding at least 154958629 extensions and 18424 m-subsets"),
+    ]:
+        monkeypatch.setattr(cli, "run_fraisse_stages", stages_then_no_listing)
+        code, out, err = run(capsys, "fraisse", str(m), "3", "--check", "5")
+        assert (code, out) == (3, "")
+        assert err == f"error: {message} on 49 atoms exceed the stage work bound 2000000\n"
+        monkeypatch.undo()
 
 
 def run_limited(*argv):
@@ -519,11 +533,22 @@ def run_limited(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_importing_the_package_and_the_cli_loads_neither_logging_nor_argparse():
+    # each answer runs in a fresh process, which pays for every module the import loads;
+    # only build_parser needs argparse, and nothing needs logging
+    code = ("import sys; before = set(sys.modules); import ramseychoice, ramseychoice.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    added = set(proc.stdout.split())
+    assert {"ramseychoice", "ramseychoice.cli"} <= added
+    assert not added & {"logging", "argparse"}
+
+
 def test_fraisse_check_of_a_wide_stage_exits_three_under_three_gib():
     # stage 4 of m = 1 holds 449,380 atoms: its masks of as many bits, one per
     # base and per demanded extension, take 7,022 words each
     assert run_limited("fraisse", "1", "4", "--check", "2") == (3, "", (
-        "error: 449380 bases demanding 898760 extensions and 449380 m-subsets "
+        "error: 449380 bases demanding at least 449380 extensions and 449380 m-subsets "
         "on 449380 atoms exceed the stage work bound 2000000\n"
     ))
     # k = 1 leaves no base, so no mask is built and the check answers

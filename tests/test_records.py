@@ -3,15 +3,19 @@
 RecipeTrace, Classification, ScanRow, GoldbachTriple and Decomposition fill
 their slots through the slot descriptors instead of the dataclass __init__;
 they must still be frozen, slotted and compared, hashed and printed as the
-generated methods do.
+generated methods do.  The enums they carry read .value as a plain attribute
+and must still behave as enum members do.
 """
 
+import json
+import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
 
 import ramseychoice.decomposition as decomposition
 from ramseychoice import Classification, Decomposition, GoldbachTriple, RecipeTrace, ScanRow
+from ramseychoice import Reason, Recipe, Verdict
 from ramseychoice import classify_detailed, iter_goldbach_triples
 
 
@@ -76,3 +80,13 @@ def test_achievable_table_is_read_on_demand_and_ignored_by_eq_and_repr(monkeypat
     assert calls == [c.certificate]
     assert classify_detailed(7, 7)[0].achievable_for_certificate is None
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("member", [*Verdict, *Reason, *Recipe], ids=lambda x: f"{type(x).__name__}.{x.name}")
+def test_enum_value_is_the_member_value(member):
+    kind = type(member)
+    assert member.value == member._value_ and type(member.value) is str
+    assert kind(member.value) is member and kind[member.name] is member
+    assert pickle.loads(pickle.dumps(member)) is member
+    assert json.dumps(member) == json.dumps(member.value)
+    assert repr(member) == f"<{kind.__name__}.{member.name}: {member.value!r}>"

@@ -845,7 +845,7 @@ def test_one_point_extension_check_cost_bound(monkeypatch):
     import ramseychoice.selector_models as sm
 
     stage3 = run_fraisse_stages(2, 3)[-1]
-    with pytest.raises(BoundExceeded, match=r"^231525 bases demanding 4911882 extensions and 1176 "
+    with pytest.raises(BoundExceeded, match=r"^231525 bases demanding at least 3542210 extensions and 1176 "
                        r"m-subsets on 49 atoms exceed the stage work bound 2000000$"):
         check_one_point_extension(stage3, 2, 5)
     for k, missing in [(3, 996), (4, 92629)]:
@@ -865,12 +865,19 @@ def test_one_point_extension_check_cost_bound(monkeypatch):
     monkeypatch.setattr(sm, "STAGE_WORK_BOUND", 454)
     with pytest.raises(BoundExceeded, match=r"^65 bases demanding 130 extensions and 65 m-subsets on 65 atoms"):
         check_one_point_extension(chain65, 1, 2)
-    # the 1,225 bases alone, in closed form, are refused before any is listed
-    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", 1225)
+    # at k = 3 the 1,225 bases demand at least 2^C(s, 1) extensions per base of
+    # s atoms: past that lower bound, in closed form, the check lists no base
+    least = (1225 + 49 * 2 + 1176 * 4) + 2 * 1176
+    assert least == 8379 < check_work(stage3, 2, 3)
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", least)
     with pytest.raises(BoundExceeded, match=r"^1225 bases demanding 7154 extensions"):
         check_one_point_extension(stage3, 2, 3)
-    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", 1224)
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", least - 1)
     monkeypatch.setattr(sm, "_extensions", None)
+    with pytest.raises(BoundExceeded, match=r"^1225 bases demanding at least 4802 extensions"):
+        check_one_point_extension(stage3, 2, 3)
+    # the 1,225 bases alone are refused before the catalog is read
+    monkeypatch.setattr(sm, "STAGE_WORK_BOUND", 1224)
     with pytest.raises(BoundExceeded, match=r"^bases of up to 2 of 49 atoms"):
         check_one_point_extension(stage3, 2, 3)
     # sizes past the domain add nothing, so a huge k on a tiny model is cheap
