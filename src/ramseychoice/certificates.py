@@ -31,8 +31,8 @@ from itertools import permutations
 from operator import attrgetter
 
 from .decomposition import Decomposition, blocks, provable_by_theorem
-from .errors import CertificateSearchFailed, PreconditionViolated
-from .numtheory import GoldbachTriple, bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
+from .errors import BoundExceeded, CertificateSearchFailed, PreconditionViolated
+from .numtheory import _MAX_INPUT, GoldbachTriple, bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
 from .records import slot_setters
 
 
@@ -344,7 +344,9 @@ def build_certificate(m: int, n: int) -> RecipeTrace:
     Recipes run in the fixed dispatch order; the first that returns a trace
     wins.  A non-positive m or n raises ValueError, as in classify_detailed,
     and a provable pair PreconditionViolated.  n = 1 has no decomposition,
-    so it raises CertificateSearchFailed.  If every recipe declines, that is
+    so it raises CertificateSearchFailed.  Every recipe but the greater case
+    tests primes of n's size, so m < n with n above is_prime's 2^63 raises
+    BoundExceeded before any recipe runs.  If every recipe declines, that is
     a bug and RuntimeError is raised.
     """
     if m < 1 or n < 1:
@@ -353,6 +355,8 @@ def build_certificate(m: int, n: int) -> RecipeTrace:
         raise PreconditionViolated(f"({m}, {n}) is provable; no blocking certificate exists")
     if n == 1:
         raise CertificateSearchFailed(f"no decomposition of 1 exists, so ({m}, 1) has no certificate")
+    if m < n and n > _MAX_INPUT:
+        raise BoundExceeded(f"n = {n} exceeds the primality test's bound 2^63")
     for recipe in _DISPATCH:
         trace = recipe(m, n)
         if trace is not None:

@@ -224,10 +224,9 @@ def verify_goldbach(max_n: int) -> tuple[int, list[int]]:
     the first target above GOLDBACH_SEARCH_BOUND, if max_n reaches one, is
     refused with goldbach_triples' BoundExceeded.
     """
+    if max_n > GOLDBACH_SEARCH_BOUND:
+        _check_target(GOLDBACH_SEARCH_BOUND + 1 | 1, GOLDBACH_SEARCH_BOUND)
     targets = range(7, max_n + 1, 2)
-    over = targets[len(range(7, GOLDBACH_SEARCH_BOUND + 1, 2)):]  # a slice, as len(targets) may overflow
-    if over:
-        _check_target(over[0], GOLDBACH_SEARCH_BOUND)
     failures = []
     for n in targets:
         try:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import BadSubset
+from .selector_models import _relabeling
 
 # The 4-set the exhaustive checks run on; the rule is local, so any other is a relabeling.
 FOUR_SET = (0, 1, 2, 3)
@@ -116,7 +117,7 @@ def verify_rc24():
     Returns (ok, census) where census counts how often each argmin case
     fired over the ORIENTATIONS orientations.
     """
-    census = {"total": 0, **dict.fromkeys(_CASES.values(), 0)}
+    census = {"total": ORIENTATIONS, **dict.fromkeys(_CASES.values(), 0)}
     ok = True
     for bits in range(ORIENTATIONS):
         f2 = PairChoice.from_bits(FOUR_SET, bits)
@@ -124,48 +125,34 @@ def verify_rc24():
         picked = choose4(FOUR_SET, f2)
         if picked not in FOUR_SET:
             ok = False
-        census["total"] += 1
         census[_CASES[len(prof.argmin)]] += 1
     census["all_cases_covered"] = all(census[k] > 0 for k in _CASES.values())
-    return ok and census["total"] == ORIENTATIONS, census
+    return ok, census
 
 
-def _source_slots(images: tuple[int, ...]) -> tuple[int, ...]:
-    """For the relabeling x -> images[x], the slot of the pair it maps onto each slot of _PAIRS."""
-    inverse = dict(zip(images, FOUR_SET))
-    return tuple(_PAIRS.index(tuple(sorted((inverse[a], inverse[b])))) for a, b in _PAIRS)
+def _relabeled_orientations(images: tuple[int, ...]) -> list[int]:
+    """For the relabeling x -> images[x], the orientation number of the
+    conjugate of each orientation, indexed by orientation number.
 
-
-# Every relabeling of FOUR_SET, as its images and the source slot of each pair
-# slot.  FOUR_SET is 0..3, so images[x] is the image of x, and the conjugate
-# of picks is (images[picks[i]] for i in the slots).
-_RELABELINGS = tuple((images, _source_slots(images)) for images in permutations(FOUR_SET))
-
-
-def _conjugate_picks(
-    picks: tuple[int, ...], images: tuple[int, ...], sources: tuple[int, ...]
-) -> tuple[int, ...]:
-    """The six picks of the conjugate selector, slot by slot in _PAIRS order."""
-    return tuple(images[picks[i]] for i in sources)
+    An orientation number is the catalog's table code over the pairs in
+    reverse order (bit i is the digit of pair i), so the action is
+    selector_models._relabeling's.
+    """
+    return _relabeling(images, _PAIRS[::-1], 2, 0)[1]
 
 
 def check_equivariance():
     """choose4 commutes with every relabeling of FOUR_SET.
 
     Returns (ok, first counterexample or None), checking EQUIVARIANCE_CHECKS
-    (64 x 24) instances.  choose4 reads only the six picks of a selector, so
-    a conjugate is composed as picks through _RELABELINGS, and choose4 runs
-    once per distinct pick tuple, on a selector built from it.
+    (64 x 24) instances.  choose4 runs once per orientation, and each check
+    compares its pick on a conjugate with the relabeled pick, both looked up
+    by orientation number.
     """
-    chosen = {}
+    chosen = [choose4(FOUR_SET, PairChoice.from_bits(FOUR_SET, bits)) for bits in range(ORIENTATIONS)]
+    relabelings = [(images, _relabeled_orientations(images)) for images in permutations(FOUR_SET)]
     for bits in range(ORIENTATIONS):
-        f2 = PairChoice.from_bits(FOUR_SET, bits)
-        picked = choose4(FOUR_SET, f2)
-        picks = tuple(map(f2.choice.__getitem__, _PAIRS))
-        for images, sources in _RELABELINGS:
-            conjugate = _conjugate_picks(picks, images, sources)
-            if conjugate not in chosen:
-                chosen[conjugate] = choose4(FOUR_SET, PairChoice(FOUR_SET, dict(zip(_PAIRS, conjugate))))
-            if chosen[conjugate] != images[picked]:
+        for images, relabeled in relabelings:
+            if chosen[relabeled[bits]] != images[chosen[bits]]:
                 return False, (bits, images)
     return True, None

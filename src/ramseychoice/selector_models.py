@@ -329,7 +329,9 @@ def _relabeling(perm, subsets, m: int, n_low: int) -> tuple[list[int], list[int]
     of subset j, so it moves digit p of slot i to digit q of slot j.  Each
     slot's digit lands on its own, so the image of a code is a sum of one
     term per slot: lo[code % m**n_low] sums the terms of the n_low last
-    slots, hi[code // m**n_low] those of the others.
+    slots, hi[code // m**n_low] those of the others.  The catalog reads it,
+    and so does rc24's equivariance check: an orientation number is the code
+    of an arity-2 table on 4 atoms with the pairs in reverse order.
     """
     s = len(subsets)
     index = {S: i for i, S in enumerate(subsets)}

@@ -24,7 +24,7 @@ from ramseychoice.decomposition import (
     find_blocking_decomposition,
     provable_by_theorem,
 )
-from ramseychoice.errors import CertificateSearchFailed, PreconditionViolated
+from ramseychoice.errors import BoundExceeded, CertificateSearchFailed, PreconditionViolated
 from ramseychoice.numtheory import bertrand_prime, is_prime, iter_goldbach_triples, primes_up_to
 
 
@@ -308,6 +308,15 @@ def test_a_decline_by_every_recipe_is_a_bug(monkeypatch):
         ct.build_certificate(3, 7)
     with pytest.raises(RuntimeError, match=r"\(3, 7\)"):
         classify(3, 7)
+
+
+def test_a_pair_past_the_primality_bound_is_refused_before_dispatch(monkeypatch):
+    from ramseychoice import certificates as ct
+
+    # with no recipe left, reaching dispatch would raise RuntimeError
+    monkeypatch.setattr(ct, "_DISPATCH", ())
+    with pytest.raises(BoundExceeded, match=r"^n = 36893488147419103232 exceeds"):
+        ct.build_certificate(5, 2**65)
 
 
 def test_dispatch_agrees_with_exhaustive_search_on_blocking():

@@ -533,6 +533,28 @@ def run_limited(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    "classify 18446744073709551616 36893488147419103232",
+    "classify 5 36893488147419103232",
+    "certificate 5 36893488147419103232",
+    "classify 4 36893488147419103234",
+    "classify 3 9223372036854775809",
+])
+def test_pairs_past_the_primality_bound_exit_three_with_one_error_line(argv):
+    # every recipe but the greater case tests primes of n's size, so m < n with
+    # n > 2^63 is refused before any recipe runs, the same way for every such pair
+    code, out, err = run_limited(*argv.split())
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_a_huge_m_over_a_small_n_still_answers():
+    # the greater case tests no prime, so m > n answers at any size
+    assert run_limited("classify", "36893488147419103232", "5") == (
+        0, "RC_36893488147419103232 => RC_5: not provable (blocked by 5)\n", "")
+
+
 def test_importing_the_package_and_the_cli_loads_neither_logging_nor_argparse():
     # each answer runs in a fresh process, which pays for every module the import loads;
     # only build_parser needs argparse, and nothing needs logging
@@ -694,10 +716,10 @@ def test_classify_odd_n_searches_goldbach_up_to_two_to_the_63(capsys):
     assert (code, out) == (0, "RC_3 => RC_1000003: not provable (blocked by 1000003)\n")
     code, out, _ = run(capsys, "classify", "5", "1000003")
     assert (code, out) == (0, "RC_5 => RC_1000003: not provable (blocked by 999983+17+3)\n")
-    # past is_prime's range the search refuses with BoundExceeded, not a ValueError
+    # past is_prime's range the pair is refused with BoundExceeded, not a ValueError
     code, out, err = run(capsys, "classify", "3", str(2**63 + 1))
     assert (code, out) == (3, "")
-    assert "exceeds the triple search bound" in err
+    assert err == "error: n = 9223372036854775809 exceeds the primality test's bound 2^63\n"
     # listing every triple keeps the 10^6 ceiling, which no option changes
     assert GOLDBACH_SEARCH_BOUND == 10**6
     assert not hasattr(build_parser().parse_args(["verify", "goldbach"]), "bound")
