@@ -24,7 +24,6 @@ blocking test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import permutations
@@ -33,7 +32,7 @@ from operator import attrgetter
 from .decomposition import Decomposition, blocks, provable_by_theorem
 from .errors import BoundExceeded, CertificateSearchFailed, PreconditionViolated
 from .numtheory import _MAX_INPUT, GoldbachTriple, bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
-from .records import slot_setters
+from .records import Record, slot_setters
 
 
 class Recipe(str, Enum):
@@ -51,15 +50,10 @@ class Recipe(str, Enum):
     value = property(attrgetter("_value_"))  # at attribute cost, as Verdict's (decomposition)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RecipeTrace:
+class RecipeTrace(Record):
     """A verified certificate plus the reasoning steps that produced it."""
 
-    m: int
-    n: int
-    recipe: Recipe
-    decomposition: Decomposition
-    narrative: tuple[str, ...]
+    __slots__ = ("m", "n", "recipe", "decomposition", "narrative")
 
     def __init__(
         self, m: int, n: int, recipe: Recipe, decomposition: Decomposition, narrative: tuple[str, ...]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import groupby
@@ -21,7 +20,7 @@ from operator import attrgetter, mul
 
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
 from .numtheory import _prime_factors_up_to, primes_up_to
-from .records import slot_setters
+from .records import Record, slot_setters
 
 # The oracle's reach: classify_detailed(oracle=True) checks every pair with n <=
 # COLUMN_BOUND and skips larger n; find_blocking_decomposition refuses them for m <= n.
@@ -31,32 +30,32 @@ COLUMN_BOUND = 300
 # Widest sum table a decomposition keeps (8 KiB), far above every m of a scan.
 KEPT_TABLE_BITS = 2**16
 
+# Most parts Decomposition.parts lists: classify 3 20000000 (10^7 copies of 2) still prints.
+LISTED_PARTS_BOUND = 10**7
+
 # Largest (number of parts) * total admissible_sums builds; admits classify 4 1000000 --json.
 # The fold updates its table of total + 1 bits at most once per part, and less for runs.
 TABLE_WORK_BOUND = 2**38
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Decomposition:
+class Decomposition(Record):
     """A multiset of parts >= 2, stored as runs: its distinct parts in
-    decreasing order and the count of each.
+    decreasing order (_values) and the count of each (_counts), with their
+    sum (total).
 
-    parts, one entry per copy in non-increasing order, is kept from the
+    _parts, one entry per copy in non-increasing order, is kept from the
     constructor's argument; for a decomposition built from runs it is
     derived on first use and then kept, unless every count is 1 and parts
     is the tuple of distinct parts itself.
 
     _table holds the widest admissible-sum table kept so far, as a pair
     (limit, bits) complete up to limit, or None before one is kept; see
-    _sums_up_to.  Like _parts it is derived from the runs, so equality,
-    hashing and repr ignore it.
+    _sums_up_to.  Like _parts it is derived from the runs, so equality and
+    hashing read the runs only, and repr prints the parts.
     """
 
-    _values: tuple[int, ...]
-    _counts: tuple[int, ...]
-    total: int = field(compare=False)
-    _parts: tuple[int, ...] | None = field(compare=False)
-    _table: tuple[int, int] | None = field(compare=False, repr=False)
+    __slots__ = ("_values", "_counts", "total", "_parts", "_table")
+    _compared = ("_values", "_counts")
 
     def __init__(self, parts):
         ordered = tuple(sorted(parts, reverse=True))
@@ -92,11 +91,19 @@ class Decomposition:
 
     @property
     def parts(self) -> tuple[int, ...]:
-        """The parts in non-increasing order, one entry per copy."""
+        """The parts in non-increasing order, one entry per copy.
+
+        Runs of more than LISTED_PARTS_BOUND copies in all raise
+        BoundExceeded before any is expanded, so str, repr and as_json refuse
+        a certificate of 10^17 copies instead of exhausting memory.
+        """
         parts = self._parts
         if parts is None:
+            count = sum(self._counts)
+            if count > LISTED_PARTS_BOUND:
+                raise BoundExceeded(f"{count} parts exceed the listing bound {LISTED_PARTS_BOUND}")
             parts = ()
-            for p, k in zip(self._values, self._counts):  # a run too long to allocate fails at once
+            for p, k in zip(self._values, self._counts):
                 parts += (p,) * k
             _set_parts(self, parts)
         return parts
@@ -123,12 +130,13 @@ def _fill(d: Decomposition, values, counts, total: int, parts) -> None:
     _set_table(d, None)
 
 
-@dataclass(frozen=True)
-class AdmissibleSumSet:
+class AdmissibleSumSet(Record):
     """Bit table of the contribution sums a decomposition admits."""
 
-    total: int
-    bits: int
+    __slots__ = ("total", "bits")
+
+    def __init__(self, total: int, bits: int) -> None:
+        self._set_fields(total, bits)
 
     def __contains__(self, s: int) -> bool:
         return 0 <= s <= self.total and bool(self.bits >> s & 1)
@@ -391,8 +399,7 @@ class Reason(str, Enum):
     value = property(attrgetter("_value_"))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Classification:
+class Classification(Record):
     """Verdict for one implication RC_m => RC_n.
 
     achievable_for_certificate, the full admissible-sum table of the
@@ -400,11 +407,7 @@ class Classification:
     own kept table widened to its total; deciding the pair never builds it.
     """
 
-    m: int
-    n: int
-    verdict: Verdict
-    reason: Reason
-    certificate: Decomposition | None = None
+    __slots__ = ("m", "n", "verdict", "reason", "certificate")
 
     def __init__(
         self, m: int, n: int, verdict: Verdict, reason: Reason, certificate: Decomposition | None = None

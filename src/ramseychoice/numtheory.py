@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BoundExceeded, EmptyResult
-from .records import slot_setters
+from .records import Record, slot_setters
 
 # Witness battery: the first twelve primes (2..37).  The first k of them are
 # exact for every x below psi_k, the least strong pseudoprime to all of them
@@ -129,8 +128,7 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return tuple(p for p in _sieve(padded) if p <= limit)
 
 
-@dataclass(frozen=True, slots=True)
-class GoldbachTriple:
+class GoldbachTriple(Record):
     """Three primes p1 <= p2 <= p3 summing to an odd target > 5.
 
     The constructor checks all of this; the triple walker, which has just
@@ -138,22 +136,20 @@ class GoldbachTriple:
     triples through _walked_triple without the checks.
     """
 
-    p1: int
-    p2: int
-    p3: int
-    target: int
+    __slots__ = ("p1", "p2", "p3", "target")
 
-    def __post_init__(self):
-        ps = (self.p1, self.p2, self.p3)
-        if not (self.p1 <= self.p2 <= self.p3):
+    def __init__(self, p1: int, p2: int, p3: int, target: int) -> None:
+        ps = (p1, p2, p3)
+        if not (p1 <= p2 <= p3):
             raise ValueError(f"triple {ps} is not sorted")
-        if sum(ps) != self.target:
-            raise ValueError(f"triple {ps} does not sum to {self.target}")
-        if self.target % 2 == 0 or self.target <= 5:
-            raise ValueError(f"target must be odd and > 5, got {self.target}")
+        if sum(ps) != target:
+            raise ValueError(f"triple {ps} does not sum to {target}")
+        if target % 2 == 0 or target <= 5:
+            raise ValueError(f"target must be odd and > 5, got {target}")
         for p in ps:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
+        self._set_fields(p1, p2, p3, target)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.p1, self.p2, self.p3)

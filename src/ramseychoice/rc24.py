@@ -16,10 +16,10 @@ glues over any larger universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import BadSubset
+from .records import Record
 from .selector_models import _relabeling
 
 # The 4-set the exhaustive checks run on; the rule is local, so any other is a relabeling.
@@ -31,20 +31,19 @@ EQUIVARIANCE_CHECKS = ORIENTATIONS * 24  # each orientation under the 4! relabel
 _CASES = {1: "case_singleton_min", 2: "case_pair_min", 3: "case_triple_min"}
 
 
-@dataclass(frozen=True)
-class PairChoice:
+class PairChoice(Record):
     """A total selector on the 2-subsets of a finite universe."""
 
-    universe: tuple[int, ...]
-    choice: dict[tuple[int, ...], int]
+    __slots__ = ("universe", "choice")
 
-    def __post_init__(self):
-        pairs = set(combinations(self.universe, 2))
-        if set(self.choice) != pairs:
+    def __init__(self, universe: tuple[int, ...], choice: dict[tuple[int, ...], int]) -> None:
+        pairs = set(combinations(universe, 2))
+        if set(choice) != pairs:
             raise ValueError("choice is not total on the pairs of the universe")
-        for p, x in self.choice.items():
+        for p, x in choice.items():
             if x not in p:
                 raise ValueError(f"choice{p} = {x} is outside the pair")
+        self._set_fields(universe, choice)
 
     @classmethod
     def from_bits(cls, universe, bits: int) -> "PairChoice":
@@ -71,14 +70,13 @@ class PairChoice:
         return PairChoice(universe, choice)
 
 
-@dataclass(frozen=True)
-class ScoreProfile:
+class ScoreProfile(Record):
     """Per-element pair counts on a 4-set and the argmin data of the rule."""
 
-    z: tuple[int, ...]
-    scores: tuple[int, ...]
-    min_score: int
-    argmin: tuple[int, ...]
+    __slots__ = ("z", "scores", "min_score", "argmin")
+
+    def __init__(self, z: tuple[int, ...], scores: tuple[int, ...], min_score: int, argmin: tuple[int, ...]) -> None:
+        self._set_fields(z, scores, min_score, argmin)
 
 
 def score(z, f2: PairChoice) -> ScoreProfile:

@@ -1,20 +1,73 @@
-"""Frozen records filled at slot cost.
+"""The one base of the package's eleven result records.
 
-A frozen dataclass's generated __init__ stores each field through
-object.__setattr__, which costs about as much as the rest of building a
-small record.  The slots' own descriptors store without that detour, and the
-frozen __setattr__ does not block them.  A record class declared with
-@dataclass(frozen=True, slots=True, init=False) writes its own __init__ that
-calls the setters slot_setters returns; assignment still raises
-FrozenInstanceError.  init=False keeps @dataclass from generating (and
-compiling) an __init__ that the class's own would replace anyway.
+A record lists its fields in __slots__ and inherits what
+@dataclass(frozen=True, slots=True) would generate: equality and a hash
+over the fields named in _compared (every field unless the class narrows
+it), the dataclass repr, assignment and deletion refused with
+dataclasses.FrozenInstanceError, and pickling and copying through
+__reduce__.  Defining a record generates and compiles nothing, so importing
+the package imports neither dataclasses nor the inspect, ast and tokenize
+modules it pulls in; FrozenInstanceError is imported only when it is raised.
+
+A record's __init__ stores its fields through the slots' own descriptors,
+which the frozen __setattr__ does not block, at about half the cost of
+object.__setattr__: the records built per pair (Classification,
+RecipeTrace, ScanRow, Decomposition and the walked Goldbach triples) call
+the setters slot_setters returns, one per field, and the others call
+_set_fields.  ScanReport is mutable: it restores object's __setattr__ and
+__delattr__ and has no hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from operator import attrgetter
 
 
 def slot_setters(cls) -> tuple:
-    """The __set__ of each field's slot descriptor of a slotted dataclass, in field order."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+    """The __set__ of each slot descriptor of a record class, in field order."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+def _rebuilt(cls, values):
+    """The record of class cls with the given field values, as pickled by Record.__reduce__."""
+    record = object.__new__(cls)
+    record._set_fields(*values)
+    return record
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__dict__.get("_compared", cls.__slots__))
+        cls._setters = slot_setters(cls)
+
+    def _set_fields(self, *values) -> None:
+        """Store the field values in field order, through the slot descriptors."""
+        for store, value in zip(self._setters, values):
+            store(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), tuple(getattr(self, name) for name in self.__slots__))

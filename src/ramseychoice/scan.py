@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 
 from .certificates import Recipe
 from .decomposition import (
@@ -20,7 +19,7 @@ from .decomposition import (
     provable_reason,
 )
 from .errors import BoundExceeded
-from .records import slot_setters
+from .records import Record, slot_setters
 
 # The cost of one pair of a scan in units of one column step: a pair costs
 # about SCAN_PAIR_COST + n units, as the widest sum table it folds and the
@@ -33,14 +32,8 @@ SCAN_PAIR_COST = 1000
 SCAN_WORK_BOUND = 2**28
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ScanRow:
-    m: int
-    n: int
-    verdict: str
-    reason: str
-    recipe: str | None = None
-    parts: tuple[int, ...] | None = None
+class ScanRow(Record):
+    __slots__ = ("m", "n", "verdict", "reason", "recipe", "parts")
 
     def __init__(
         self, m: int, n: int, verdict: str, reason: str, recipe: str | None = None,
@@ -57,18 +50,25 @@ class ScanRow:
 _set_m, _set_n, _set_verdict, _set_reason, _set_recipe, _set_parts = slot_setters(ScanRow)
 
 
-@dataclass
-class ScanReport:
+class ScanReport(Record):
     """Grid classification result with JSON and CSV round trips.
 
     oracle_checked counts the rows the oracle checked, or is None for a scan
     without it; it describes the run, not the grid, so equality ignores it.
+    The report is mutable, so it has no hash.
     """
 
-    max_m: int
-    max_n: int
-    rows: list[ScanRow]
-    oracle_checked: int | None = field(default=None, compare=False)
+    __slots__ = ("max_m", "max_n", "rows", "oracle_checked")
+    _compared = ("max_m", "max_n", "rows")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, max_m: int, max_n: int, rows: list[ScanRow], oracle_checked: int | None = None) -> None:
+        self.max_m = max_m
+        self.max_n = max_n
+        self.rows = rows
+        self.oracle_checked = oracle_checked
 
     @property
     def total(self) -> int:

@@ -13,13 +13,13 @@ extension type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations, groupby, islice
 from operator import eq, itemgetter
 
 from .decomposition import Decomposition
 from .errors import BoundExceeded, NotBlocking
+from .records import Record
 
 # build_cyclic_model refuses tables of more atoms (m-subsets times m) before any
 # work; atoms, not subsets, because m near the domain gives few, huge subsets.
@@ -45,13 +45,13 @@ def _subsets(pool, r: int):
     return combinations(pool, r) if r <= len(pool) else iter(())
 
 
-@dataclass(frozen=True, eq=True)
-class SelectorModel:
-    """Arity-m selector: a total choice sel(P) in P over all m-subsets."""
+class SelectorModel(Record):
+    """Arity-m selector: a total choice sel(P) in P over all m-subsets; sel defaults to a new {}."""
 
-    m: int
-    domain: tuple[int, ...]
-    sel: dict[tuple[int, ...], int] = field(default_factory=dict)
+    __slots__ = ("m", "domain", "sel")
+
+    def __init__(self, m: int, domain: tuple[int, ...], sel: dict[tuple[int, ...], int] | None = None) -> None:
+        self._set_fields(m, domain, {} if sel is None else sel)
 
     def subsets(self):
         return _subsets(self.domain, self.m)
@@ -119,18 +119,20 @@ def are_isomorphic(a: SelectorModel, b: SelectorModel) -> bool:
     return bool(find_embeddings(a, b))
 
 
-@dataclass(frozen=True)
-class CyclicAutomorphism:
+class CyclicAutomorphism(Record):
     """A selector model together with a cycle-structured automorphism.
 
     sigma fixes every atom in `fixed` and rotates each block in `cycles`
     forward by one position.
     """
 
-    model: SelectorModel
-    fixed: tuple[int, ...]
-    cycles: tuple[tuple[int, ...], ...]
-    sigma: tuple[int, ...]
+    __slots__ = ("model", "fixed", "cycles", "sigma")
+
+    def __init__(
+        self, model: SelectorModel, fixed: tuple[int, ...], cycles: tuple[tuple[int, ...], ...],
+        sigma: tuple[int, ...],
+    ) -> None:
+        self._set_fields(model, fixed, cycles, sigma)
 
     @property
     def order(self) -> int:

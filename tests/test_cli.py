@@ -549,6 +549,17 @@ def test_pairs_past_the_primality_bound_exit_three_with_one_error_line(argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, count", [
+    ("classify 4 1000000000000000000", 2 * 10**17),
+    ("certificate 4 1000000000000000000", 2 * 10**17),
+    ("classify 4 1000000000000000000 --json", 2 * 10**17),
+    ("classify 3 9223372036854775808", 2**62),
+])
+def test_certificates_too_long_to_list_exit_three_with_one_error_line(argv, count):
+    # each is decided at once as a run of `count` copies, which is refused before it is listed
+    assert run_limited(*argv.split()) == (3, "", f"error: {count} parts exceed the listing bound 10000000\n")
+
+
 def test_a_huge_m_over_a_small_n_still_answers():
     # the greater case tests no prime, so m > n answers at any size
     assert run_limited("classify", "36893488147419103232", "5") == (
@@ -557,13 +568,14 @@ def test_a_huge_m_over_a_small_n_still_answers():
 
 def test_importing_the_package_and_the_cli_loads_neither_logging_nor_argparse():
     # each answer runs in a fresh process, which pays for every module the import loads;
-    # only build_parser needs argparse, and nothing needs logging
+    # only build_parser needs argparse, nothing needs logging, and the records need
+    # no dataclasses (nor the inspect, ast, dis and tokenize it pulls in)
     code = ("import sys; before = set(sys.modules); import ramseychoice, ramseychoice.cli; "
             "print(*sorted(set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
     added = set(proc.stdout.split())
     assert {"ramseychoice", "ramseychoice.cli"} <= added
-    assert not added & {"logging", "argparse"}
+    assert not added & {"logging", "argparse", "dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_fraisse_check_of_a_wide_stage_exits_three_under_three_gib():

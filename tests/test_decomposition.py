@@ -13,6 +13,7 @@ from ramseychoice.cli import main
 from ramseychoice.decomposition import (
     COLUMN_BOUND,
     KEPT_TABLE_BITS,
+    LISTED_PARTS_BOUND,
     _COLUMNS,
     _blockable,
     AdmissibleSumSet,
@@ -314,12 +315,26 @@ def test_a_shared_decomposition_is_folded_about_log2_n_times(monkeypatch):
 
 
 def test_a_run_of_10_to_the_17_copies_is_never_expanded():
-    # 10^17 copies of 2 would need 800 PB as a tuple, so expanding raises MemoryError
+    # 10^17 copies of 2 would need 800 PB as a tuple, so listing them is refused before any is made
     c = classify(3, 2 * 10**17)
     assert c.certificate.runs == ((2, 10**17),)
     assert c.certificate.total == 2 * 10**17
     assert blocks(c.certificate, 3)
     assert c.certificate == Decomposition.from_runs((2,), (10**17,))
+    with pytest.raises(BoundExceeded, match=f"^{10**17} parts exceed the listing bound {LISTED_PARTS_BOUND}$"):
+        str(c.certificate)
+
+
+def test_parts_lists_up_to_the_listing_bound_and_refuses_beyond_it():
+    assert LISTED_PARTS_BOUND == 10**7
+    assert Decomposition.from_runs((2,), (10**7,)).parts == (2,) * 10**7
+    message = f"^{10**7 + 1} parts exceed the listing bound {10**7}$"
+    for runs in [((2,), (10**7 + 1,)), ((5, 3, 2), (1, 5 * 10**6, 5 * 10**6))]:
+        d = Decomposition.from_runs(*runs)
+        for show in (str, repr, Decomposition.as_json):
+            with pytest.raises(BoundExceeded, match=message):
+                show(d)
+        assert d._parts is None and d.total == sum(map(math.prod, zip(*runs)))
 
 
 def test_a_long_run_survives_the_json_round_trip():

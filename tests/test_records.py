@@ -1,12 +1,14 @@
-"""The record contract of the slotted result types.
+"""The record contract of the eleven result types.
 
-RecipeTrace, Classification, ScanRow, GoldbachTriple and Decomposition fill
-their slots through the slot descriptors instead of the dataclass __init__;
-they must still be frozen, slotted and compared, hashed and printed as the
-generated methods do.  The enums they carry read .value as a plain attribute
-and must still behave as enum members do.
+Every record is slotted and compares, hashes and prints by value in the
+dataclass formats; all but ScanReport are frozen.  RecipeTrace,
+Classification, ScanRow, GoldbachTriple and Decomposition fill their slots
+through the slot descriptors on their hot paths, and must still behave as
+the others do.  The enums they carry read .value as a plain attribute and
+must still behave as enum members do.
 """
 
+import copy
 import json
 import pickle
 from dataclasses import FrozenInstanceError
@@ -14,14 +16,37 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 import ramseychoice.decomposition as decomposition
-from ramseychoice import Classification, Decomposition, GoldbachTriple, RecipeTrace, ScanRow
-from ramseychoice import Reason, Recipe, Verdict
-from ramseychoice import classify_detailed, iter_goldbach_triples
+from ramseychoice import (
+    AdmissibleSumSet,
+    Classification,
+    CyclicAutomorphism,
+    Decomposition,
+    GoldbachTriple,
+    PairChoice,
+    Reason,
+    Recipe,
+    RecipeTrace,
+    ScanReport,
+    ScanRow,
+    ScoreProfile,
+    SelectorModel,
+    Verdict,
+    admissible_sums,
+    build_cyclic_model,
+    classify_detailed,
+    iter_goldbach_triples,
+    run_scan,
+)
+from ramseychoice.rc24 import FOUR_SET, score
+
+_SEL = {(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 2): 1, (2, 3): 2, (1, 3): 3}
 
 
 def examples():
     """Two separately built, equal instances of each record."""
     (c1, t1), (c2, t2) = classify_detailed(4, 9), classify_detailed(4, 9)
+    cyclic = build_cyclic_model(2, 1, Decomposition([3]))
+    model = SelectorModel(2, (0, 1, 2, 3), dict(_SEL))
     return {
         "RecipeTrace": (t1, RecipeTrace(4, 9, t1.recipe, Decomposition([3, 3, 3]), t1.narrative)),
         "Classification": (c1, Classification(4, 9, c1.verdict, c1.reason, Decomposition([3, 3, 3]))),
@@ -31,9 +56,24 @@ def examples():
         ),
         "GoldbachTriple": (next(iter_goldbach_triples(9)), GoldbachTriple(3, 3, 3, 9)),
         "Decomposition": (Decomposition.from_runs((3,), (3,)), Decomposition([3, 3, 3])),
+        "AdmissibleSumSet": (admissible_sums(Decomposition([3, 3, 3])), AdmissibleSumSet(total=9, bits=0b1001001001)),
+        "SelectorModel": (cyclic.model, model),
+        "CyclicAutomorphism": (cyclic, CyclicAutomorphism(model, (0,), ((1, 2, 3),), (0, 2, 3, 1))),
+        "PairChoice": (PairChoice.from_bits((0, 1, 2), 5), PairChoice((0, 1, 2), {(0, 1): 1, (0, 2): 0, (1, 2): 2})),
+        "ScoreProfile": (
+            score(FOUR_SET, PairChoice.from_bits(FOUR_SET, 5)),
+            ScoreProfile(z=(0, 1, 2, 3), scores=(1, 3, 1, 1), min_score=1, argmin=(0, 2, 3)),
+        ),
+        # equality ignores oracle_checked, which describes the run
+        "ScanReport": (run_scan(2, 3)[0], run_scan(2, 3, oracle=True)[0]),
     }
 
 
+_MODEL_REPR = "SelectorModel(m=2, domain=(0, 1, 2, 3), sel=" + repr(_SEL) + ")"
+_ROWS_REPR = (
+    "[ScanRow(m=2, n=2, verdict='provable', reason='diagonal', recipe=None, parts=None), "
+    "ScanRow(m=2, n=3, verdict='not_provable', reason='certificate', recipe='PrimeDivisorCase', parts=(3,))]"
+)
 REPRS = {
     "RecipeTrace": "RecipeTrace(m=4, n=9, recipe=<Recipe.ODD: 'OddCase'>, "
     "decomposition=Decomposition(parts=(3, 3, 3)), "
@@ -44,18 +84,111 @@ REPRS = {
     "recipe='OddCase', parts=(3, 3, 3))",
     "GoldbachTriple": "GoldbachTriple(p1=3, p2=3, p3=3, target=9)",
     "Decomposition": "Decomposition(parts=(3, 3, 3))",
+    "AdmissibleSumSet": "AdmissibleSumSet(total=9, bits=585)",
+    "SelectorModel": _MODEL_REPR,
+    "CyclicAutomorphism": f"CyclicAutomorphism(model={_MODEL_REPR}, fixed=(0,), cycles=((1, 2, 3),), "
+    "sigma=(0, 2, 3, 1))",
+    "PairChoice": "PairChoice(universe=(0, 1, 2), choice={(0, 1): 1, (0, 2): 0, (1, 2): 2})",
+    "ScoreProfile": "ScoreProfile(z=(0, 1, 2, 3), scores=(1, 3, 1, 1), min_score=1, argmin=(0, 2, 3))",
+    "ScanReport": f"ScanReport(max_m=2, max_n=3, rows={_ROWS_REPR}, oracle_checked=None)",
 }
+# The records whose hash fails on the dict they hold, and the one that is unhashable itself.
+UNHASHABLE = {
+    "SelectorModel": "unhashable type: 'dict'",
+    "CyclicAutomorphism": "unhashable type: 'dict'",
+    "PairChoice": "unhashable type: 'dict'",
+    "ScanReport": "unhashable type: 'ScanReport'",
+}
+FROZEN = [name for name in REPRS if name != "ScanReport"]
 
 
-@pytest.mark.parametrize("name", REPRS)
+def assert_equal_by_value(a, b):
+    """a and b are equal and hash alike, or fail to hash alike; neither equals another type."""
+    assert a == b and not a != b
+    for other in (object(), tuple(getattr(a, f) for f in type(a).__slots__), None):
+        assert a != other and not a == other
+    message = UNHASHABLE.get(type(a).__name__)
+    if message is None:
+        assert hash(a) == hash(b)
+    else:
+        for record in (a, b):
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                hash(record)
+
+
+@pytest.mark.parametrize("name", FROZEN)
 def test_records_are_frozen_slotted_and_compare_by_value(name):
     a, b = examples()[name]
     assert type(a).__name__ == name
     assert not hasattr(a, "__dict__")
     with pytest.raises(FrozenInstanceError):
-        setattr(a, next(iter(type(a).__dataclass_fields__)), 0)
+        setattr(a, type(a).__slots__[0], 0)
     assert repr(a) == repr(b) == REPRS[name]
-    assert a == b and hash(a) == hash(b)
+    assert_equal_by_value(a, b)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_every_field_refuses_assignment_and_deletion(name):
+    a = examples()[name][0]
+    before = repr(a)
+    for f in type(a).__slots__:
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{f}'$"):
+            setattr(a, f, 0)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{f}'$"):
+            delattr(a, f)
+    with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'other'$"):
+        a.other = 0
+    assert repr(a) == before
+
+
+def test_scan_report_is_slotted_mutable_and_unhashable():
+    report, checked = examples()["ScanReport"]
+    assert not hasattr(report, "__dict__")
+    assert repr(report) == REPRS["ScanReport"]
+    assert_equal_by_value(report, checked)
+    report.max_n = 4
+    report.oracle_checked = 7
+    assert (report.max_n, report.oracle_checked) == (4, 7)
+
+
+@pytest.mark.parametrize("name", REPRS)
+def test_records_round_trip_through_pickle_and_copy(name):
+    a = examples()[name][0]
+    fields, printed = type(a).__slots__, repr(a)  # repr first: it fills Decomposition's _parts
+    copies = [pickle.loads(pickle.dumps(a, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    shallow, deep = copy.copy(a), copy.deepcopy(a)
+    for c in (*copies, shallow, deep):
+        assert type(c) is type(a) and c == a and repr(c) == printed
+        assert [getattr(c, f) for f in fields] == [getattr(a, f) for f in fields]
+        if name not in UNHASHABLE:
+            assert hash(c) == hash(a)
+        if name in FROZEN:
+            with pytest.raises(FrozenInstanceError):
+                setattr(c, fields[0], 0)
+    assert all(getattr(shallow, f) is getattr(a, f) for f in fields)
+
+
+def test_constructors_take_fields_by_keyword_and_keep_their_checks():
+    assert SelectorModel(2, (0, 1)).sel == {}
+    assert SelectorModel(2, (0, 1)).sel is not SelectorModel(2, (0, 1)).sel
+    assert ScanReport(2, 3, []).oracle_checked is None
+    assert ScanReport(max_m=2, max_n=3, rows=[], oracle_checked=5) == ScanReport(2, 3, [])
+    model = SelectorModel(m=2, domain=(0, 1), sel={(0, 1): 0})
+    assert CyclicAutomorphism(model=model, fixed=(0, 1), cycles=(), sigma=(0, 1)).order == 1
+    assert GoldbachTriple(p1=3, p2=5, p3=11, target=19).as_tuple() == (3, 5, 11)
+    assert PairChoice(universe=(0, 1), choice={(0, 1): 1}).pick(1, 0) == 1
+    for args, message in [
+        ((5, 3, 11, 19), r"triple \(5, 3, 11\) is not sorted"),
+        ((3, 5, 11, 20), r"triple \(3, 5, 11\) does not sum to 20"),
+        ((2, 2, 2, 6), "target must be odd and > 5, got 6"),
+        ((3, 5, 9, 17), "9 is not prime"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GoldbachTriple(*args)
+    with pytest.raises(ValueError, match="^choice is not total on the pairs of the universe$"):
+        PairChoice((0, 1, 2), {(0, 1): 0})
+    with pytest.raises(ValueError, match=r"^choice\(0, 1\) = 5 is outside the pair$"):
+        PairChoice((0, 1), {(0, 1): 5})
 
 
 def test_scan_row_defaults():

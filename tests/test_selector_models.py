@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from itertools import accumulate, combinations, permutations, product
 from types import SimpleNamespace
 from unittest import mock
@@ -262,7 +261,7 @@ def test_one_step_equivariance_matches_all_powers():
                 for P, x in c.model.sel.items():
                     sel = dict(c.model.sel)
                     sel[P] = P[(P.index(x) + 1) % m]
-                    broken = replace(c, model=replace(c.model, sel=sel))
+                    broken = CyclicAutomorphism(SelectorModel(c.model.m, c.model.domain, sel), c.fixed, c.cycles, c.sigma)
                     ok, counter = verify_equivariance(broken)
                     ref_ok, (ref_counter, _) = equivariance_by_all_powers(broken)
                     assert not ok and not ref_ok, (m, d, P)
@@ -293,8 +292,8 @@ def test_malformed_models_answer_as_the_sel_walk():
     c = build_cyclic_model(3, 1, Decomposition([5, 2]))
     subsets = list(c.model.sel)
 
-    def edited(**changes):
-        return replace(c, model=replace(c.model, **changes))
+    def edited(m=c.model.m, domain=c.model.domain, sel=c.model.sel):
+        return CyclicAutomorphism(SelectorModel(m, domain, sel), c.fixed, c.cycles, c.sigma)
 
     cases = {}
     for i, P in enumerate(subsets):
