@@ -7,9 +7,9 @@ proof order, and checks each proposal through _propose, the one blocking
 test.  It returns the first trace that blocks m, or None when (m, n) is not
 its case.  A wrong guess can therefore cost completeness but never
 soundness.  Where the theorem guarantees blocking (greater, prime divisor,
-prime power, Fermat shift, both dense splits) the proposal goes through
-RecipeTrace.verified, which raises instead of declining: a failure there is
-a bug, not a decline.
+prime power, Fermat shift, the even-gap split p + (n - p) and its odd-case
+fallback, both dense splits) the proposal goes through RecipeTrace.verified,
+which raises instead of declining: a failure there is a bug, not a decline.
 Together the recipes cover every non-provable pair with n >= 2.
 
 The work that depends only on n is done once per n and kept in bounded
@@ -251,7 +251,7 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
         return None
     head = f"prime {p} between m = {m} and n = {n}"
     if n - p in (3, 5):
-        return _propose(
+        return RecipeTrace.verified(
             m, n, Recipe.EVEN_GAP, _decomposition((p, n - p)), (head, f"split {n} = {p} + {n - p}")
         )
     for t in iter_goldbach_triples(n - p):
@@ -262,9 +262,7 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
         if trace is not None:
             return trace
     inner = recipe_odd(m, n - p)
-    if inner is None:
-        return None
-    return _propose(
+    return RecipeTrace.verified(
         m, n, Recipe.EVEN_GAP, Decomposition((p,) + inner.decomposition.parts),
         (head, f"odd-case certificate {inner.decomposition} for ({m}, {n - p}); append {p}"),
     )

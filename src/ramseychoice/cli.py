@@ -3,12 +3,12 @@
 Subcommands mirror the library layers: classify and scan decide pairs,
 certificate shows the recipe trace, model builds a cyclic selector witness,
 catalog lists small structures up to isomorphism, fraisse runs the staged
-construction, and verify reruns the exhaustive checks (pair-to-four rule,
-cycle gcd claim, ternary Goldbach sweep).
+construction, and verify's own subcommands rerun the exhaustive checks
+(rc24 the pair-to-four rule, claim the cycle gcd claim, goldbach the sweep).
 
 Exit codes: 0 success, 1 a verification or search came back negative,
-2 usage errors, 3 a fixed bound was exceeded.  Default output
-is deterministic; timing is opt-in so byte-for-byte comparisons stay valid.
+2 usage errors, 3 a fixed bound was exceeded.  Default output is deterministic,
+and timing is opt-in, on stderr, so stdout holds one comparable document.
 """
 
 from __future__ import annotations
@@ -167,53 +167,56 @@ def cmd_fraisse(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    if args.target == "rc24":
-        ok, census = verify_rc24()
-        eq_ok, counter = check_equivariance()
-        if args.json:
-            _print_json(
-                {
-                    "ok": ok and eq_ok,
-                    "census": census,
-                    "equivariance_ok": eq_ok,
-                    "equivariance_checks": EQUIVARIANCE_CHECKS,
-                }
+def cmd_verify_rc24(args) -> int:
+    ok, census = verify_rc24()
+    eq_ok, counter = check_equivariance()
+    if args.json:
+        _print_json(
+            {
+                "ok": ok and eq_ok,
+                "census": census,
+                "equivariance_ok": eq_ok,
+                "equivariance_checks": EQUIVARIANCE_CHECKS,
+            }
+        )
+    else:
+        print(f"orientations: {census['total']}/{ORIENTATIONS} " + ("ok" if ok else "FAIL"))
+        print(
+            "cases: singleton=%d pair=%d triple=%d"
+            % (
+                census["case_singleton_min"],
+                census["case_pair_min"],
+                census["case_triple_min"],
             )
-        else:
-            print(f"orientations: {census['total']}/{ORIENTATIONS} " + ("ok" if ok else "FAIL"))
-            print(
-                "cases: singleton=%d pair=%d triple=%d"
-                % (
-                    census["case_singleton_min"],
-                    census["case_pair_min"],
-                    census["case_triple_min"],
-                )
-            )
-            print(
-                f"equivariance: ok ({EQUIVARIANCE_CHECKS} checks)"
-                if eq_ok
-                else f"equivariance: FAIL at {counter}"
-            )
-        return 0 if ok and eq_ok else 1
-    if args.target == "claim":
-        ok, log = verify_gcd_claim(args.qmax)
-        total = sum(entry["invariant_proper_subsets"] for entry in log.values())
-        if args.json:
-            _print_json(
-                {
-                    "q_max": args.qmax,
-                    "ok": ok,
-                    "per_q": [
-                        {"q": q, **entry} for q, entry in sorted(log.items())
-                    ],
-                }
-            )
-        else:
-            print(f"cycle lengths 2..{args.qmax}: " + ("ok" if ok else "FAIL"))
-            print(f"invariant subsets checked: {total}")
-        return 0 if ok else 1
-    # target == "goldbach"
+        )
+        print(
+            f"equivariance: ok ({EQUIVARIANCE_CHECKS} checks)"
+            if eq_ok
+            else f"equivariance: FAIL at {counter}"
+        )
+    return 0 if ok and eq_ok else 1
+
+
+def cmd_verify_claim(args) -> int:
+    ok, log = verify_gcd_claim(args.qmax)
+    total = sum(entry["invariant_proper_subsets"] for entry in log.values())
+    if args.json:
+        _print_json(
+            {
+                "q_max": args.qmax,
+                "ok": ok,
+                "per_q": [
+                    {"q": q, **entry} for q, entry in sorted(log.items())
+                ],
+            }
+        )
+    else:
+        print(f"cycle lengths 2..{args.qmax}: " + ("ok" if ok else "FAIL"))
+        print(f"invariant subsets checked: {total}")
+    return 0 if ok else 1
+
+
+def cmd_verify_goldbach(args) -> int:
     checked, failures = verify_goldbach(args.max)
     ok = not failures
     if args.json:
@@ -226,14 +229,17 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(sub, *, csv_flag=False, oracle=False):
-    sub.add_argument("--json", action="store_true", help="machine readable output")
+def _add_common(sub, func, *, csv_flag=False, oracle=False):
+    """The flags every subcommand shares, and func, which main dispatches to."""
+    sub.set_defaults(func=func)
+    formats = sub.add_mutually_exclusive_group()  # stdout holds one document
+    formats.add_argument("--json", action="store_true", help="machine readable output")
     if csv_flag:
-        sub.add_argument("--csv", action="store_true", help="CSV table output")
+        formats.add_argument("--csv", action="store_true", help="CSV table output")
     if oracle:
         sub.add_argument("--oracle", action="store_true",
                          help="cross-check against the oracle's column table")
-    sub.add_argument("--timing", action="store_true", help="print elapsed time")
+    sub.add_argument("--timing", action="store_true", help="print elapsed time on stderr")
 
 
 def build_parser():
@@ -249,33 +255,28 @@ def build_parser():
     p = subs.add_parser("classify", help="decide one implication pair")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    _add_common(p, oracle=True)
-    p.set_defaults(func=cmd_classify)
+    _add_common(p, cmd_classify, oracle=True)
 
     p = subs.add_parser("scan", help="classify a whole grid of pairs")
     p.add_argument("max_m", type=int)
     p.add_argument("max_n", type=int)
-    _add_common(p, csv_flag=True, oracle=True)
-    p.set_defaults(func=cmd_scan)
+    _add_common(p, cmd_scan, csv_flag=True, oracle=True)
 
     p = subs.add_parser("certificate", help="blocking certificate with its recipe trace")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_certificate)
+    _add_common(p, cmd_certificate)
 
     p = subs.add_parser("model", help="cyclic selector model for a decomposition")
     p.add_argument("m", type=int)
     p.add_argument("S", type=int, help="number of pointwise-fixed atoms")
     p.add_argument("parts", type=int, nargs="+", help="cycle lengths, each >= 2")
-    _add_common(p)
-    p.set_defaults(func=cmd_model)
+    _add_common(p, cmd_model)
 
     p = subs.add_parser("catalog", help="selector structures up to isomorphism")
     p.add_argument("m", type=int)
     p.add_argument("k", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_catalog)
+    _add_common(p, cmd_catalog)
 
     p = subs.add_parser("fraisse", help="staged homogeneous construction")
     p.add_argument("m", type=int)
@@ -283,15 +284,20 @@ def build_parser():
     p.add_argument("--check", type=int, default=None, metavar="K",
                    help="verify one-point extensions for substructures below K")
     p.add_argument("--ground-limit", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_fraisse)
+    _add_common(p, cmd_fraisse)
 
-    p = subs.add_parser("verify", help="rerun an exhaustive verification")
-    p.add_argument("target", choices=("rc24", "claim", "goldbach"))
-    p.add_argument("--qmax", type=int, default=12, help="cycle length cap for claim")
-    p.add_argument("--max", type=int, default=1001, help="largest odd target for goldbach")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    verify = subs.add_parser("verify", help="rerun an exhaustive verification")
+    targets = verify.add_subparsers(dest="target", required=True)
+    p = targets.add_parser("rc24", help="the pair-to-four rule on every orientation")
+    _add_common(p, cmd_verify_rc24)
+
+    p = targets.add_parser("claim", help="the cycle gcd claim")
+    p.add_argument("--qmax", type=int, default=12, help="cycle length cap")
+    _add_common(p, cmd_verify_claim)
+
+    p = targets.add_parser("goldbach", help="a prime triple for every odd target")
+    p.add_argument("--max", type=int, default=1001, help="largest odd target")
+    _add_common(p, cmd_verify_goldbach)
 
     return parser
 
@@ -312,8 +318,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:  # every exit is timed, also one through an exception
-        if args.timing:
-            print(f"elapsed: {time.perf_counter() - start:.3f}s")
+        if args.timing:  # on stderr, so stdout holds the result alone
+            print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
 
 
 if __name__ == "__main__":

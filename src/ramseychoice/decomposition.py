@@ -68,7 +68,7 @@ class Decomposition(Record):
         values, counts = ordered, (1,) * len(ordered)
         if len(set(ordered)) < len(ordered):  # some part repeats
             values, counts = zip(*[(p, len(tuple(run))) for p, run in groupby(ordered)])
-        _fill(self, values, counts, total, ordered)
+        self._set_fields(values, counts, total, ordered, None)
 
     @classmethod
     def from_runs(cls, values: tuple[int, ...], counts: tuple[int, ...]) -> Decomposition:
@@ -80,8 +80,8 @@ class Decomposition(Record):
         """
         self = object.__new__(cls)
         values, counts = tuple(values), tuple(counts)
-        distinct = counts.count(1) == len(counts)
-        _fill(self, values, counts, sum(map(mul, values, counts)), values if distinct else None)
+        parts = values if counts.count(1) == len(counts) else None
+        self._set_fields(values, counts, sum(map(mul, values, counts)), parts, None)
         return self
 
     @property
@@ -118,16 +118,8 @@ class Decomposition(Record):
         return {"parts": list(self.parts)}
 
 
-_set_values, _set_counts, _set_total, _set_parts, _set_table = slot_setters(Decomposition)
-
-
-def _fill(d: Decomposition, values, counts, total: int, parts) -> None:
-    """Fill d's slots: its runs and their total, its parts if known, and no kept table."""
-    _set_values(d, values)
-    _set_counts(d, counts)
-    _set_total(d, total)
-    _set_parts(d, parts)
-    _set_table(d, None)
+# The two cache slots, written after construction.
+_set_parts, _set_table = slot_setters(Decomposition)[3:]
 
 
 class AdmissibleSumSet(Record):
@@ -142,15 +134,22 @@ class AdmissibleSumSet(Record):
         return 0 <= s <= self.total and bool(self.bits >> s & 1)
 
     def values(self) -> list[int]:
-        # One C-level scan finds the runs of nonzero bytes, lowest first, and
-        # _BIT_OFFSETS expands each byte: the table is read a byte, not a bit, at a time.
-        raw = self.bits.to_bytes(-(-self.bits.bit_length() // 8), "little")
-        return [
-            at + offset
-            for run in re.finditer(rb"[^\0]+", raw)
-            for at, byte in zip(range(run.start() << 3, run.end() << 3, 8), run.group())
-            for offset in _BIT_OFFSETS[byte]
-        ]
+        return set_bits(self.bits)
+
+
+def set_bits(bits: int) -> list[int]:
+    """The positions of the set bits of bits >= 0, in increasing order.
+
+    One C-level scan finds the runs of nonzero bytes, lowest first, and
+    _BIT_OFFSETS expands each byte: bits is read a byte, not a bit, at a time.
+    """
+    raw = bits.to_bytes(-(-bits.bit_length() // 8), "little")
+    return [
+        at + offset
+        for run in re.finditer(rb"[^\0]+", raw)
+        for at, byte in zip(range(run.start() << 3, run.end() << 3, 8), run.group())
+        for offset in _BIT_OFFSETS[byte]
+    ]
 
 
 # _BIT_OFFSETS[b] lists the set bits of the byte b in increasing order: the

@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from .errors import BoundExceeded, EmptyResult
-from .records import Record, slot_setters
+from .records import Record
 
 # Witness battery: the first twelve primes (2..37).  The first k of them are
 # exact for every x below psi_k, the least strong pseudoprime to all of them
@@ -132,8 +132,8 @@ class GoldbachTriple(Record):
     """Three primes p1 <= p2 <= p3 summing to an odd target > 5.
 
     The constructor checks all of this; the triple walker, which has just
-    tested each prime and guarantees the order and the sum, builds its
-    triples through _walked_triple without the checks.
+    tested each prime and guarantees the order and the sum, stores its
+    triples' fields through Record._set_fields without the checks.
     """
 
     __slots__ = ("p1", "p2", "p3", "target")
@@ -155,15 +155,9 @@ class GoldbachTriple(Record):
         return (self.p1, self.p2, self.p3)
 
 
-_set_p1, _set_p2, _set_p3, _set_target = slot_setters(GoldbachTriple)
-
-
 def _walked_triple(p1: int, p2: int, p3: int, n: int) -> GoldbachTriple:
     t = object.__new__(GoldbachTriple)
-    _set_p1(t, p1)
-    _set_p2(t, p2)
-    _set_p3(t, p3)
-    _set_target(t, n)
+    t._set_fields(p1, p2, p3, n)
     return t
 
 

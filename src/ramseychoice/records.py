@@ -11,11 +11,11 @@ modules it pulls in; FrozenInstanceError is imported only when it is raised.
 
 A record's __init__ stores its fields through the slots' own descriptors,
 which the frozen __setattr__ does not block, at about half the cost of
-object.__setattr__: the records built per pair (Classification,
-RecipeTrace, ScanRow, Decomposition and the walked Goldbach triples) call
-the setters slot_setters returns, one per field, and the others call
-_set_fields.  ScanReport is mutable: it restores object's __setattr__ and
-__delattr__ and has no hash.
+object.__setattr__.  The three records built once per pair
+(Classification, RecipeTrace and ScanRow) call the setters slot_setters
+returns, one per field; every other record, Decomposition and the walked
+Goldbach triples among them, calls _set_fields.  ScanReport is mutable: it
+restores object's __setattr__ and __delattr__ and has no hash.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations, groupby, islice
 from operator import eq, itemgetter
 
-from .decomposition import Decomposition
+from .decomposition import Decomposition, set_bits
 from .errors import BoundExceeded, NotBlocking
 from .records import Record
 
@@ -312,14 +312,11 @@ def verify_gcd_claim(q_max: int):
         checked = 0
         q_ok = True
         for r in range(1, q):
-            digits = bin(_fixed_subsets(slices, r))[:1:-1]  # digit s is bit s
-            s = digits.find("1")
-            while s >= 0:
+            for s in set_bits(_fixed_subsets(slices, r)):
                 checked += 1
                 if math.gcd(s.bit_count(), q) <= 1:
                     q_ok = False
                     ok = False
-                s = digits.find("1", s + 1)
         log[q] = {"powers": q - 1, "invariant_proper_subsets": checked, "ok": q_ok}
     return ok, log
 

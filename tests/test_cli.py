@@ -63,6 +63,10 @@ JSON_COMMANDS = [
 def test_json_output_is_json_dumps_indent_2(capsys, argv):
     _, out, _ = run(capsys, *argv)
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    # --timing leaves stdout one document and writes one elapsed: line on stderr
+    _, timed, err = run(capsys, *argv, "--timing")
+    assert timed == out
+    assert err.startswith("elapsed: ") and err.count("\n") == 1
 
 
 def test_certificate_output(capsys):
@@ -94,6 +98,7 @@ def test_a_nonpositive_pair_is_a_usage_error_for_every_subcommand(capsys):
     assert run(capsys, "certificate", "3", "1") == (
         1, "", "error: no decomposition of 1 exists, so (3, 1) has no certificate\n"
     )
+    assert run(capsys, "scan", "1", "5") == (2, "", "error: scan needs max_m >= 2 and max_n >= 2\n")
 
 
 def test_an_empty_goldbach_search_is_a_negative_answer(capsys, monkeypatch):
@@ -783,22 +788,25 @@ def test_usage_error_exits_two():
 
 
 def test_timing_flag_appends_line(capsys):
-    code, out, _ = run(capsys, "classify", "3", "7", "--timing")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "RC_3 => RC_7: not provable (blocked by 7)"
-    assert lines[1].startswith("elapsed: ")
+    # the elapsed: line goes to stderr, so stdout is the untimed output
+    code, out, err = run(capsys, "classify", "3", "7", "--timing")
+    assert (code, out) == (0, "RC_3 => RC_7: not provable (blocked by 7)\n")
+    assert err.startswith("elapsed: ") and err.count("\n") == 1
+    code, out, err = run(capsys, "scan", "5", "5", "--csv", "--timing")
+    assert ScanReport.from_csv(out) == run_scan(5, 5)[0]
+    assert err.startswith("elapsed: ")
 
 
 def test_timing_flag_appends_line_on_an_error_exit(capsys):
-    # an exit through an exception keeps its code and stderr and is timed too
+    # an exit through an exception keeps its code and error line, and is timed too
     for argv, code, err in (
         (("classify", "0", "5"), 2, "error: need positive m and n, got (0, 5)\n"),
         (("certificate", "2", "4"), 1, "error: (2, 4) is provable; no blocking certificate exists\n"),
     ):
         got_code, out, got_err = run(capsys, *argv, "--timing")
-        assert (got_code, got_err) == (code, err), argv
-        assert out.startswith("elapsed: ") and out.count("\n") == 1, argv
+        assert (got_code, out) == (code, ""), argv
+        error, elapsed = got_err.splitlines(keepends=True)
+        assert error == err and elapsed.startswith("elapsed: "), argv
 
 
 def test_module_entry_point():
@@ -827,14 +835,40 @@ def test_each_subcommand_has_exactly_its_options():
         "model": ["--json", "--timing"],
         "catalog": ["--json", "--timing"],
         "fraisse": ["--check", "--ground-limit", "--json", "--timing"],
-        "verify": ["--qmax", "--max", "--json", "--timing"],
+        "verify": [],
+        "verify rc24": ["--json", "--timing"],
+        "verify claim": ["--qmax", "--json", "--timing"],
+        "verify goldbach": ["--max", "--json", "--timing"],
     }
-    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    got = {
-        name: [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
-        for name, sub in subcommands.choices.items()
-    }
+    got = {}
+
+    def walk(parser, prefix):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    got[prefix + name] = [o for a in sub._actions for o in a.option_strings
+                                          if o not in ("-h", "--help")]
+                    walk(sub, prefix + name + " ")
+
+    walk(build_parser(), "")
     assert got == want
+
+
+def test_flags_of_another_target_or_a_second_format_are_usage_errors(capsys):
+    # each verify target takes only its own flag, and scan prints CSV or JSON, not both
+    for argv, message in (
+        (["verify", "rc24", "--max", "5"], "unrecognized arguments: --max 5"),
+        (["verify", "rc24", "--max", "5", "--qmax", "3"], "unrecognized arguments: --max 5 --qmax 3"),
+        (["verify", "claim", "--max", "5"], "unrecognized arguments: --max 5"),
+        (["verify", "goldbach", "--qmax", "3"], "unrecognized arguments: --qmax 3"),
+        (["scan", "2", "3", "--csv", "--json"], "argument --json: not allowed with argument --csv"),
+        (["scan", "3", "3", "--json", "--csv"], "argument --csv: not allowed with argument --json"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert err.endswith(f"error: {message}\n"), argv
 
 
 def test_scan_row_is_plain_data():

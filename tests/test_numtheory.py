@@ -113,6 +113,8 @@ def test_is_prime_rejects_out_of_range():
         is_prime(-1)
     with pytest.raises(ValueError):
         is_prime(2**63 + 1)
+    with pytest.raises(ValueError):
+        is_prime("7")
     assert is_prime(0) is False
     assert is_prime(1) is False
 
@@ -125,6 +127,8 @@ def test_bertrand_prime_in_open_interval():
         # it is the smallest such prime
         for x in range(m + 1, p):
             assert not is_prime(x)
+    with pytest.raises(ValueError):
+        bertrand_prime(1)
 
 
 def test_primes_up_to():

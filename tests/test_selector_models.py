@@ -14,6 +14,7 @@ from ramseychoice.selector_models import (
     STAGE_WORK_BOUND,
     CyclicAutomorphism,
     SelectorModel,
+    are_isomorphic,
     build_cyclic_model,
     build_fraisse_stage,
     catalog_models,
@@ -482,6 +483,20 @@ def test_catalog_counts_against_full_orbit_partition():
             left -= orb
         assert sum(len(o) for o in orbits) == len(all_tables)
         assert len(orbits) == len(catalog_models(m, k)), (m, k)
+
+
+def test_are_isomorphic_matches_the_catalog_classes():
+    reps = catalog_models(2, 4)
+    for rep in reps:
+        for perm in permutations(range(4)):  # every relabeling of a class is isomorphic to its rep
+            sel = {tuple(sorted(perm[a] for a in P)): perm[x] for P, x in rep.sel.items()}
+            assert are_isomorphic(SelectorModel(2, rep.domain, sel), rep), (rep, perm)
+    for a, b in combinations(reps, 2):  # different classes
+        assert not are_isomorphic(a, b) and not are_isomorphic(b, a)
+    # another arity or another size
+    assert not are_isomorphic(catalog_models(3, 4)[0], reps[0])
+    assert not are_isomorphic(catalog_models(2, 3)[0], reps[0])
+    assert not are_isomorphic(reps[0], catalog_models(2, 5)[0])
 
 
 def test_catalog_reps_are_lex_least_and_valid():
