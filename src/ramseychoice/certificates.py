@@ -3,33 +3,30 @@
 Every recipe has the signature recipe_*(m, n) -> RecipeTrace | None.  A
 recipe replays its proof once: it takes the case the proof picks (one
 Goldbach triple, one prime), proposes the decompositions of that case in
-proof order, and checks each proposal through _propose, the one blocking
-test.  It returns the first trace that blocks m, or None when (m, n) is not
-its case.  A wrong guess can therefore cost completeness but never
-soundness.  Where the theorem guarantees blocking (greater, prime divisor,
-prime power, Fermat shift, the even-gap split p + (n - p) and its odd-case
-fallback, both dense splits) the proposal goes through RecipeTrace.verified,
-which raises instead of declining: a failure there is a bug, not a decline.
-Together the recipes cover every non-provable pair with n >= 2.
+proof order, and asks blocks of each.  It returns the first trace that
+blocks m, or None when (m, n) is not its case.  A wrong guess can therefore
+cost completeness but never soundness.  Where the theorem guarantees
+blocking (greater, prime divisor, prime power, Fermat shift, the even-gap
+split p + (n - p) and its odd-case fallback, both dense splits) the
+proposal goes through RecipeTrace.verified, which raises instead of
+declining: a failure there is a bug, not a decline.  Together the recipes
+cover every non-provable pair with n >= 2.
 
 The work that depends only on n is done once per n and kept in bounded
-caches: the odd plan (the first Goldbach triple and the proposals built
-from it), the even-gap prime (the largest odd prime <= n - 3), and the
-decompositions the recipes propose for n alone, which every row of a
-column then shares: {n}, n/p copies of p, the even-gap splits of p with
-n - p or with a triple of n - p, and the even-dense splits of the prime
-just above n/2.  The caches hold no verdict; every pair still runs its own
-blocking test.
+caches: three walks (n's primes, the odd plan's proposals and the even-gap
+splits p + a triple of n - p), the even-gap prime p, and the decompositions
+proposed for n alone, which every row of a column then shares.  The caches
+hold no verdict; every pair runs its own blocking test.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from operator import attrgetter
 
-from .decomposition import Decomposition, blocks, provable_by_theorem
+from .decomposition import Decomposition, blocks, provable_reason
 from .errors import BoundExceeded, CertificateSearchFailed, PreconditionViolated
 from .numtheory import _MAX_INPUT, GoldbachTriple, bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
 from .records import Record, slot_setters
@@ -66,13 +63,15 @@ class RecipeTrace(Record):
 
     @staticmethod
     def verified(m, n, recipe, decomposition, narrative) -> "RecipeTrace":
-        """_propose for a proposal its proof guarantees: a decline there is a bug, so it raises."""
-        trace = _propose(m, n, recipe, decomposition, narrative)
-        if trace is None:
+        """The trace of a proposal its proof guarantees: one that does not
+        decompose n or admits m is a bug in its recipe, so it raises."""
+        if decomposition.total != n:
             raise RuntimeError(
-                f"certificate {decomposition} admits m = {m}; recipe {recipe.value} is buggy"
+                f"certificate {decomposition} does not decompose {n}; recipe {recipe.value} is buggy"
             )
-        return trace
+        if not blocks(decomposition, m):
+            raise RuntimeError(f"certificate {decomposition} admits m = {m}; recipe {recipe.value} is buggy")
+        return RecipeTrace(m, n, recipe, decomposition, tuple(narrative))
 
     def to_json_obj(self) -> dict:
         return {
@@ -88,16 +87,46 @@ class RecipeTrace(Record):
 _set_m, _set_n, _set_recipe, _set_decomposition, _set_narrative = slot_setters(RecipeTrace)
 
 
-def _propose(m, n, recipe, d, narrative) -> RecipeTrace | None:
-    """Test one proposal: its trace if d blocks m, else None.
+class _Walk:
+    """The items of walk(*args), each computed once however many pairs read them.
 
-    A proposal that does not decompose n is a bug in its recipe, so it raises.
+    first(keep, m) returns the first item with keep(item, m) true, or None:
+    it reads the items found so far, then keeps more from the iterator, so
+    the pairs of a column do n's work once, as far as some pair has needed.
+    keep takes m as an argument, as a closure over m built per pair cost
+    about 0.2 us of a 1 us recipe.  An iterator that raises (an interrupt)
+    is dropped; the next pair that needs more starts one past the items found.
     """
-    if d.total != n:
-        raise RuntimeError(f"certificate {d} does not decompose {n}; recipe {recipe.value} is buggy")
-    if not blocks(d, m):
+
+    __slots__ = ("found", "walk", "args", "rest")
+
+    def __init__(self, walk, *args) -> None:
+        self.found, self.walk, self.args, self.rest = [], walk, args, None
+
+    def first(self, keep, m):
+        found = self.found
+        for item in found:
+            if keep(item, m):
+                return item
+        if self.rest is None:
+            self.rest = islice(self.walk(*self.args), len(found), None)
+        try:
+            for item in self.rest:
+                found.append(item)
+                if keep(item, m):
+                    return item
+        except BaseException:
+            self.rest = None
+            raise
         return None
-    return RecipeTrace(m, n, recipe, d, tuple(narrative))
+
+
+def _does_not_divide(q: int, m: int) -> bool:
+    return m % q != 0
+
+
+def _blocks_proposal(proposal, m: int) -> bool:
+    return blocks(proposal[0], m)
 
 
 # One shared decomposition per parts tuple, built when a pair first tests it;
@@ -121,12 +150,19 @@ def recipe_greater(m: int, n: int) -> RecipeTrace | None:
     )
 
 
+@lru_cache(maxsize=1024)
+def _n_primes(n: int) -> _Walk:
+    """The distinct primes of n, ascending, found as far as some pair has needed."""
+    return _Walk(prime_factors, n)
+
+
 def recipe_prime_divisor(m: int, n: int) -> RecipeTrace | None:
     """Some prime p divides n but not m: split n into n/p copies of p.
 
-    p is the smallest such prime; the factors of n come by trial division.
+    p is the smallest such prime.  n's primes come by trial division, once
+    per n and no further than this p (_n_primes).
     """
-    p = next((q for q in prime_factors(n) if m % q != 0), None)
+    p = _n_primes(n).first(_does_not_divide, m)
     if p is None:
         return None
     return RecipeTrace.verified(
@@ -165,21 +201,23 @@ def recipe_prime_power(m: int, n: int) -> RecipeTrace | None:
 
 
 @lru_cache(maxsize=1024)
-def _odd_plan(n: int) -> tuple[GoldbachTriple, tuple]:
-    """The first Goldbach triple of n and recipe_odd's proposals in proof
-    order, each a (parts, narrative) pair; none depends on m."""
+def _odd_plan(n: int) -> tuple[GoldbachTriple, _Walk]:
+    """The first Goldbach triple of n and a walk of recipe_odd's proposals
+    in proof order, each a (decomposition, narrative); none depends on m."""
     t = next(iter_goldbach_triples(n))
-    p1, p2, p3 = t.as_tuple()
+    return t, _Walk(_odd_proposals, n, *t.as_tuple())
+
+
+def _odd_proposals(n: int, p1: int, p2: int, p3: int):
     head = f"goldbach triple ({p1}, {p2}, {p3})"
-    proposals = [((p1, p2, p3), (head, "triple blocks m directly"))]
+    yield _decomposition((p1, p2, p3)), (head, "triple blocks m directly")
     if p1 == p2 == p3:
-        proposals.append(((3 * p1 - 2, 2), (head, f"all-equal case: split {n} = {3 * p1 - 2} + 2")))
-    proposals.append(((n,), (head, f"single part {n} blocks m")))
+        yield _decomposition((3 * p1 - 2, 2)), (head, f"all-equal case: split {n} = {3 * p1 - 2} + 2")
+    yield _decomposition((n,)), (head, f"single part {n} blocks m")
     for a, b, c in dict.fromkeys(permutations((p1, p2, p3))):
         if c < a and (a + b) % c == 0:
             line = f"regrouped: {c} < {a} and {c} divides {a} + {b}; split {n} = {b + c} + {a}"
-            proposals.append(((b + c, a), (head, line)))
-    return t, tuple(proposals)
+            yield _decomposition((b + c, a)), (head, line)
 
 
 def recipe_odd(m: int, n: int) -> RecipeTrace | None:
@@ -192,15 +230,13 @@ def recipe_odd(m: int, n: int) -> RecipeTrace | None:
     pj + pk and m is pi or n - pi.  Then (3p - 2) + 2 blocks p and 2p, or some
     a in {pj, pk} exceeds pi and the regroup with c = pi blocks m unless the
     other prime b = c, which would force pi | a.  Nothing blocks m = n or 0.
-    The proposals come from _odd_plan(n); each is tested against m here.
+    The proposals come from _odd_plan(n), walked once per n and each built
+    when some pair first needs it; each is tested against m here.
     """
     if n % 2 == 0 or n < 7:
         return None
-    for parts, narrative in _odd_plan(n)[1]:
-        trace = _propose(m, n, Recipe.ODD, _decomposition(parts), narrative)
-        if trace is not None:
-            return trace
-    return None
+    proposal = _odd_plan(n)[1].first(_blocks_proposal, m)
+    return None if proposal is None else RecipeTrace(m, n, Recipe.ODD, *proposal)
 
 
 def recipe_fermat_shift(m: int, n: int) -> RecipeTrace | None:
@@ -229,6 +265,18 @@ def _gap_prime(n: int) -> int | None:
     return next(filter(is_prime, range(n - 3, 2, -2)), None)
 
 
+@lru_cache(maxsize=1024)
+def _gap_splits(n: int) -> _Walk:
+    """The splits p + t of n, t a Goldbach triple of n - p for n's gap prime p,
+    each a (decomposition, narrative line), in walk order."""
+    return _Walk(_gap_proposals, n, _gap_prime(n))
+
+
+def _gap_proposals(n: int, p: int):
+    for t in iter_goldbach_triples(n - p):
+        yield Decomposition((p,) + t.as_tuple()), f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}"
+
+
 def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
     """Even m < n with an odd prime strictly between them (and below n - 1).
 
@@ -241,8 +289,8 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
     n - p odd), and recipe_odd(m, n - p) never declines, so its certificate
     with p appended blocks m.  For n - p < 1600 only (m, n - p) = (2, 7),
     (4, 7) and (10, 13) get there, as (4, 2^39) does.  Every proposal but
-    that last one depends on n alone, so all m of a column share its
-    decomposition.
+    that last one depends on n alone: the triples are walked once per n
+    (_gap_splits), and all m of a column share their decompositions.
     """
     if m % 2 != 0 or n % 2 != 0:
         return None
@@ -254,13 +302,9 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
         return RecipeTrace.verified(
             m, n, Recipe.EVEN_GAP, _decomposition((p, n - p)), (head, f"split {n} = {p} + {n - p}")
         )
-    for t in iter_goldbach_triples(n - p):
-        trace = _propose(
-            m, n, Recipe.EVEN_GAP, _decomposition((p,) + t.as_tuple()),
-            (head, f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}"),
-        )
-        if trace is not None:
-            return trace
+    split = _gap_splits(n).first(_blocks_proposal, m)
+    if split is not None:
+        return RecipeTrace(m, n, Recipe.EVEN_GAP, split[0], (head, split[1]))
     inner = recipe_odd(m, n - p)
     return RecipeTrace.verified(
         m, n, Recipe.EVEN_GAP, Decomposition((p,) + inner.decomposition.parts),
@@ -333,7 +377,9 @@ _DISPATCH = (
 def build_certificate(m: int, n: int) -> RecipeTrace:
     """Produce a verified blocking certificate for a non-provable pair.
 
-    Recipes run in the fixed dispatch order; the first that returns a trace
+    m > n goes to the greater case.  Otherwise the recipes run in the fixed
+    dispatch order, less those that never fire for n's parity (the greater
+    case, and the odd case for even n), and the first that returns a trace
     wins.  A non-positive m or n raises ValueError, as in classify_detailed,
     and a provable pair PreconditionViolated.  n = 1 has no decomposition,
     so it raises CertificateSearchFailed.  Every recipe but the greater case
@@ -343,13 +389,18 @@ def build_certificate(m: int, n: int) -> RecipeTrace:
     """
     if m < 1 or n < 1:
         raise ValueError(f"need positive m and n, got ({m}, {n})")
-    if provable_by_theorem(m, n):
+    if m > n:
+        if n == 1:
+            raise CertificateSearchFailed(f"no decomposition of 1 exists, so ({m}, 1) has no certificate")
+        return recipe_greater(m, n)
+    if provable_reason(m, n) is not None:
         raise PreconditionViolated(f"({m}, {n}) is provable; no blocking certificate exists")
-    if n == 1:
-        raise CertificateSearchFailed(f"no decomposition of 1 exists, so ({m}, 1) has no certificate")
-    if m < n and n > _MAX_INPUT:
+    if n > _MAX_INPUT:
         raise BoundExceeded(f"n = {n} exceeds the primality test's bound 2^63")
+    skipped = recipe_odd if n % 2 == 0 else None
     for recipe in _DISPATCH:
+        if recipe is recipe_greater or recipe is skipped:
+            continue
         trace = recipe(m, n)
         if trace is not None:
             return trace

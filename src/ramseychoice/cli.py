@@ -231,7 +231,7 @@ def cmd_verify_goldbach(args) -> int:
 
 def _add_common(sub, func, *, csv_flag=False, oracle=False):
     """The flags every subcommand shares, and func, which main dispatches to."""
-    sub.set_defaults(func=func)
+    sub.set_defaults(func=func, parser=sub)  # main reports unknown arguments through sub
     formats = sub.add_mutually_exclusive_group()  # stdout holds one document
     formats.add_argument("--json", action="store_true", help="machine readable output")
     if csv_flag:
@@ -303,8 +303,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported with the usage of the subcommand that was parsed
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     start = time.perf_counter()
     try:
         return args.func(args)

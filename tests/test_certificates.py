@@ -364,7 +364,8 @@ def test_the_per_n_caches_do_not_depend_on_the_order_of_the_pairs():
     import ramseychoice.certificates as cm
     import ramseychoice.decomposition as dm
 
-    for cached in (cm._odd_plan, cm._gap_prime, cm._run, cm._decomposition, dm._part_primes):  # kept tables start cold
+    per_n = (cm._odd_plan, cm._gap_prime, cm._gap_splits, cm._n_primes, cm._run, cm._decomposition)
+    for cached in per_n + (dm._part_primes,):  # kept tables start cold
         cached.cache_clear()
     box = [(m, n) for n in range(2, 301) for m in range(2, 301) if not provable_by_theorem(m, n)]
     random.Random(14).shuffle(box)
@@ -379,6 +380,7 @@ def test_an_even_gap_column_shares_its_decompositions_and_finds_its_prime_once()
 
     for n, kinds in ((128, 3), (294, 1), (296, 1)):
         cm._gap_prime.cache_clear()
+        cm._gap_splits.cache_clear()
         cm._decomposition.cache_clear()
         shared = {}
         for m in range(2, n + 1):
@@ -389,3 +391,78 @@ def test_an_even_gap_column_shares_its_decompositions_and_finds_its_prime_once()
                 assert shared.setdefault(tr.decomposition.parts, tr.decomposition) is tr.decomposition, (m, n)
         assert len(shared) == kinds, n
         assert cm._gap_prime.cache_info().misses == 1, n
+
+
+def _reference_certificate(m, n):
+    """The first trace of the full dispatch tuple, every recipe tried in order."""
+    from ramseychoice import certificates as ct
+
+    return next(tr for tr in (recipe(m, n) for recipe in ct._DISPATCH) if tr is not None)
+
+
+def test_dispatch_by_n_picks_the_first_trace_of_the_full_dispatch():
+    # skipping the recipes that never fire for n's parity, and reading n's
+    # per-column plans, changes no winner: from cold caches, then warm
+    import ramseychoice.certificates as cm
+
+    for cached in (cm._odd_plan, cm._gap_prime, cm._gap_splits, cm._n_primes, cm._run, cm._decomposition):
+        cached.cache_clear()
+    pairs = [(m, n) for n in range(2, 121) for m in range(1, 121) if not provable_by_theorem(m, n)]
+    for _ in range(2):
+        for m, n in pairs:
+            got, want = build_certificate(m, n), _reference_certificate(m, n)
+            assert (got.recipe, got.decomposition.parts, got.narrative) == (
+                want.recipe, want.decomposition.parts, want.narrative), (m, n)
+
+
+def test_n_is_trial_divided_no_further_than_the_prime_that_answers():
+    # 2 does not divide 3, so the search stops there and never tries to
+    # factor the prime 2^61 - 1, which trial division could not do
+    tr = build_certificate(3, 2 * (2**61 - 1))
+    assert tr.recipe is Recipe.PRIME_DIVISOR
+    assert tr.decomposition.runs == ((2, 2**61 - 1),)
+
+
+def test_an_even_gap_column_walks_its_triples_once(monkeypatch):
+    # n = 2^15 has gap prime 32749 and n - p = 19: every even m of the
+    # column reads one walk of the triples of 19, however many m need it
+    import ramseychoice.certificates as cm
+
+    walked = []
+
+    def counted(target):
+        walked.append(target)
+        return iter_goldbach_triples(target)
+
+    monkeypatch.setattr(cm, "iter_goldbach_triples", counted)
+    cm._gap_splits.cache_clear()
+    n = 2**15
+    assert n - cm._gap_prime(n) == 19
+    recipes = {build_certificate(m, n).recipe for m in range(2, n, 2) if not provable_by_theorem(m, n)}
+    assert Recipe.EVEN_GAP in recipes
+    assert walked.count(19) <= 1
+
+
+def test_a_walk_interrupted_while_it_extends_loses_no_item():
+    # an iterator that raises is dropped; the next reader that needs more
+    # starts a new one past the items found, so a column's cache never
+    # reads as shorter than its walk
+    from ramseychoice.certificates import _Walk
+
+    starts = []
+
+    def make():
+        starts.append(1)
+        yield 2
+        if len(starts) == 1:
+            raise KeyboardInterrupt
+        yield 3
+
+    walk = _Walk(make)
+    spares = lambda q, m: m % q != 0  # noqa: E731
+    with pytest.raises(KeyboardInterrupt):
+        walk.first(spares, 4)
+    assert walk.found == [2]
+    assert walk.first(spares, 4) == 3
+    assert walk.first(spares, 9) == 2
+    assert (walk.found, len(starts)) == ([2, 3], 2)

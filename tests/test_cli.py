@@ -319,19 +319,23 @@ def test_options_of_the_removed_fallback_are_usage_errors(capsys):
     # dispatch has no exhaustive fallback, so nothing is left for these to control;
     # the oracle's reach is COLUMN_BOUND, the staged construction's work
     # STAGE_WORK_BOUND and the triple search's GOLDBACH_SEARCH_BOUND, which no option sets
-    for argv in (
-        ["scan", "12", "12", "--constructive-only"],
-        ["certificate", "6", "9", "--bound", "3"],
-        ["classify", "3", "7", "--bound", "10"],
-        ["scan", "12", "12", "--oracle", "--bound", "10"],
-        ["fraisse", "2", "3", "--max-atoms", "5"],
-        ["fraisse", "2", "3", "--max-domain", "20"],
-        ["verify", "goldbach", "--max", "11", "--bound", "7"],
+    for argv, command in (
+        (["scan", "12", "12", "--constructive-only"], "scan"),
+        (["certificate", "6", "9", "--bound", "3"], "certificate"),
+        (["classify", "3", "7", "--bound", "10"], "classify"),
+        (["scan", "12", "12", "--oracle", "--bound", "10"], "scan"),
+        (["fraisse", "2", "3", "--max-atoms", "5"], "fraisse"),
+        (["fraisse", "2", "3", "--max-domain", "20"], "fraisse"),
+        (["verify", "goldbach", "--max", "11", "--bound", "7"], "verify goldbach"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        # the usage shown is the subcommand's, so it lists what the subcommand accepts
+        assert err.startswith(f"usage: ramseychoice {command} [-h]"), argv
+        assert f"\nramseychoice {command}: error: " in err, argv
 
 
 def test_scan_json_round_trip():
@@ -869,6 +873,8 @@ def test_flags_of_another_target_or_a_second_format_are_usage_errors(capsys):
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, ""), argv
         assert err.endswith(f"error: {message}\n"), argv
+        command = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
+        assert err.startswith(f"usage: ramseychoice {command} [-h]"), argv
 
 
 def test_scan_row_is_plain_data():

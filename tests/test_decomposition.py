@@ -306,7 +306,7 @@ def test_a_shared_decomposition_is_folded_about_log2_n_times(monkeypatch):
 
     monkeypatch.setattr(dm, "_fold", counted)
     for n in (299, 298):
-        for cached in (cm._odd_plan, cm._gap_prime, cm._run, cm._decomposition):
+        for cached in (cm._odd_plan, cm._gap_prime, cm._gap_splits, cm._n_primes, cm._run, cm._decomposition):
             cached.cache_clear()
         folds.clear()
         for m in range(1, n + 2):
