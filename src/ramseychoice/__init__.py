@@ -36,7 +36,6 @@ from .errors import (
 )
 from .numtheory import (
     GOLDBACH_SEARCH_BOUND,
-    GoldbachTriple,
     bertrand_prime,
     goldbach_triples,
     is_prime,
@@ -74,7 +73,6 @@ __all__ = [
     "Decomposition",
     "EmptyResult",
     "GOLDBACH_SEARCH_BOUND",
-    "GoldbachTriple",
     "InvalidPart",
     "NotBlocking",
     "OracleDisagreement",

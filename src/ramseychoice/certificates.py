@@ -13,10 +13,11 @@ declining: a failure there is a bug, not a decline.  Together the recipes
 cover every non-provable pair with n >= 2.
 
 The work that depends only on n is done once per n and kept in bounded
-caches: three walks (n's primes, the odd plan's proposals and the even-gap
-splits p + a triple of n - p), the even-gap prime p, and the decompositions
-proposed for n alone, which every row of a column then shares.  The caches
-hold no verdict; every pair runs its own blocking test.
+caches: one cache of walks keyed by walk and n (n's primes, recipe_odd's
+proposals and the even-gap splits p + a triple of n - p), the even-gap prime
+p, and the decompositions proposed for n alone, which every row of a column
+then shares.  Reading one walk of n starts no other.  The caches hold no
+verdict; every pair runs its own blocking test.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import attrgetter
 
 from .decomposition import Decomposition, blocks, provable_reason
 from .errors import BoundExceeded, CertificateSearchFailed, PreconditionViolated
-from .numtheory import _MAX_INPUT, GoldbachTriple, bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
+from .numtheory import _MAX_INPUT, bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
 from .records import Record, slot_setters
 
 
@@ -121,6 +122,10 @@ class _Walk:
         return None
 
 
+# n's walks, read as _walk(prime_factors, n), _walk(_odd_proposals, n) and _walk(_gap_proposals, n)
+_walk = lru_cache(maxsize=3 * 1024)(_Walk)
+
+
 def _does_not_divide(q: int, m: int) -> bool:
     return m % q != 0
 
@@ -150,19 +155,13 @@ def recipe_greater(m: int, n: int) -> RecipeTrace | None:
     )
 
 
-@lru_cache(maxsize=1024)
-def _n_primes(n: int) -> _Walk:
-    """The distinct primes of n, ascending, found as far as some pair has needed."""
-    return _Walk(prime_factors, n)
-
-
 def recipe_prime_divisor(m: int, n: int) -> RecipeTrace | None:
     """Some prime p divides n but not m: split n into n/p copies of p.
 
     p is the smallest such prime.  n's primes come by trial division, once
-    per n and no further than this p (_n_primes).
+    per n and no further than this p (_walk(prime_factors, n)).
     """
-    p = _n_primes(n).first(_does_not_divide, m)
+    p = _walk(prime_factors, n).first(_does_not_divide, m)
     if p is None:
         return None
     return RecipeTrace.verified(
@@ -200,15 +199,8 @@ def recipe_prime_power(m: int, n: int) -> RecipeTrace | None:
     )
 
 
-@lru_cache(maxsize=1024)
-def _odd_plan(n: int) -> tuple[GoldbachTriple, _Walk]:
-    """The first Goldbach triple of n and a walk of recipe_odd's proposals
-    in proof order, each a (decomposition, narrative); none depends on m."""
-    t = next(iter_goldbach_triples(n))
-    return t, _Walk(_odd_proposals, n, *t.as_tuple())
-
-
-def _odd_proposals(n: int, p1: int, p2: int, p3: int):
+def _odd_proposals(n: int):
+    p1, p2, p3 = next(iter_goldbach_triples(n))
     head = f"goldbach triple ({p1}, {p2}, {p3})"
     yield _decomposition((p1, p2, p3)), (head, "triple blocks m directly")
     if p1 == p2 == p3:
@@ -230,12 +222,12 @@ def recipe_odd(m: int, n: int) -> RecipeTrace | None:
     pj + pk and m is pi or n - pi.  Then (3p - 2) + 2 blocks p and 2p, or some
     a in {pj, pk} exceeds pi and the regroup with c = pi blocks m unless the
     other prime b = c, which would force pi | a.  Nothing blocks m = n or 0.
-    The proposals come from _odd_plan(n), walked once per n and each built
-    when some pair first needs it; each is tested against m here.
+    The proposals come from _walk(_odd_proposals, n), walked once per n and
+    each built when some pair first needs it; each is tested against m here.
     """
     if n % 2 == 0 or n < 7:
         return None
-    proposal = _odd_plan(n)[1].first(_blocks_proposal, m)
+    proposal = _walk(_odd_proposals, n).first(_blocks_proposal, m)
     return None if proposal is None else RecipeTrace(m, n, Recipe.ODD, *proposal)
 
 
@@ -265,16 +257,12 @@ def _gap_prime(n: int) -> int | None:
     return next(filter(is_prime, range(n - 3, 2, -2)), None)
 
 
-@lru_cache(maxsize=1024)
-def _gap_splits(n: int) -> _Walk:
+def _gap_proposals(n: int):
     """The splits p + t of n, t a Goldbach triple of n - p for n's gap prime p,
     each a (decomposition, narrative line), in walk order."""
-    return _Walk(_gap_proposals, n, _gap_prime(n))
-
-
-def _gap_proposals(n: int, p: int):
-    for t in iter_goldbach_triples(n - p):
-        yield Decomposition((p,) + t.as_tuple()), f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}"
+    p = _gap_prime(n)
+    for p1, p2, p3 in iter_goldbach_triples(n - p):
+        yield Decomposition((p, p1, p2, p3)), f"split {n} = {p} + {p1} + {p2} + {p3}"
 
 
 def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
@@ -289,8 +277,8 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
     n - p odd), and recipe_odd(m, n - p) never declines, so its certificate
     with p appended blocks m.  For n - p < 1600 only (m, n - p) = (2, 7),
     (4, 7) and (10, 13) get there, as (4, 2^39) does.  Every proposal but
-    that last one depends on n alone: the triples are walked once per n
-    (_gap_splits), and all m of a column share their decompositions.
+    that last one depends on n alone: _walk(_gap_proposals, n) walks the
+    triples once per n, and all m of a column share their decompositions.
     """
     if m % 2 != 0 or n % 2 != 0:
         return None
@@ -302,7 +290,7 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
         return RecipeTrace.verified(
             m, n, Recipe.EVEN_GAP, _decomposition((p, n - p)), (head, f"split {n} = {p} + {n - p}")
         )
-    split = _gap_splits(n).first(_blocks_proposal, m)
+    split = _walk(_gap_proposals, n).first(_blocks_proposal, m)
     if split is not None:
         return RecipeTrace(m, n, Recipe.EVEN_GAP, split[0], (head, split[1]))
     inner = recipe_odd(m, n - p)
@@ -354,11 +342,9 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
         narrative += [f"m - p = {m - p} is an odd prime", f"direct split {n} = {p} + {n - p}"]
         return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, _decomposition((p, n - p)), narrative)
     narrative.append(f"m - p = {m - p} is not an odd prime; four-part splits")
-    t = _odd_plan(n - p)[0]
-    narrative.append(f"split {n} = {p} + {t.p1} + {t.p2} + {t.p3}")
-    return RecipeTrace.verified(
-        m, n, Recipe.EVEN_DENSE, _decomposition((p,) + t.as_tuple()), narrative
-    )
+    p1, p2, p3 = next(iter_goldbach_triples(n - p))
+    narrative.append(f"split {n} = {p} + {p1} + {p2} + {p3}")
+    return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, _decomposition((p, p1, p2, p3)), narrative)
 
 
 # Dispatch follows the order in which the cases eliminate pairs: a larger m,

@@ -255,11 +255,14 @@ def admissible_sums(d: Decomposition) -> AdmissibleSumSet:
     This is the reporting view: d's kept table (see _sums_up_to), widened
     to d.total unless it reaches it already.  A table whose cost, the
     number of parts times d.total, exceeds TABLE_WORK_BOUND raises
-    BoundExceeded before any work, even when the table is kept.
+    BoundExceeded before any work, even when the table is kept; so does a
+    table wider than TABLE_WORK_BOUND / 2^8 bits, which would not fit in memory.
     """
     count = sum(d._counts)
     if count * d.total > TABLE_WORK_BOUND:
         raise BoundExceeded(f"{count} parts of total {d.total} exceed the table work bound")
+    if d.total >= TABLE_WORK_BOUND >> 8:
+        raise BoundExceeded(f"a table {d.total + 1} bits wide exceeds the table width bound")
     return AdmissibleSumSet(d.total, _sums_up_to(d, d.total))
 
 

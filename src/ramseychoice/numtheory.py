@@ -14,7 +14,6 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from .errors import BoundExceeded, EmptyResult
-from .records import Record
 
 # Witness battery: the first twelve primes (2..37).  The first k of them are
 # exact for every x below psi_k, the least strong pseudoprime to all of them
@@ -128,39 +127,6 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return tuple(p for p in _sieve(padded) if p <= limit)
 
 
-class GoldbachTriple(Record):
-    """Three primes p1 <= p2 <= p3 summing to an odd target > 5.
-
-    The constructor checks all of this; the triple walker, which has just
-    tested each prime and guarantees the order and the sum, stores its
-    triples' fields through Record._set_fields without the checks.
-    """
-
-    __slots__ = ("p1", "p2", "p3", "target")
-
-    def __init__(self, p1: int, p2: int, p3: int, target: int) -> None:
-        ps = (p1, p2, p3)
-        if not (p1 <= p2 <= p3):
-            raise ValueError(f"triple {ps} is not sorted")
-        if sum(ps) != target:
-            raise ValueError(f"triple {ps} does not sum to {target}")
-        if target % 2 == 0 or target <= 5:
-            raise ValueError(f"target must be odd and > 5, got {target}")
-        for p in ps:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-        self._set_fields(p1, p2, p3, target)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.p1, self.p2, self.p3)
-
-
-def _walked_triple(p1: int, p2: int, p3: int, n: int) -> GoldbachTriple:
-    t = object.__new__(GoldbachTriple)
-    t._set_fields(p1, p2, p3, n)
-    return t
-
-
 def _check_target(n: int, bound: int) -> None:
     if n % 2 == 0 or n <= 5:
         raise ValueError(f"goldbach_triples needs an odd n > 5, got {n}")
@@ -168,8 +134,8 @@ def _check_target(n: int, bound: int) -> None:
         raise BoundExceeded(f"n = {n} exceeds the triple search bound {bound}")
 
 
-def iter_goldbach_triples(n: int) -> Iterator[GoldbachTriple]:
-    """Prime triples p1 <= p2 <= p3 with p1 + p2 + p3 = n, lazily.
+def iter_goldbach_triples(n: int) -> Iterator[tuple[int, int, int]]:
+    """Prime triples p1 <= p2 <= p3 with p1 + p2 + p3 = n, lazily, as tuples.
 
     The all-odd triples come first, in lexicographic order, then
     (2, 2, n - 4) when n - 4 is prime.  Candidates are tested with is_prime
@@ -182,7 +148,7 @@ def iter_goldbach_triples(n: int) -> Iterator[GoldbachTriple]:
     return _walk_goldbach_triples(n)
 
 
-def _walk_goldbach_triples(n: int) -> Iterator[GoldbachTriple]:
+def _walk_goldbach_triples(n: int) -> Iterator[tuple[int, int, int]]:
     # p2 + p3 = n - 2 is odd, so (2, 2, n - 4) is the only triple holding a 2;
     # every other triple has odd p1 <= n/3 and odd p2 <= (n - p1)/2.
     found = False
@@ -190,15 +156,15 @@ def _walk_goldbach_triples(n: int) -> Iterator[GoldbachTriple]:
         for p2 in filter(is_prime, range(p1, (n - p1) // 2 + 1, 2)):
             if is_prime(n - p1 - p2):
                 found = True
-                yield _walked_triple(p1, p2, n - p1 - p2, n)
+                yield p1, p2, n - p1 - p2
     if is_prime(n - 4):
-        yield _walked_triple(2, 2, n - 4, n)
+        yield 2, 2, n - 4
     elif not found:
         raise EmptyResult(f"no prime triple sums to {n}; ternary Goldbach violated in range")
 
 
-def goldbach_triples(n: int) -> list[GoldbachTriple]:
-    """All prime triples summing to n, in iter_goldbach_triples order.
+def goldbach_triples(n: int) -> list[tuple[int, int, int]]:
+    """All prime triples summing to n, as sorted tuples, in iter_goldbach_triples order.
 
     An n above GOLDBACH_SEARCH_BOUND raises BoundExceeded, after the
     ValueError of a bad target; an empty result raises EmptyResult.
@@ -210,10 +176,13 @@ def goldbach_triples(n: int) -> list[GoldbachTriple]:
 def verify_goldbach(max_n: int) -> tuple[int, list[int]]:
     """Look for a prime triple of every odd target 7..max_n.
 
-    Returns (targets checked, targets with no triple).  Before any search,
-    the first target above GOLDBACH_SEARCH_BOUND, if max_n reaches one, is
+    Returns (targets checked, targets with no triple).  A max_n below 7,
+    which would check nothing, raises ValueError.  Before any search, the
+    first target above GOLDBACH_SEARCH_BOUND, if max_n reaches one, is
     refused with goldbach_triples' BoundExceeded.
     """
+    if max_n < 7:
+        raise ValueError(f"max_n must be >= 7, got {max_n}")
     if max_n > GOLDBACH_SEARCH_BOUND:
         _check_target(GOLDBACH_SEARCH_BOUND + 1 | 1, GOLDBACH_SEARCH_BOUND)
     targets = range(7, max_n + 1, 2)

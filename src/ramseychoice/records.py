@@ -1,4 +1,4 @@
-"""The one base of the package's eleven result records.
+"""The one base of the package's ten result records.
 
 A record lists its fields in __slots__ and inherits what
 @dataclass(frozen=True, slots=True) would generate: equality and a hash
@@ -13,9 +13,9 @@ A record's __init__ stores its fields through the slots' own descriptors,
 which the frozen __setattr__ does not block, at about half the cost of
 object.__setattr__.  The three records built once per pair
 (Classification, RecipeTrace and ScanRow) call the setters slot_setters
-returns, one per field; every other record, Decomposition and the walked
-Goldbach triples among them, calls _set_fields.  ScanReport is mutable: it
-restores object's __setattr__ and __delattr__ and has no hash.
+returns, one per field; every other record, Decomposition among them,
+calls _set_fields.  ScanReport is mutable: it restores object's
+__setattr__ and __delattr__ and has no hash.
 """
 
 from __future__ import annotations

@@ -485,6 +485,8 @@ def build_fraisse_stage(m: int, prev: SelectorModel, *, ground_limit: int | None
     prev.validate()
     if prev.domain != tuple(range(len(prev.domain))):
         raise ValueError("previous stage domain must be the initial segment 0..s-1")
+    if ground_limit is not None and ground_limit < 0:
+        raise ValueError(f"need ground_limit >= 0, got {ground_limit}")
     a = base = len(prev.domain)  # a: the next fresh atom
     limit = base if ground_limit is None else ground_limit
     sizes = range(min(limit, base) + 1)
@@ -527,6 +529,8 @@ def run_fraisse_stages(m: int, stages: int, *, ground_limit: int | None = None) 
     """
     if m < 1 or stages < 0:
         raise ValueError(f"need m >= 1 and stages >= 0, got ({m}, {stages})")
+    if ground_limit is not None and ground_limit < 0:
+        raise ValueError(f"need ground_limit >= 0, got {ground_limit}")
     n, k = stages + 1, m + 1
     if _comb_over(n, k, STAGE_WORK_BOUND - stages - math.comb(n, 2)):
         raise BoundExceeded(f"at least {stages} bases, C({n}, 2) atoms and C({n}, {k}) m-subsets "

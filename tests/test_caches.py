@@ -22,6 +22,6 @@ def _lru_caches():
 def test_every_library_cache_is_bounded():
     # keys reach 2^63, so an unbounded cache would grow for as long as a scan runs
     caches = dict(_lru_caches())
-    assert "ramseychoice.certificates._odd_plan" in caches  # the walk reaches the per-n caches
+    assert "ramseychoice.certificates._walk" in caches  # the walk reaches the per-n caches
     unbounded = [name for name, cached in caches.items() if cached.cache_parameters()["maxsize"] is None]
     assert unbounded == []

@@ -25,7 +25,7 @@ from ramseychoice.decomposition import (
     provable_by_theorem,
 )
 from ramseychoice.errors import BoundExceeded, CertificateSearchFailed, PreconditionViolated
-from ramseychoice.numtheory import bertrand_prime, is_prime, iter_goldbach_triples, primes_up_to
+from ramseychoice.numtheory import bertrand_prime, is_prime, iter_goldbach_triples, prime_factors, primes_up_to
 
 
 def test_every_recipe_output_is_verified_blocking():
@@ -160,7 +160,7 @@ def test_even_gap_fallback_census():
     for r in range(7, 1600, 2):
         admitted = None  # the even m < r that every triple so far admits
         for t in iter_goldbach_triples(r):
-            a, b, c = t.as_tuple()
+            a, b, c = t
             sums = {a, b, c, a + b, a + c, b + c}
             admitted = {s for s in sums if s % 2 == 0 and s < r} if admitted is None else admitted & sums
             if not admitted:
@@ -358,30 +358,22 @@ def _box_digest(traces) -> str:
     return digest.hexdigest()
 
 
-def test_the_per_n_caches_do_not_depend_on_the_order_of_the_pairs():
+def test_the_per_n_caches_do_not_depend_on_the_order_of_the_pairs(cold_caches):
     # from cold caches, a seeded shuffle of the box fills them in another
     # order; every certificate and narrative must come out the same
-    import ramseychoice.certificates as cm
-    import ramseychoice.decomposition as dm
-
-    per_n = (cm._odd_plan, cm._gap_prime, cm._gap_splits, cm._n_primes, cm._run, cm._decomposition)
-    for cached in per_n + (dm._part_primes,):  # kept tables start cold
-        cached.cache_clear()
     box = [(m, n) for n in range(2, 301) for m in range(2, 301) if not provable_by_theorem(m, n)]
     random.Random(14).shuffle(box)
     assert _box_digest({pair: build_certificate(*pair) for pair in box}) == BOX_DIGEST
 
 
-def test_an_even_gap_column_shares_its_decompositions_and_finds_its_prime_once():
+def test_an_even_gap_column_shares_its_decompositions_and_finds_its_prime_once(cold_caches):
     # from cold caches, the even-gap pairs of a column that propose the same
     # parts get the same Decomposition object, so one kept sum table serves
     # them all; the gap prime is searched for once per column
     import ramseychoice.certificates as cm
 
     for n, kinds in ((128, 3), (294, 1), (296, 1)):
-        cm._gap_prime.cache_clear()
-        cm._gap_splits.cache_clear()
-        cm._decomposition.cache_clear()
+        cold_caches()
         shared = {}
         for m in range(2, n + 1):
             if provable_by_theorem(m, n):
@@ -400,13 +392,9 @@ def _reference_certificate(m, n):
     return next(tr for tr in (recipe(m, n) for recipe in ct._DISPATCH) if tr is not None)
 
 
-def test_dispatch_by_n_picks_the_first_trace_of_the_full_dispatch():
+def test_dispatch_by_n_picks_the_first_trace_of_the_full_dispatch(cold_caches):
     # skipping the recipes that never fire for n's parity, and reading n's
     # per-column plans, changes no winner: from cold caches, then warm
-    import ramseychoice.certificates as cm
-
-    for cached in (cm._odd_plan, cm._gap_prime, cm._gap_splits, cm._n_primes, cm._run, cm._decomposition):
-        cached.cache_clear()
     pairs = [(m, n) for n in range(2, 121) for m in range(1, 121) if not provable_by_theorem(m, n)]
     for _ in range(2):
         for m, n in pairs:
@@ -423,7 +411,7 @@ def test_n_is_trial_divided_no_further_than_the_prime_that_answers():
     assert tr.decomposition.runs == ((2, 2**61 - 1),)
 
 
-def test_an_even_gap_column_walks_its_triples_once(monkeypatch):
+def test_an_even_gap_column_walks_its_triples_once(monkeypatch, cold_caches):
     # n = 2^15 has gap prime 32749 and n - p = 19: every even m of the
     # column reads one walk of the triples of 19, however many m need it
     import ramseychoice.certificates as cm
@@ -435,12 +423,39 @@ def test_an_even_gap_column_walks_its_triples_once(monkeypatch):
         return iter_goldbach_triples(target)
 
     monkeypatch.setattr(cm, "iter_goldbach_triples", counted)
-    cm._gap_splits.cache_clear()
     n = 2**15
     assert n - cm._gap_prime(n) == 19
     recipes = {build_certificate(m, n).recipe for m in range(2, n, 2) if not provable_by_theorem(m, n)}
     assert Recipe.EVEN_GAP in recipes
     assert walked.count(19) <= 1
+
+
+def test_reading_one_walk_of_n_starts_no_other(monkeypatch, cold_caches):
+    # every pair of the even column 128 reads n's primes and its even-gap
+    # splits, never the triples of n itself, which raise on an even n; the
+    # odd column 3 * (2^61 - 1) answered by recipe_odd never trial-divides n
+    import ramseychoice.certificates as cm
+
+    walked, factored = [], []
+
+    def triples(target):
+        walked.append(target)
+        return iter_goldbach_triples(target)
+
+    def factors(target):
+        factored.append(target)
+        return prime_factors(target)
+
+    monkeypatch.setattr(cm, "iter_goldbach_triples", triples)
+    monkeypatch.setattr(cm, "prime_factors", factors)
+    n = 128
+    recipes = {build_certificate(m, n).recipe for m in range(1, n + 2) if not provable_by_theorem(m, n)}
+    assert {Recipe.PRIME_DIVISOR, Recipe.EVEN_GAP, Recipe.EVEN_DENSE} <= recipes
+    assert walked and n not in walked
+    assert factored == [n]
+    n = 3 * (2**61 - 1)
+    assert all(recipe_odd(m, n) is not None for m in range(1, 40))
+    assert walked[-1] == n and factored == [128]
 
 
 def test_a_walk_interrupted_while_it_extends_loses_no_item():

@@ -101,14 +101,12 @@ def test_a_nonpositive_pair_is_a_usage_error_for_every_subcommand(capsys):
     assert run(capsys, "scan", "1", "5") == (2, "", "error: scan needs max_m >= 2 and max_n >= 2\n")
 
 
-def test_an_empty_goldbach_search_is_a_negative_answer(capsys, monkeypatch):
-    import ramseychoice.certificates as cm
+def test_an_empty_goldbach_search_is_a_negative_answer(capsys, monkeypatch, cold_caches):
     import ramseychoice.numtheory as numtheory
 
     # with 5 and 7 taken for composites, 11 has no prime triple
     is_prime = numtheory.is_prime
     monkeypatch.setattr(numtheory, "is_prime", lambda x: x not in (5, 7) and is_prime(x))
-    cm._odd_plan.cache_clear()
     assert run(capsys, "classify", "3", "11") == (
         1, "", "error: no prime triple sums to 11; ternary Goldbach violated in range\n"
     )
@@ -469,6 +467,12 @@ def test_fraisse_output(capsys):
     )
 
 
+def test_fraisse_negative_ground_limit_is_a_usage_error(capsys):
+    assert run(capsys, "fraisse", "2", "2", "--ground-limit", "-1") == (
+        2, "", "error: need ground_limit >= 0, got -1\n"
+    )
+
+
 def test_fraisse_incomplete_exits_one(capsys):
     code, out, _ = run(capsys, "fraisse", "2", "1", "--check", "2")
     assert code == 1
@@ -687,6 +691,13 @@ def test_verify_goldbach_output(capsys):
     assert out == "odd targets 7..101: all admit a prime triple (48 checked)\n"
 
 
+def test_verify_goldbach_that_checks_nothing_is_a_usage_error(capsys):
+    for max_n in ("5", "-1"):
+        assert run(capsys, "verify", "goldbach", "--max", max_n) == (
+            2, "", f"error: max_n must be >= 7, got {max_n}\n"
+        )
+
+
 def test_verify_goldbach_bound_exits_three(capsys, monkeypatch):
     import ramseychoice.numtheory as numtheory
 
@@ -759,6 +770,14 @@ def test_classify_json_refuses_huge_tables(capsys):
     code, out, err = run(capsys, "classify", "4", "3000000", "--json")
     assert (code, out) == (3, "")
     assert "1000000 parts of total 3000000" in err
+
+
+def test_classify_json_refuses_a_table_too_wide_for_memory(capsys):
+    # three parts of total 10^10 + 1 pass the work bound, but their table
+    # would be 10^10 bits wide; 10^9 + 1 is under the width bound (CI runs it)
+    assert run(capsys, "classify", "4", "10000000001", "--json") == (
+        3, "", "error: a table 10000000002 bits wide exceeds the table width bound\n"
+    )
 
 
 def test_classify_json_big_tables_are_pinned(capsys):

@@ -289,11 +289,10 @@ def test_a_table_wider_than_the_kept_bound_is_not_kept():
     assert admissible_sums(d).values() == [0, 3, 4194301, 4194304] and d._table == (3, 0b1001)
 
 
-def test_a_shared_decomposition_is_folded_about_log2_n_times(monkeypatch):
+def test_a_shared_decomposition_is_folded_about_log2_n_times(monkeypatch, cold_caches):
     # every m of an odd and an even column, from cold caches: the rows of a
     # column share their decompositions, and each widens its kept table at
     # most once per doubling of m
-    import ramseychoice.certificates as cm
     import ramseychoice.decomposition as dm
 
     folds, alive = Counter(), []
@@ -306,8 +305,7 @@ def test_a_shared_decomposition_is_folded_about_log2_n_times(monkeypatch):
 
     monkeypatch.setattr(dm, "_fold", counted)
     for n in (299, 298):
-        for cached in (cm._odd_plan, cm._gap_prime, cm._gap_splits, cm._n_primes, cm._run, cm._decomposition):
-            cached.cache_clear()
+        cold_caches()
         folds.clear()
         for m in range(1, n + 2):
             classify_detailed(m, n)
@@ -645,11 +643,18 @@ def test_admissible_sums_estimates_its_work_first(monkeypatch):
     # classify 4 1000000 --json (200,000 parts of 5) is admitted, and
     # classify 4 3000000 --json (10^6 parts of 3) is not
     assert 200_000 * 10**6 <= dm.TABLE_WORK_BOUND < 10**6 * 3 * 10**6
-    d = Decomposition((5, 3))  # 2 parts, total 8: work 16
-    monkeypatch.setattr(dm, "TABLE_WORK_BOUND", 16)
+    d = Decomposition.from_runs((2,), (300,))  # 300 parts, total 600: work 180,000
+    monkeypatch.setattr(dm, "TABLE_WORK_BOUND", 180_000)
+    assert admissible_sums(d).values() == list(range(0, 601, 2))
+    monkeypatch.setattr(dm, "TABLE_WORK_BOUND", 179_999)
+    with pytest.raises(BoundExceeded, match="^300 parts of total 600 exceed the table work bound$"):
+        admissible_sums(d)
+    # a table of few parts is refused on its width: TABLE_WORK_BOUND / 2^8 bits at most
+    d = Decomposition((5, 3))  # 2 parts, total 8: 9 bits wide
+    monkeypatch.setattr(dm, "TABLE_WORK_BOUND", 9 << 8)
     assert admissible_sums(d).values() == [0, 3, 5, 8]
-    monkeypatch.setattr(dm, "TABLE_WORK_BOUND", 15)
-    with pytest.raises(BoundExceeded):
+    monkeypatch.setattr(dm, "TABLE_WORK_BOUND", (9 << 8) - 1)
+    with pytest.raises(BoundExceeded, match="^a table 9 bits wide exceeds the table width bound$"):
         admissible_sums(d)
     # the blocking test never builds the table
     assert blocks(d, 4)

@@ -5,13 +5,13 @@ import pytest
 from ramseychoice.errors import BoundExceeded
 from ramseychoice.numtheory import (
     GOLDBACH_SEARCH_BOUND,
-    GoldbachTriple,
     bertrand_prime,
     goldbach_triples,
     is_prime,
     iter_goldbach_triples,
     prime_factors,
     primes_up_to,
+    verify_goldbach,
 )
 
 
@@ -139,29 +139,19 @@ def test_primes_up_to():
     assert primes_up_to(2) == (2,)
 
 
-def test_goldbach_triple_validation():
-    t = GoldbachTriple(3, 5, 11, 19)
-    assert t.as_tuple() == (3, 5, 11)
-    with pytest.raises(ValueError):
-        GoldbachTriple(5, 3, 11, 19)  # not sorted
-    with pytest.raises(ValueError):
-        GoldbachTriple(3, 5, 11, 20)  # wrong sum
-    with pytest.raises(ValueError):
-        GoldbachTriple(3, 5, 9, 17)  # 9 is not prime
-
-
-def test_walked_triples_pass_the_checked_constructor():
-    """The walker builds its triples without the constructor's checks; every
-    one it yields for odd 7 <= n < 2000 must pass them and compare equal."""
+def test_walked_triples_are_sorted_primes_summing_to_n():
+    """The walker checks no triple it yields; every one for odd
+    7 <= n < 2000 must be a sorted tuple of three primes summing to n."""
     for n in range(7, 2000, 2):
         for t in iter_goldbach_triples(n):
-            assert GoldbachTriple(t.p1, t.p2, t.p3, n) == t, (n, t)
+            assert type(t) is tuple and len(t) == 3 and t == tuple(sorted(t)) and sum(t) == n, (n, t)
+            assert all(map(is_prime, t)), (n, t)
 
 
 def test_goldbach_triples_lex_order_and_completeness():
     """Compare against a direct cube scan for every odd target up to 99."""
     for n in range(7, 100, 2):
-        got = [t.as_tuple() for t in goldbach_triples(n)]
+        got = goldbach_triples(n)
         ps = primes_up_to(n)
         want = [
             (a, b, n - a - b)
@@ -175,13 +165,20 @@ def test_goldbach_triples_lex_order_and_completeness():
 
 def test_goldbach_all_odd_preferred_is_stable():
     ts = goldbach_triples(15)
-    odds = [t for t in ts if t.p1 != 2]
-    evens = [t for t in ts if t.p1 == 2]
+    odds = [t for t in ts if t[0] != 2]
+    evens = [t for t in ts if t[0] == 2]
     assert ts == odds + evens
     # within each block the lex order survives
-    assert odds == sorted(odds, key=lambda t: t.as_tuple())
-    assert [t.as_tuple() for t in evens] == [(2, 2, 11)]
-    assert odds[0].as_tuple() == (3, 5, 7)
+    assert odds == sorted(odds)
+    assert evens == [(2, 2, 11)]
+    assert odds[0] == (3, 5, 7)
+
+
+def test_a_goldbach_sweep_that_checks_nothing_is_refused():
+    for max_n in (6, 5, -1):
+        with pytest.raises(ValueError, match=f"^max_n must be >= 7, got {max_n}$"):
+            verify_goldbach(max_n)
+    assert verify_goldbach(7) == (1, [])
 
 
 def test_goldbach_triples_rejects_bad_targets():
@@ -197,7 +194,7 @@ def test_goldbach_sweep_never_empty():
     # ternary Goldbach has no odd exceptions above 5 in this range; the first
     # triple is enough to show it, and EmptyResult would fail the test
     for n in range(7, 10**5 + 1, 2):
-        assert sum(next(iter_goldbach_triples(n)).as_tuple()) == n
+        assert sum(next(iter_goldbach_triples(n))) == n
 
 
 def sieve_goldbach_triples(n):
@@ -220,9 +217,9 @@ def sieve_goldbach_triples(n):
 
 def test_iter_goldbach_triples_matches_sieve_enumeration():
     for n in range(7, 602, 2):
-        got = [t.as_tuple() for t in iter_goldbach_triples(n)]
+        got = list(iter_goldbach_triples(n))
         assert got == sieve_goldbach_triples(n), n
-        assert [t.as_tuple() for t in goldbach_triples(n)] == got
+        assert goldbach_triples(n) == got
 
 
 def test_iter_goldbach_triples_checks_target_on_call(monkeypatch):
@@ -239,7 +236,7 @@ def test_iter_goldbach_triples_checks_target_on_call(monkeypatch):
     n = GOLDBACH_SEARCH_BOUND - 1
     tested = []
     monkeypatch.setattr(numtheory, "is_prime", lambda x: tested.append(x) or is_prime(x))
-    assert next(iter_goldbach_triples(n)).as_tuple() == (3, 13, n - 16)
+    assert next(iter_goldbach_triples(n)) == (3, 13, n - 16)
     assert n - 4 not in tested
     assert not any(is_prime(p) and is_prime(n - 3 - p) for p in range(3, 13, 2))
 

@@ -1,8 +1,8 @@
-"""The record contract of the eleven result types.
+"""The record contract of the ten result types.
 
 Every record is slotted and compares, hashes and prints by value in the
 dataclass formats; all but ScanReport are frozen.  RecipeTrace,
-Classification, ScanRow, GoldbachTriple and Decomposition fill their slots
+Classification, ScanRow and Decomposition fill their slots
 through the slot descriptors on their hot paths, and must still behave as
 the others do.  The enums they carry read .value as a plain attribute and
 must still behave as enum members do.
@@ -21,7 +21,6 @@ from ramseychoice import (
     Classification,
     CyclicAutomorphism,
     Decomposition,
-    GoldbachTriple,
     PairChoice,
     Reason,
     Recipe,
@@ -34,7 +33,6 @@ from ramseychoice import (
     admissible_sums,
     build_cyclic_model,
     classify_detailed,
-    iter_goldbach_triples,
     run_scan,
 )
 from ramseychoice.rc24 import FOUR_SET, score
@@ -54,7 +52,6 @@ def examples():
             ScanRow(4, 9, "not_provable", "certificate", "OddCase", (3, 3, 3)),
             ScanRow(m=4, n=9, verdict="not_provable", reason="certificate", recipe="OddCase", parts=(3, 3, 3)),
         ),
-        "GoldbachTriple": (next(iter_goldbach_triples(9)), GoldbachTriple(3, 3, 3, 9)),
         "Decomposition": (Decomposition.from_runs((3,), (3,)), Decomposition([3, 3, 3])),
         "AdmissibleSumSet": (admissible_sums(Decomposition([3, 3, 3])), AdmissibleSumSet(total=9, bits=0b1001001001)),
         "SelectorModel": (cyclic.model, model),
@@ -82,7 +79,6 @@ REPRS = {
     "reason=<Reason.CERTIFICATE: 'certificate'>, certificate=Decomposition(parts=(3, 3, 3)))",
     "ScanRow": "ScanRow(m=4, n=9, verdict='not_provable', reason='certificate', "
     "recipe='OddCase', parts=(3, 3, 3))",
-    "GoldbachTriple": "GoldbachTriple(p1=3, p2=3, p3=3, target=9)",
     "Decomposition": "Decomposition(parts=(3, 3, 3))",
     "AdmissibleSumSet": "AdmissibleSumSet(total=9, bits=585)",
     "SelectorModel": _MODEL_REPR,
@@ -175,16 +171,7 @@ def test_constructors_take_fields_by_keyword_and_keep_their_checks():
     assert ScanReport(max_m=2, max_n=3, rows=[], oracle_checked=5) == ScanReport(2, 3, [])
     model = SelectorModel(m=2, domain=(0, 1), sel={(0, 1): 0})
     assert CyclicAutomorphism(model=model, fixed=(0, 1), cycles=(), sigma=(0, 1)).order == 1
-    assert GoldbachTriple(p1=3, p2=5, p3=11, target=19).as_tuple() == (3, 5, 11)
     assert PairChoice(universe=(0, 1), choice={(0, 1): 1}).pick(1, 0) == 1
-    for args, message in [
-        ((5, 3, 11, 19), r"triple \(5, 3, 11\) is not sorted"),
-        ((3, 5, 11, 20), r"triple \(3, 5, 11\) does not sum to 20"),
-        ((2, 2, 2, 6), "target must be odd and > 5, got 6"),
-        ((3, 5, 9, 17), "9 is not prime"),
-    ]:
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            GoldbachTriple(*args)
     with pytest.raises(ValueError, match="^choice is not total on the pairs of the universe$"):
         PairChoice((0, 1, 2), {(0, 1): 0})
     with pytest.raises(ValueError, match=r"^choice\(0, 1\) = 5 is outside the pair$"):

@@ -621,6 +621,13 @@ def test_extension_guard_refuses_before_listing_embeddings(monkeypatch):
         check_one_point_extension(pairs, 2, 9)
 
 
+def test_fraisse_stages_refuse_a_negative_ground_limit():
+    for build in (lambda: run_fraisse_stages(2, 2, ground_limit=-1),
+                  lambda: build_fraisse_stage(2, run_fraisse_stages(2, 1)[-1], ground_limit=-1)):
+        with pytest.raises(ValueError, match="^need ground_limit >= 0, got -1$"):
+            build()
+
+
 def test_fraisse_stage_sizes_and_f2_table():
     chain = run_fraisse_stages(2, 2)
     assert [len(m.domain) for m in chain] == [0, 1, 4]
