@@ -30,7 +30,7 @@ from operator import attrgetter
 from .decomposition import Decomposition, blocks, provable_reason
 from .errors import BoundExceeded, CertificateSearchFailed, PreconditionViolated
 from .numtheory import _MAX_INPUT, bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
-from .records import Record, slot_setters
+from .records import Open, Record
 
 
 class Recipe(str, Enum):
@@ -48,19 +48,26 @@ class Recipe(str, Enum):
     value = property(attrgetter("_value_"))  # at attribute cost, as Verdict's (decomposition)
 
 
+# Each recipe reads its member as a module global, as classify_detailed does Verdict's.
+_GREATER, _PRIME_DIVISOR, _PRIME_POWER, _ODD, _FERMAT_SHIFT, _EVEN_GAP, _EVEN_DENSE = tuple(Recipe)[:7]
+
+
 class RecipeTrace(Record):
     """A verified certificate plus the reasoning steps that produced it."""
 
     __slots__ = ("m", "n", "recipe", "decomposition", "narrative")
 
-    def __init__(
-        self, m: int, n: int, recipe: Recipe, decomposition: Decomposition, narrative: tuple[str, ...]
-    ) -> None:
-        _set_m(self, m)
-        _set_n(self, n)
-        _set_recipe(self, recipe)
-        _set_decomposition(self, decomposition)
-        _set_narrative(self, narrative)
+    def __new__(
+        cls, m: int, n: int, recipe: Recipe, decomposition: Decomposition, narrative: tuple[str, ...]
+    ) -> "RecipeTrace":
+        self = object.__new__(_OpenRecipeTrace)
+        self.m = m
+        self.n = n
+        self.recipe = recipe
+        self.decomposition = decomposition
+        self.narrative = narrative
+        self.__class__ = cls
+        return self
 
     @staticmethod
     def verified(m, n, recipe, decomposition, narrative) -> "RecipeTrace":
@@ -85,7 +92,8 @@ class RecipeTrace(Record):
         }
 
 
-_set_m, _set_n, _set_recipe, _set_decomposition, _set_narrative = slot_setters(RecipeTrace)
+class _OpenRecipeTrace(Open, RecipeTrace):
+    __slots__ = ()
 
 
 class _Walk:
@@ -150,7 +158,7 @@ def recipe_greater(m: int, n: int) -> RecipeTrace | None:
     if not (m > n >= 2):
         return None
     return RecipeTrace.verified(
-        m, n, Recipe.GREATER, _decomposition((n,)),
+        m, n, _GREATER, _decomposition((n,)),
         [f"m = {m} exceeds n = {n}; single part blocks"],
     )
 
@@ -165,7 +173,7 @@ def recipe_prime_divisor(m: int, n: int) -> RecipeTrace | None:
     if p is None:
         return None
     return RecipeTrace.verified(
-        m, n, Recipe.PRIME_DIVISOR, _run(p, n // p),
+        m, n, _PRIME_DIVISOR, _run(p, n // p),
         [f"prime {p} divides n = {n} but not m = {m}", f"emit {n // p} copies of {p}"],
     )
 
@@ -194,7 +202,7 @@ def recipe_prime_power(m: int, n: int) -> RecipeTrace | None:
     if n - p < 2:
         return None
     return RecipeTrace.verified(
-        m, n, Recipe.PRIME_POWER, Decomposition((p, n - p)),
+        m, n, _PRIME_POWER, Decomposition((p, n - p)),
         [f"n = {m}^{k}", f"bertrand prime {p} in ({m}, {2 * m})", f"split {n} = {p} + {n - p}"],
     )
 
@@ -228,7 +236,7 @@ def recipe_odd(m: int, n: int) -> RecipeTrace | None:
     if n % 2 == 0 or n < 7:
         return None
     proposal = _walk(_odd_proposals, n).first(_blocks_proposal, m)
-    return None if proposal is None else RecipeTrace(m, n, Recipe.ODD, *proposal)
+    return None if proposal is None else RecipeTrace(m, n, _ODD, *proposal)
 
 
 def recipe_fermat_shift(m: int, n: int) -> RecipeTrace | None:
@@ -246,7 +254,7 @@ def recipe_fermat_shift(m: int, n: int) -> RecipeTrace | None:
         return None
     k = gap.bit_length() - 1
     return RecipeTrace.verified(
-        m, n, Recipe.FERMAT_SHIFT, Decomposition((m - 1, q)),
+        m, n, _FERMAT_SHIFT, Decomposition((m - 1, q)),
         [f"n - m = 2^{k}", f"2^{k} + 1 = {q} is prime", f"split {n} = {m - 1} + {q}"],
     )
 
@@ -288,14 +296,14 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
     head = f"prime {p} between m = {m} and n = {n}"
     if n - p in (3, 5):
         return RecipeTrace.verified(
-            m, n, Recipe.EVEN_GAP, _decomposition((p, n - p)), (head, f"split {n} = {p} + {n - p}")
+            m, n, _EVEN_GAP, _decomposition((p, n - p)), (head, f"split {n} = {p} + {n - p}")
         )
     split = _walk(_gap_proposals, n).first(_blocks_proposal, m)
     if split is not None:
-        return RecipeTrace(m, n, Recipe.EVEN_GAP, split[0], (head, split[1]))
+        return RecipeTrace(m, n, _EVEN_GAP, split[0], (head, split[1]))
     inner = recipe_odd(m, n - p)
     return RecipeTrace.verified(
-        m, n, Recipe.EVEN_GAP, Decomposition((p,) + inner.decomposition.parts),
+        m, n, _EVEN_GAP, Decomposition((p,) + inner.decomposition.parts),
         (head, f"odd-case certificate {inner.decomposition} for ({m}, {n - p}); append {p}"),
     )
 
@@ -340,11 +348,11 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
         if (n - p) % (m - p) == 0:  # the direct split admits m; see the last case below
             return None
         narrative += [f"m - p = {m - p} is an odd prime", f"direct split {n} = {p} + {n - p}"]
-        return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, _decomposition((p, n - p)), narrative)
+        return RecipeTrace.verified(m, n, _EVEN_DENSE, _decomposition((p, n - p)), narrative)
     narrative.append(f"m - p = {m - p} is not an odd prime; four-part splits")
     p1, p2, p3 = next(iter_goldbach_triples(n - p))
     narrative.append(f"split {n} = {p} + {p1} + {p2} + {p3}")
-    return RecipeTrace.verified(m, n, Recipe.EVEN_DENSE, _decomposition((p, p1, p2, p3)), narrative)
+    return RecipeTrace.verified(m, n, _EVEN_DENSE, _decomposition((p, p1, p2, p3)), narrative)
 
 
 # Dispatch follows the order in which the cases eliminate pairs: a larger m,

@@ -20,7 +20,7 @@ from operator import attrgetter, mul
 
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
 from .numtheory import _prime_factors_up_to, primes_up_to
-from .records import Record, slot_setters
+from .records import Open, Record, slot_setters
 
 # The oracle's reach: classify_detailed(oracle=True) checks every pair with n <=
 # COLUMN_BOUND and skips larger n; find_blocking_decomposition refuses them for m <= n.
@@ -401,6 +401,12 @@ class Reason(str, Enum):
     value = property(attrgetter("_value_"))
 
 
+# The members each pair reads, as module globals: on Python 3.10 and 3.11 every
+# attribute read on an enum class goes through EnumType.__getattr__ (~0.1 us).
+_PROVABLE, _NOT_PROVABLE = Verdict
+_DIAGONAL, _RC24, _CERTIFICATE = Reason
+
+
 class Classification(Record):
     """Verdict for one implication RC_m => RC_n.
 
@@ -411,14 +417,17 @@ class Classification(Record):
 
     __slots__ = ("m", "n", "verdict", "reason", "certificate")
 
-    def __init__(
-        self, m: int, n: int, verdict: Verdict, reason: Reason, certificate: Decomposition | None = None
-    ) -> None:
-        _set_m(self, m)
-        _set_n(self, n)
-        _set_verdict(self, verdict)
-        _set_reason(self, reason)
-        _set_certificate(self, certificate)
+    def __new__(
+        cls, m: int, n: int, verdict: Verdict, reason: Reason, certificate: Decomposition | None = None
+    ) -> "Classification":
+        self = object.__new__(_OpenClassification)
+        self.m = m
+        self.n = n
+        self.verdict = verdict
+        self.reason = reason
+        self.certificate = certificate
+        self.__class__ = cls
+        return self
 
     @property
     def achievable_for_certificate(self) -> AdmissibleSumSet | None:
@@ -443,14 +452,15 @@ class Classification(Record):
         )
 
 
-_set_m, _set_n, _set_verdict, _set_reason, _set_certificate = slot_setters(Classification)
+class _OpenClassification(Open, Classification):
+    __slots__ = ()
 
 
 def provable_reason(m: int, n: int) -> Reason | None:
     """Why RC_m => RC_n is provable (diagonal, or the pair-to-four rule), else None."""
     if m == n:
-        return Reason.DIAGONAL
-    return Reason.RC24 if (m, n) == (2, 4) else None
+        return _DIAGONAL
+    return _RC24 if (m, n) == (2, 4) else None
 
 
 def provable_by_theorem(m: int, n: int) -> bool:
@@ -469,12 +479,10 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False):
         raise ValueError(f"need positive m and n, got ({m}, {n})")
     reason = provable_reason(m, n)
     if reason is not None:
-        cls, trace = Classification(m, n, Verdict.PROVABLE, reason), None
+        cls, trace = Classification(m, n, _PROVABLE, reason), None
     else:
         trace = certificates.build_certificate(m, n)
-        cls = Classification(
-            m, n, Verdict.NOT_PROVABLE, Reason.CERTIFICATE, certificate=trace.decomposition
-        )
+        cls = Classification(m, n, _NOT_PROVABLE, _CERTIFICATE, trace.decomposition)
     if oracle:
         finding = oracle_disagreement(m, n, trace is not None)
         if finding is not None:

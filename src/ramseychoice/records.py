@@ -10,12 +10,13 @@ the package imports neither dataclasses nor the inspect, ast and tokenize
 modules it pulls in; FrozenInstanceError is imported only when it is raised.
 
 A record's __init__ stores its fields through the slots' own descriptors,
-which the frozen __setattr__ does not block, at about half the cost of
-object.__setattr__.  The three records built once per pair
-(Classification, RecipeTrace and ScanRow) call the setters slot_setters
-returns, one per field; every other record, Decomposition among them,
-calls _set_fields.  ScanReport is mutable: it restores object's
-__setattr__ and __delattr__ and has no hash.
+which the frozen __setattr__ does not block, by _set_fields.  The three
+records built once per pair (Classification, RecipeTrace and ScanRow) are
+built in a __new__ instead, as an instance of an open twin (the record plus
+Open) whose fields are stored by plain assignment and whose __class__ is
+then set to the record: on Python 3.11 and a 2-vCPU Xeon VM, 0.33 us for
+five fields against 0.44 us through the descriptors.  ScanReport is
+mutable: it takes Open itself and has no hash.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._key = attrgetter(*cls.__dict__.get("_compared", cls.__slots__))
-        cls._setters = slot_setters(cls)
+        if cls.__slots__:  # an open twin adds no field and keeps its record's
+            cls._key = attrgetter(*cls.__dict__.get("_compared", cls.__slots__))
+            cls._setters = slot_setters(cls)
 
     def _set_fields(self, *values) -> None:
         """Store the field values in field order, through the slot descriptors."""
@@ -71,3 +73,15 @@ class Record:
 
     def __reduce__(self):
         return _rebuilt, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+
+class Open:
+    """Restores object's __setattr__ and __delattr__ ahead of Record's frozen ones.
+
+    An open twin is class _OpenX(Open, X) with __slots__ = (): it has the
+    layout of the record X, so an instance can take X as its __class__.
+    """
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__

@@ -19,15 +19,15 @@ from .decomposition import (
     provable_reason,
 )
 from .errors import BoundExceeded
-from .records import Record, slot_setters
+from .records import Open, Record
 
 # The cost of one pair of a scan in units of one column step: a pair costs
 # about SCAN_PAIR_COST + n units, as the widest sum table it folds and the
-# longest parts list it writes grow with n (on a 2-vCPU VM about 5 us per
-# pair at perfbench's reference speed, and at most a few ns per unit of n).
+# longest parts list it writes grow with n (on a 2-vCPU VM about 4 us per
+# pair, 5 us when this was set, and at most a few ns per unit of n).
 SCAN_PAIR_COST = 1000
 
-# Largest estimated work run_scan admits, a few seconds on that VM: the
+# Largest estimated work run_scan admits, about a second on that VM: the
 # largest square box it admits is 2..433, and 2..300 takes 43% of it.
 SCAN_WORK_BOUND = 2**28
 
@@ -35,22 +35,40 @@ SCAN_WORK_BOUND = 2**28
 class ScanRow(Record):
     __slots__ = ("m", "n", "verdict", "reason", "recipe", "parts")
 
-    def __init__(
-        self, m: int, n: int, verdict: str, reason: str, recipe: str | None = None,
+    def __new__(
+        cls, m: int, n: int, verdict: str, reason: str, recipe: str | None = None,
         parts: tuple[int, ...] | None = None,
-    ) -> None:
-        _set_m(self, m)
-        _set_n(self, n)
-        _set_verdict(self, verdict)
-        _set_reason(self, reason)
-        _set_recipe(self, recipe)
-        _set_parts(self, parts)
+    ) -> "ScanRow":
+        self = object.__new__(_OpenScanRow)
+        self.m = m
+        self.n = n
+        self.verdict = verdict
+        self.reason = reason
+        self.recipe = recipe
+        self.parts = parts
+        self.__class__ = cls
+        return self
 
 
-_set_m, _set_n, _set_verdict, _set_reason, _set_recipe, _set_parts = slot_setters(ScanRow)
+class _OpenScanRow(Open, ScanRow):
+    __slots__ = ()
 
 
-class ScanReport(Record):
+# The values a row read back may hold in each enum field; a provable pair has no recipe.
+_KNOWN = (("verdict", tuple(Verdict)), ("reason", tuple(Reason)), ("recipe", (*Recipe, None)))
+_CERTIFICATE = Reason.CERTIFICATE
+
+
+def _known(row: ScanRow, kind: str, source) -> ScanRow:
+    """row, or ValueError naming the source it was read from when a field holds no value of its enum."""
+    for field, values in _KNOWN:
+        value = getattr(row, field)
+        if value not in values:
+            raise ValueError(f"{kind} {source} has an unknown {field} {value!r}")
+    return row
+
+
+class ScanReport(Open, Record):
     """Grid classification result with JSON and CSV round trips.
 
     oracle_checked counts the rows the oracle checked, or is None for a scan
@@ -60,8 +78,6 @@ class ScanReport(Record):
 
     __slots__ = ("max_m", "max_n", "rows", "oracle_checked")
     _compared = ("max_m", "max_n", "rows")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(self, max_m: int, max_n: int, rows: list[ScanRow], oracle_checked: int | None = None) -> None:
@@ -102,18 +118,13 @@ class ScanReport(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScanReport":
+        """Read a to_json_obj object back; a pair whose verdict, reason or
+        recipe is no value of its enum raises ValueError."""
         rows = []
         for p in obj["pairs"]:
-            rows.append(
-                ScanRow(
-                    p["m"],
-                    p["n"],
-                    p["verdict"],
-                    p["reason"],
-                    p.get("recipe"),
-                    tuple(p["parts"]) if "parts" in p else None,
-                )
-            )
+            parts = tuple(p["parts"]) if "parts" in p else None
+            row = ScanRow(p["m"], p["n"], p["verdict"], p["reason"], p.get("recipe"), parts)
+            rows.append(_known(row, "pair", p))
         return cls(obj["max_m"], obj["max_n"], rows)
 
     def to_csv(self) -> str:
@@ -146,7 +157,8 @@ class ScanReport(Record):
         """Read a to_csv table back; max_m and max_n are the largest m and n in it.
 
         The reader splits lines itself, so a quoted field keeps its newlines.
-        A row without exactly five fields raises ValueError.
+        A row without exactly five fields, or whose verdict or recipe is no
+        value of its enum, raises ValueError.
         """
         reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
@@ -157,10 +169,9 @@ class ScanReport(Record):
             if len(raw) != 5:
                 raise ValueError(f"CSV row {raw} has {len(raw)} fields, not 5")
             m, n = int(raw[0]), int(raw[1])
-            reason = provable_reason(m, n) or Reason.CERTIFICATE
-            recipe = raw[3] or None
+            reason = provable_reason(m, n) or _CERTIFICATE
             parts = tuple(int(x) for x in raw[4].split("+")) if raw[4] else None
-            rows.append(ScanRow(m, n, raw[2], reason.value, recipe, parts))
+            rows.append(_known(ScanRow(m, n, raw[2], reason.value, raw[3] or None, parts), "CSV row", raw))
         if not rows:
             raise ValueError("the CSV holds no rows, so the grid size is unknown")
         return cls(max(r.m for r in rows), max(r.n for r in rows), rows)

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -360,11 +361,26 @@ def test_scan_csv_is_the_csv_writers_bytes():
         writer.writerow([r.m, r.n, r.verdict, r.recipe or "", "+".join(map(str, r.parts or ()))])
     report = ScanReport(max(r.m for r in rows), 11, rows)
     assert report.to_csv() == buf.getvalue()
-    # the table reads back, newlines inside quoted fields included; an empty
-    # recipe is written as None is, so only the rows without one round-trip
+    # the rows of a known verdict and recipe read back; an empty recipe is
+    # written as None is, so only the rows without one round-trip
     kept = [r for r in rows if r.recipe != "" and r.m != r.n]
-    text = ScanReport(max(r.m for r in kept), 11, kept).to_csv()
-    assert ScanReport.from_csv(text) == ScanReport(max(r.m for r in kept), 11, kept)
+    known = [r for r in kept if r.verdict == "not_provable" and r.recipe in (None, "OddCase")]
+    text = ScanReport(max(r.m for r in known), 11, known).to_csv()
+    assert ScanReport.from_csv(text) == ScanReport(max(r.m for r in known), 11, known)
+    # every other row is refused, named by the fields the reader parsed: each
+    # quoted field comes back whole, newlines inside it included
+    for r in kept:
+        if r not in known:
+            field = "verdict" if r.verdict != "not_provable" else "recipe"
+            assert_csv_row_refused(r, field)
+
+
+def assert_csv_row_refused(row, field):
+    """from_csv refuses the table of row alone for its field, naming the five fields written."""
+    written = [str(row.m), str(row.n), row.verdict, row.recipe or "", "+".join(map(str, row.parts or ()))]
+    message = f"CSV row {written} has an unknown {field} {getattr(row, field)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScanReport.from_csv(ScanReport(row.m, row.n, [row]).to_csv())
 
 
 def test_scan_csv_quotes_a_carriage_return_and_reads_it_back():
@@ -372,7 +388,12 @@ def test_scan_csv_quotes_a_carriage_return_and_reads_it_back():
             ScanRow(3, 5, "e\r", "certificate", "f", (5,))]
     text = ScanReport(3, 5, rows).to_csv()
     assert text == 'm,n,verdict,recipe,parts\n2,3,"a\rb","c\r\nd",3\n3,5,"e\r",f,5\n'
-    assert ScanReport.from_csv(text) == ScanReport(3, 5, rows)
+    # neither verdict is a Verdict value, so each row is refused, named by the
+    # five fields the reader parsed around the quoted carriage returns
+    with pytest.raises(ValueError, match=re.escape(r"CSV row ['2', '3', 'a\rb', 'c\r\nd', '3'] has")):
+        ScanReport.from_csv(text)
+    for r in rows:
+        assert_csv_row_refused(r, "verdict")
 
 
 def test_scan_csv_round_trip():
@@ -390,6 +411,24 @@ def test_scan_csv_round_trip():
         ScanReport.from_csv("")
     with pytest.raises(ValueError, match=r"CSV row \['1', '2'\] has 2 fields"):
         ScanReport.from_csv("m,n,verdict,recipe,parts\n1,2\n")
+
+
+def test_scan_readers_refuse_a_value_outside_its_enum():
+    pair = {"m": 2, "n": 3, "verdict": "not_provable", "reason": "certificate", "recipe": "OddCase", "parts": [3]}
+    for field, value in (("verdict", "banana"), ("reason", "y"), ("recipe", "Nope"), ("recipe", "")):
+        bad = dict(pair, **{field: value})
+        message = f"pair {bad} has an unknown {field} {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScanReport.from_json_obj({"max_m": 2, "max_n": 3, "pairs": [bad]})
+    # a missing recipe is a provable pair's, so it is read as None
+    del pair["recipe"]
+    assert ScanReport.from_json_obj({"max_m": 2, "max_n": 3, "pairs": [pair]}).rows[0].recipe is None
+    header = "m,n,verdict,recipe,parts\n"
+    for line, field, value in (("2,3,banana,OddCase,3", "verdict", "banana"),
+                               ("2,3,not_provable,Nope,3", "recipe", "Nope")):
+        message = f"CSV row {line.split(',')} has an unknown {field} {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScanReport.from_csv(f"{header}2,2,provable,,\n{line}\n")
 
 
 def test_scan_row_counts():

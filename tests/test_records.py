@@ -2,10 +2,11 @@
 
 Every record is slotted and compares, hashes and prints by value in the
 dataclass formats; all but ScanReport are frozen.  RecipeTrace,
-Classification, ScanRow and Decomposition fill their slots
-through the slot descriptors on their hot paths, and must still behave as
-the others do.  The enums they carry read .value as a plain attribute and
-must still behave as enum members do.
+Classification and ScanRow are built as an open twin whose class is then
+set to the record, and Decomposition fills its slots through the slot
+descriptors; the records the library builds must still behave as the
+others do.  The enums they carry read .value as a plain attribute and must
+still behave as enum members do.
 """
 
 import copy
@@ -14,7 +15,10 @@ import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import example, given, seed
+from hypothesis import strategies as st
 
+import ramseychoice
 import ramseychoice.decomposition as decomposition
 from ramseychoice import (
     AdmissibleSumSet,
@@ -31,11 +35,14 @@ from ramseychoice import (
     SelectorModel,
     Verdict,
     admissible_sums,
+    blocks,
     build_cyclic_model,
     classify_detailed,
+    provable_by_theorem,
     run_scan,
 )
 from ramseychoice.rc24 import FOUR_SET, score
+from ramseychoice.records import Open
 
 _SEL = {(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 2): 1, (2, 3): 2, (1, 3): 3}
 
@@ -49,7 +56,7 @@ def examples():
         "RecipeTrace": (t1, RecipeTrace(4, 9, t1.recipe, Decomposition([3, 3, 3]), t1.narrative)),
         "Classification": (c1, Classification(4, 9, c1.verdict, c1.reason, Decomposition([3, 3, 3]))),
         "ScanRow": (
-            ScanRow(4, 9, "not_provable", "certificate", "OddCase", (3, 3, 3)),
+            run_scan(4, 9)[0].rows[-1],
             ScanRow(m=4, n=9, verdict="not_provable", reason="certificate", recipe="OddCase", parts=(3, 3, 3)),
         ),
         "Decomposition": (Decomposition.from_runs((3,), (3,)), Decomposition([3, 3, 3])),
@@ -176,6 +183,82 @@ def test_constructors_take_fields_by_keyword_and_keep_their_checks():
         PairChoice((0, 1, 2), {(0, 1): 0})
     with pytest.raises(ValueError, match=r"^choice\(0, 1\) = 5 is outside the pair$"):
         PairChoice((0, 1), {(0, 1): 5})
+
+
+# One pair each recipe answers first in dispatch, and a pair of each reason to prove.
+RECIPE_PAIRS = {
+    Recipe.GREATER: (3, 2),
+    Recipe.PRIME_DIVISOR: (2, 3),
+    Recipe.PRIME_POWER: (2, 8),
+    Recipe.ODD: (2, 7),
+    Recipe.FERMAT_SHIFT: (4, 8),
+    Recipe.EVEN_GAP: (6, 12),
+    Recipe.EVEN_DENSE: (48, 54),
+}
+PROVABLE_PAIRS = ((7, 7), (2, 4))
+
+
+def by_keyword(record):
+    """The record of the same class built from record's fields by keyword."""
+    return type(record)(**{f: getattr(record, f) for f in type(record).__slots__})
+
+
+def test_the_per_pair_records_the_library_builds_keep_the_record_contract():
+    built = []  # (the public class, a record the library built of it)
+    for recipe, (m, n) in RECIPE_PAIRS.items():
+        cls_, trace = classify_detailed(m, n)
+        assert trace.recipe is recipe and cls_.verdict is Verdict.NOT_PROVABLE
+        built += [(Classification, cls_), (RecipeTrace, trace)]
+    for m, n in PROVABLE_PAIRS:
+        cls_, trace = classify_detailed(m, n)
+        assert trace is None and cls_.verdict is Verdict.PROVABLE
+        built.append((Classification, cls_))
+    report = run_scan(6, 12)[0]
+    read = (ScanReport.from_csv(report.to_csv()), ScanReport.from_json_obj(report.to_json_obj()))
+    assert read == (report, report)
+    for rows in (report.rows, read[0].rows, read[1].rows):
+        assert {r.recipe for r in rows} >= {"PrimeDivisorCase", "OddCase", "EvenGapCase", None}
+        built += [(ScanRow, r) for r in rows]
+    for kind, a in built:
+        assert type(a) is kind and a.__class__ is kind and not isinstance(a, Open)
+        b = by_keyword(a)
+        assert type(b) is kind and repr(a) == repr(b)
+        assert_equal_by_value(a, b)
+        for f in kind.__slots__:
+            with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{f}'$"):
+                setattr(a, f, 0)
+            with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{f}'$"):
+                delattr(a, f)
+        with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'other'$"):
+            a.other = 0
+        assert repr(a) == repr(b)
+        for c in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert type(c) is kind and c == a and hash(c) == hash(a) and repr(c) == repr(a)
+
+
+def test_no_open_twin_is_exported():
+    exported = [getattr(ramseychoice, name) for name in ramseychoice.__all__]
+    assert [x for x in exported if isinstance(x, type) and issubclass(x, Open)] == [ScanReport]
+
+
+@seed(2000)
+@example(7, 7)
+@example(2, 4)
+@given(st.integers(2, 2000), st.integers(2, 2000))
+def test_classify_detailed_builds_the_records_its_fields_name(m, n):
+    cls_, trace = classify_detailed(m, n)
+    for record, kind in ((cls_, Classification), (trace, RecipeTrace)):
+        if record is not None:
+            assert type(record) is kind
+            assert record == by_keyword(record) and repr(record) == repr(by_keyword(record))
+            assert (record.m, record.n) == (m, n)
+    if provable_by_theorem(m, n):
+        assert trace is None and cls_.verdict is Verdict.PROVABLE and cls_.certificate is None
+        assert cls_.reason is (Reason.DIAGONAL if m == n else Reason.RC24)
+    else:
+        assert (cls_.verdict, cls_.reason) == (Verdict.NOT_PROVABLE, Reason.CERTIFICATE)
+        assert cls_.certificate is trace.decomposition and trace.decomposition.total == n
+        assert type(trace.recipe) is Recipe and blocks(trace.decomposition, m)
 
 
 def test_scan_row_defaults():
