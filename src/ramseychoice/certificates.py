@@ -12,6 +12,10 @@ proposal goes through RecipeTrace.verified, which raises instead of
 declining: a failure there is a bug, not a decline.  Together the recipes
 cover every non-provable pair with n >= 2.
 
+The greater and prime-divisor recipes, most of the pairs of a scan, hand
+the trace a narrator instead of lines (_greater_lines, _prime_divisor_lines),
+so their lines are formatted only when the narrative is first read.
+
 The work that depends only on n is done once per n and kept in bounded
 caches: one cache of walks keyed by walk and n (n's primes, recipe_odd's
 proposals and the even-gap splits p + a triple of n - p), the even-gap prime
@@ -53,7 +57,13 @@ _GREATER, _PRIME_DIVISOR, _PRIME_POWER, _ODD, _FERMAT_SHIFT, _EVEN_GAP, _EVEN_DE
 
 
 class RecipeTrace(Record):
-    """A verified certificate plus the reasoning steps that produced it."""
+    """A verified certificate plus the reasoning steps that produced it.
+
+    narrative is a tuple of lines, or a narrator: a module-level function of
+    the trace that returns its lines.  A narrator is told on the first read
+    of narrative, and its lines are then kept, so deciding a pair formats no
+    lines; repr, equality, hashing, pickling and copying read the lines.
+    """
 
     __slots__ = ("m", "n", "recipe", "decomposition", "narrative")
 
@@ -79,7 +89,8 @@ class RecipeTrace(Record):
             )
         if not blocks(decomposition, m):
             raise RuntimeError(f"certificate {decomposition} admits m = {m}; recipe {recipe.value} is buggy")
-        return RecipeTrace(m, n, recipe, decomposition, tuple(narrative))
+        narrative = narrative if callable(narrative) else tuple(narrative)
+        return _new_trace(RecipeTrace, m, n, recipe, decomposition, narrative)
 
     def to_json_obj(self) -> dict:
         return {
@@ -88,12 +99,29 @@ class RecipeTrace(Record):
             "recipe": self.recipe.value,
             "parts": list(self.decomposition.parts),
             "narrative": list(self.narrative),
-            "verified": True,
+            "verified": self.decomposition.total == self.n and blocks(self.decomposition, self.m),
         }
 
 
 class _OpenRecipeTrace(Open, RecipeTrace):
     __slots__ = ()
+    narrative = RecipeTrace.narrative  # the slot itself, so __new__ stores a narrator by the plain path
+
+
+def _told(trace, slot=_OpenRecipeTrace.narrative):
+    """trace's lines: a narrator in the slot is told once and its lines kept there."""
+    narrative = slot.__get__(trace)
+    if callable(narrative):
+        narrative = narrative(trace)
+        slot.__set__(trace, narrative)
+    return narrative
+
+
+RecipeTrace.narrative = property(_told)
+
+# The library calls __new__ itself: RecipeTrace(...) goes through type.__call__,
+# which packs the arguments again and then tries __init__ (0.1 us of a trace).
+_new_trace = RecipeTrace.__new__
 
 
 class _Walk:
@@ -153,14 +181,20 @@ def _run(part: int, count: int) -> Decomposition:
     return Decomposition.from_runs((part,), (count,))
 
 
+def _greater_lines(trace: RecipeTrace) -> tuple[str, ...]:
+    return (f"m = {trace.m} exceeds n = {trace.n}; single part blocks",)
+
+
 def recipe_greater(m: int, n: int) -> RecipeTrace | None:
     """m > n: the single part {n} admits only sums up to n < m."""
     if not (m > n >= 2):
         return None
-    return RecipeTrace.verified(
-        m, n, _GREATER, _decomposition((n,)),
-        [f"m = {m} exceeds n = {n}; single part blocks"],
-    )
+    return RecipeTrace.verified(m, n, _GREATER, _decomposition((n,)), _greater_lines)
+
+
+def _prime_divisor_lines(trace: RecipeTrace) -> tuple[str, ...]:
+    ((p, copies),) = trace.decomposition.runs
+    return (f"prime {p} divides n = {trace.n} but not m = {trace.m}", f"emit {copies} copies of {p}")
 
 
 def recipe_prime_divisor(m: int, n: int) -> RecipeTrace | None:
@@ -172,10 +206,7 @@ def recipe_prime_divisor(m: int, n: int) -> RecipeTrace | None:
     p = _walk(prime_factors, n).first(_does_not_divide, m)
     if p is None:
         return None
-    return RecipeTrace.verified(
-        m, n, _PRIME_DIVISOR, _run(p, n // p),
-        [f"prime {p} divides n = {n} but not m = {m}", f"emit {n // p} copies of {p}"],
-    )
+    return RecipeTrace.verified(m, n, _PRIME_DIVISOR, _run(p, n // p), _prime_divisor_lines)
 
 
 def _prime_power_exponent(m: int, n: int) -> int | None:
@@ -236,7 +267,7 @@ def recipe_odd(m: int, n: int) -> RecipeTrace | None:
     if n % 2 == 0 or n < 7:
         return None
     proposal = _walk(_odd_proposals, n).first(_blocks_proposal, m)
-    return None if proposal is None else RecipeTrace(m, n, _ODD, *proposal)
+    return None if proposal is None else _new_trace(RecipeTrace, m, n, _ODD, *proposal)
 
 
 def recipe_fermat_shift(m: int, n: int) -> RecipeTrace | None:
@@ -300,7 +331,7 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
         )
     split = _walk(_gap_proposals, n).first(_blocks_proposal, m)
     if split is not None:
-        return RecipeTrace(m, n, _EVEN_GAP, split[0], (head, split[1]))
+        return _new_trace(RecipeTrace, m, n, _EVEN_GAP, split[0], (head, split[1]))
     inner = recipe_odd(m, n - p)
     return RecipeTrace.verified(
         m, n, _EVEN_GAP, Decomposition((p,) + inner.decomposition.parts),

@@ -456,6 +456,9 @@ class _OpenClassification(Open, Classification):
     __slots__ = ()
 
 
+_new_classification = Classification.__new__  # called directly, as certificates._new_trace
+
+
 def provable_reason(m: int, n: int) -> Reason | None:
     """Why RC_m => RC_n is provable (diagonal, or the pair-to-four rule), else None."""
     if m == n:
@@ -479,10 +482,10 @@ def classify_detailed(m: int, n: int, *, oracle: bool = False):
         raise ValueError(f"need positive m and n, got ({m}, {n})")
     reason = provable_reason(m, n)
     if reason is not None:
-        cls, trace = Classification(m, n, _PROVABLE, reason), None
+        cls, trace = _new_classification(Classification, m, n, _PROVABLE, reason), None
     else:
         trace = certificates.build_certificate(m, n)
-        cls = Classification(m, n, _NOT_PROVABLE, _CERTIFICATE, trace.decomposition)
+        cls = _new_classification(Classification, m, n, _NOT_PROVABLE, _CERTIFICATE, trace.decomposition)
     if oracle:
         finding = oracle_disagreement(m, n, trace is not None)
         if finding is not None:

@@ -15,8 +15,12 @@ records built once per pair (Classification, RecipeTrace and ScanRow) are
 built in a __new__ instead, as an instance of an open twin (the record plus
 Open) whose fields are stored by plain assignment and whose __class__ is
 then set to the record: on Python 3.11 and a 2-vCPU Xeon VM, 0.33 us for
-five fields against 0.44 us through the descriptors.  ScanReport is
-mutable: it takes Open itself and has no hash.
+five fields against 0.44 us through the descriptors.  The library calls the
+__new__ of a trace or a classification directly, past type.__call__.  A
+twin whose record replaces a slot's descriptor by a property (RecipeTrace's
+narrative) keeps the slot's descriptor as its own attribute, so __new__
+still stores that field by the plain path.  ScanReport is mutable: it takes
+Open itself and has no hash.
 """
 
 from __future__ import annotations

@@ -23,8 +23,9 @@ from .records import Open, Record
 
 # The cost of one pair of a scan in units of one column step: a pair costs
 # about SCAN_PAIR_COST + n units, as the widest sum table it folds and the
-# longest parts list it writes grow with n (on a 2-vCPU VM about 4 us per
-# pair, 5 us when this was set, and at most a few ns per unit of n).
+# longest parts list it writes grow with n (on a 2-vCPU VM about 2.5 us per
+# pair once n's caches are warm, 5 us when this was set, and at most a few
+# ns per unit of n).
 SCAN_PAIR_COST = 1000
 
 # Largest estimated work run_scan admits, about a second on that VM: the
@@ -165,12 +166,15 @@ class ScanReport(Open, Record):
         if header != ["m", "n", "verdict", "recipe", "parts"]:
             raise ValueError(f"unexpected CSV header {header}")
         rows = []
+        parsed = {}  # each distinct parts field, parsed once: the rows of a column share a few
         for raw in reader:
             if len(raw) != 5:
                 raise ValueError(f"CSV row {raw} has {len(raw)} fields, not 5")
             m, n = int(raw[0]), int(raw[1])
             reason = provable_reason(m, n) or _CERTIFICATE
-            parts = tuple(int(x) for x in raw[4].split("+")) if raw[4] else None
+            parts = parsed.get(raw[4])
+            if parts is None and raw[4]:
+                parts = parsed[raw[4]] = tuple(map(int, raw[4].split("+")))
             rows.append(_known(ScanRow(m, n, raw[2], reason.value, raw[3] or None, parts), "CSV row", raw))
         if not rows:
             raise ValueError("the CSV holds no rows, so the grid size is unknown")

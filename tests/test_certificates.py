@@ -58,6 +58,15 @@ def test_trace_json_shape():
     assert obj["verified"] is True
 
 
+def test_trace_json_verified_reports_both_checks():
+    # a hand-built trace is not checked when built; its JSON says whether it holds
+    admits = RecipeTrace(4, 10, Recipe.PRIME_DIVISOR, Decomposition([2] * 5), ("x",))
+    short = RecipeTrace(4, 11, Recipe.PRIME_DIVISOR, Decomposition([3] * 3), ("x",))
+    assert admits.to_json_obj()["verified"] is False and short.to_json_obj()["verified"] is False
+    assert RecipeTrace(4, 9, Recipe.ODD, Decomposition([3] * 3), ("x",)).to_json_obj()["verified"] is True
+    assert build_certificate(4, 150).to_json_obj()["verified"] is True
+
+
 def test_recipe_greater():
     assert recipe_greater(5, 3).decomposition.parts == (3,)
     assert recipe_greater(17, 2).decomposition.parts == (2,)

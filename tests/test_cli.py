@@ -400,6 +400,11 @@ def test_scan_csv_round_trip():
     report, _ = run_scan(9, 9)
     back = ScanReport.from_csv(report.to_csv())
     assert back == report
+    # rows with an equal parts field share the one tuple it was parsed into
+    parts = {}
+    assert all(parts.setdefault(r.parts, r.parts) is r.parts for r in back.rows)
+    with pytest.raises(ValueError, match="^invalid literal for int"):
+        ScanReport.from_csv("m,n,verdict,recipe,parts\n2,3,not_provable,PrimeDivisorCase,3+x\n")
     # the grid size comes from the rows, so a non-square grid survives too
     report, _ = run_scan(3, 6)
     assert ScanReport.from_csv(report.to_csv()) == report

@@ -19,6 +19,7 @@ from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 import ramseychoice
+import ramseychoice.certificates as certificates
 import ramseychoice.decomposition as decomposition
 from ramseychoice import (
     AdmissibleSumSet,
@@ -234,6 +235,62 @@ def test_the_per_pair_records_the_library_builds_keep_the_record_contract():
         assert repr(a) == repr(b)
         for c in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
             assert type(c) is kind and c == a and hash(c) == hash(a) and repr(c) == repr(a)
+
+
+NARRATORS = ("_greater_lines", "_prime_divisor_lines")
+_NARRATIVE_SLOT = certificates._OpenRecipeTrace.narrative  # reads the slot without telling it
+
+
+@pytest.fixture
+def told(monkeypatch):
+    """The narrators' calls, as (narrator name, (m, n)), with each narrator still telling its lines."""
+    calls = []
+    for name in NARRATORS:
+        real = getattr(certificates, name)
+
+        def narrator(trace, name=name, real=real):
+            calls.append((name, (trace.m, trace.n)))
+            return real(trace)
+
+        monkeypatch.setattr(certificates, name, narrator)
+    return calls
+
+
+def test_deciding_a_pair_tells_no_narrative(told):
+    run_scan(6, 12)
+    traces = {recipe: classify_detailed(*pair)[1] for recipe, pair in RECIPE_PAIRS.items()}
+    assert told == []
+    for recipe in (Recipe.GREATER, Recipe.PRIME_DIVISOR):
+        trace = traces[recipe]
+        assert callable(_NARRATIVE_SLOT.__get__(trace))
+        first = trace.narrative
+        assert told == [(NARRATORS[recipe is Recipe.PRIME_DIVISOR], RECIPE_PAIRS[recipe])]
+        assert type(first) is tuple and all(type(line) is str for line in first)
+        assert trace.narrative is first and _NARRATIVE_SLOT.__get__(trace) is first
+        assert len(told) == 1
+        told.clear()
+    given = ("a hand-told line",)
+    assert RecipeTrace(4, 9, Recipe.ODD, Decomposition([3, 3, 3]), given).narrative is given
+
+
+@pytest.mark.parametrize("recipe", RECIPE_PAIRS)
+def test_an_untold_trace_behaves_as_a_told_one(recipe):
+    deferred = recipe in (Recipe.GREATER, Recipe.PRIME_DIVISOR)
+
+    def untold():
+        trace = classify_detailed(*RECIPE_PAIRS[recipe])[1]
+        assert callable(_NARRATIVE_SLOT.__get__(trace)) is deferred
+        return trace
+
+    told = classify_detailed(*RECIPE_PAIRS[recipe])[1]
+    told.narrative
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(untold(), protocol) == pickle.dumps(told, protocol)
+    for c in (copy.copy(untold()), copy.deepcopy(untold()), by_keyword(untold()), untold()):
+        assert type(c) is RecipeTrace and c == told and told == c and hash(c) == hash(told)
+        assert repr(c) == repr(told) and c.narrative == told.narrative
+    assert untold() == told and told == untold() and not untold() != told
+    assert hash(untold()) == hash(told) and repr(untold()) == repr(told)
 
 
 def test_no_open_twin_is_exported():
