@@ -34,7 +34,7 @@ from operator import attrgetter
 from .decomposition import Decomposition, blocks, provable_reason
 from .errors import BoundExceeded, CertificateSearchFailed, PreconditionViolated
 from .numtheory import _MAX_INPUT, bertrand_prime, is_prime, iter_goldbach_triples, prime_factors
-from .records import Open, Record
+from .records import Record
 
 
 class Recipe(str, Enum):
@@ -103,9 +103,7 @@ class RecipeTrace(Record):
         }
 
 
-class _OpenRecipeTrace(Open, RecipeTrace):
-    __slots__ = ()
-    narrative = RecipeTrace.narrative  # the slot itself, so __new__ stores a narrator by the plain path
+_OpenRecipeTrace = RecipeTrace._open  # as decomposition's _OpenClassification; holds the narrative slot
 
 
 def _told(trace, slot=_OpenRecipeTrace.narrative):

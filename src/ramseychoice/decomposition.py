@@ -20,7 +20,7 @@ from operator import attrgetter, mul
 
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
 from .numtheory import _prime_factors_up_to, primes_up_to
-from .records import Open, Record, slot_setters
+from .records import Record, _rebuilt
 
 # The oracle's reach: classify_detailed(oracle=True) checks every pair with n <=
 # COLUMN_BOUND and skips larger n; find_blocking_decomposition refuses them for m <= n.
@@ -57,7 +57,7 @@ class Decomposition(Record):
     __slots__ = ("_values", "_counts", "total", "_parts", "_table")
     _compared = ("_values", "_counts")
 
-    def __init__(self, parts):
+    def __new__(cls, parts):
         ordered = tuple(sorted(parts, reverse=True))
         if not ordered:
             raise InvalidPart("a decomposition needs at least one part")
@@ -68,7 +68,7 @@ class Decomposition(Record):
         values, counts = ordered, (1,) * len(ordered)
         if len(set(ordered)) < len(ordered):  # some part repeats
             values, counts = zip(*[(p, len(tuple(run))) for p, run in groupby(ordered)])
-        self._set_fields(values, counts, total, ordered, None)
+        return _rebuilt(cls, (values, counts, total, ordered, None))
 
     @classmethod
     def from_runs(cls, values: tuple[int, ...], counts: tuple[int, ...]) -> Decomposition:
@@ -78,11 +78,9 @@ class Decomposition(Record):
         nothing is sorted or checked, so a run of 10^17 copies costs O(1).
         Lists are taken as tuples, so the result hashes and compares as one.
         """
-        self = object.__new__(cls)
         values, counts = tuple(values), tuple(counts)
         parts = values if counts.count(1) == len(counts) else None
-        self._set_fields(values, counts, sum(map(mul, values, counts)), parts, None)
-        return self
+        return _rebuilt(cls, (values, counts, sum(map(mul, values, counts)), parts, None))
 
     @property
     def runs(self) -> tuple[tuple[int, int], ...]:
@@ -119,7 +117,7 @@ class Decomposition(Record):
 
 
 # The two cache slots, written after construction.
-_set_parts, _set_table = slot_setters(Decomposition)[3:]
+_set_parts, _set_table = Decomposition._parts.__set__, Decomposition._table.__set__
 
 
 class AdmissibleSumSet(Record):
@@ -127,8 +125,8 @@ class AdmissibleSumSet(Record):
 
     __slots__ = ("total", "bits")
 
-    def __init__(self, total: int, bits: int) -> None:
-        self._set_fields(total, bits)
+    def __new__(cls, total: int, bits: int) -> AdmissibleSumSet:
+        return _rebuilt(cls, (total, bits))
 
     def __contains__(self, s: int) -> bool:
         return 0 <= s <= self.total and bool(self.bits >> s & 1)
@@ -238,11 +236,14 @@ def _sums_up_to(d: Decomposition, m: int) -> int:
     decomposition take at most log2(d.total) + 1 folds in any order.  It
     replaces the kept one only up to KEPT_TABLE_BITS bits, so the two
     caches of shared decompositions in certificates keep at most 16 MiB of
-    tables; a wider question folds afresh each time.
+    tables; a wider question folds afresh each time.  A table wider than
+    TABLE_WORK_BOUND / 2^5 bits (1 GiB) raises BoundExceeded before the fold.
     """
     table = d._table
     if table is None or table[0] < m:
         limit = min((1 << m.bit_length()) - 1, d.total)
+        if limit >= TABLE_WORK_BOUND >> 5:
+            raise BoundExceeded(f"a table {limit + 1} bits wide exceeds the table width bound")
         table = (limit, _fold(d, limit))
         if limit <= KEPT_TABLE_BITS:
             _set_table(d, table)
@@ -452,10 +453,7 @@ class Classification(Record):
         )
 
 
-class _OpenClassification(Open, Classification):
-    __slots__ = ()
-
-
+_OpenClassification = Classification._open  # read by __new__ as a global, faster than cls._open
 _new_classification = Classification.__new__  # called directly, as certificates._new_trace
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .errors import BadSubset
-from .records import Record
+from .records import Record, _rebuilt
 from .selector_models import _relabeling
 
 # The 4-set the exhaustive checks run on; the rule is local, so any other is a relabeling.
@@ -36,14 +36,14 @@ class PairChoice(Record):
 
     __slots__ = ("universe", "choice")
 
-    def __init__(self, universe: tuple[int, ...], choice: dict[tuple[int, ...], int]) -> None:
+    def __new__(cls, universe: tuple[int, ...], choice: dict[tuple[int, ...], int]) -> PairChoice:
         pairs = set(combinations(universe, 2))
         if set(choice) != pairs:
             raise ValueError("choice is not total on the pairs of the universe")
         for p, x in choice.items():
             if x not in p:
                 raise ValueError(f"choice{p} = {x} is outside the pair")
-        self._set_fields(universe, choice)
+        return _rebuilt(cls, (universe, choice))
 
     @classmethod
     def from_bits(cls, universe, bits: int) -> "PairChoice":
@@ -75,8 +75,8 @@ class ScoreProfile(Record):
 
     __slots__ = ("z", "scores", "min_score", "argmin")
 
-    def __init__(self, z: tuple[int, ...], scores: tuple[int, ...], min_score: int, argmin: tuple[int, ...]) -> None:
-        self._set_fields(z, scores, min_score, argmin)
+    def __new__(cls, z: tuple[int, ...], scores: tuple[int, ...], min_score: int, argmin: tuple[int, ...]):
+        return _rebuilt(cls, (z, scores, min_score, argmin))
 
 
 def score(z, f2: PairChoice) -> ScoreProfile:

@@ -19,7 +19,7 @@ from .decomposition import (
     provable_reason,
 )
 from .errors import BoundExceeded
-from .records import Open, Record
+from .records import Record
 
 # The cost of one pair of a scan in units of one column step: a pair costs
 # about SCAN_PAIR_COST + n units, as the widest sum table it folds and the
@@ -51,8 +51,7 @@ class ScanRow(Record):
         return self
 
 
-class _OpenScanRow(Open, ScanRow):
-    __slots__ = ()
+_OpenScanRow = ScanRow._open  # as decomposition's _OpenClassification
 
 
 # The values a row read back may hold in each enum field; a provable pair has no recipe.
@@ -69,7 +68,7 @@ def _known(row: ScanRow, kind: str, source) -> ScanRow:
     return row
 
 
-class ScanReport(Open, Record):
+class ScanReport(Record):
     """Grid classification result with JSON and CSV round trips.
 
     oracle_checked counts the rows the oracle checked, or is None for a scan
@@ -80,6 +79,8 @@ class ScanReport(Open, Record):
     __slots__ = ("max_m", "max_n", "rows", "oracle_checked")
     _compared = ("max_m", "max_n", "rows")
     __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
     def __init__(self, max_m: int, max_n: int, rows: list[ScanRow], oracle_checked: int | None = None) -> None:
         self.max_m = max_m

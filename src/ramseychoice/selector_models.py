@@ -19,7 +19,7 @@ from operator import eq, itemgetter
 
 from .decomposition import Decomposition, set_bits
 from .errors import BoundExceeded, NotBlocking
-from .records import Record
+from .records import Record, _rebuilt
 
 # build_cyclic_model refuses tables of more atoms (m-subsets times m) before any
 # work; atoms, not subsets, because m near the domain gives few, huge subsets.
@@ -50,8 +50,8 @@ class SelectorModel(Record):
 
     __slots__ = ("m", "domain", "sel")
 
-    def __init__(self, m: int, domain: tuple[int, ...], sel: dict[tuple[int, ...], int] | None = None) -> None:
-        self._set_fields(m, domain, {} if sel is None else sel)
+    def __new__(cls, m: int, domain: tuple[int, ...], sel: dict[tuple[int, ...], int] | None = None):
+        return _rebuilt(cls, (m, domain, {} if sel is None else sel))
 
     def subsets(self):
         return _subsets(self.domain, self.m)
@@ -128,11 +128,11 @@ class CyclicAutomorphism(Record):
 
     __slots__ = ("model", "fixed", "cycles", "sigma")
 
-    def __init__(
-        self, model: SelectorModel, fixed: tuple[int, ...], cycles: tuple[tuple[int, ...], ...],
+    def __new__(
+        cls, model: SelectorModel, fixed: tuple[int, ...], cycles: tuple[tuple[int, ...], ...],
         sigma: tuple[int, ...],
-    ) -> None:
-        self._set_fields(model, fixed, cycles, sigma)
+    ) -> CyclicAutomorphism:
+        return _rebuilt(cls, (model, fixed, cycles, sigma))
 
     @property
     def order(self) -> int:

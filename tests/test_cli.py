@@ -796,7 +796,7 @@ def test_classify_odd_n_searches_goldbach_up_to_two_to_the_63(capsys):
     code, out, err = run(capsys, "classify", "3", str(2**63 + 1))
     assert (code, out) == (3, "")
     assert err == "error: n = 9223372036854775809 exceeds the primality test's bound 2^63\n"
-    # listing every triple keeps the 10^6 ceiling, which no option changes
+    # the Goldbach sweep keeps the 10^6 ceiling, which no option changes
     assert GOLDBACH_SEARCH_BOUND == 10**6
     assert not hasattr(build_parser().parse_args(["verify", "goldbach"]), "bound")
 
@@ -822,6 +822,22 @@ def test_classify_json_refuses_a_table_too_wide_for_memory(capsys):
     assert run(capsys, "classify", "4", "10000000001", "--json") == (
         3, "", "error: a table 10000000002 bits wide exceeds the table width bound\n"
     )
+
+
+def test_classify_refuses_a_fold_too_wide_for_memory(capsys, monkeypatch):
+    import ramseychoice.decomposition as decomposition
+
+    # deciding m folds a table to the next 2^b - 1 at or above m, or to n: here
+    # 2^34 and 10^18 bits wide, each refused before the fold allocates its mask;
+    # a table 2^33 bits wide, as for classify 4332489350 232036541867, is folded
+    monkeypatch.setattr(decomposition, "_fold", None)  # a fold would fail with TypeError
+    for m, n, width in (
+        ("8589934592", "17179869187", 2**34),
+        ("999999999999999989", "999999999999999999", 10**18),
+    ):
+        assert run(capsys, "classify", m, n) == (
+            3, "", f"error: a table {width} bits wide exceeds the table width bound\n"
+        )
 
 
 def test_classify_json_big_tables_are_pinned(capsys):

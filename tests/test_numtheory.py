@@ -190,6 +190,16 @@ def test_goldbach_triples_rejects_bad_targets():
         goldbach_triples(GOLDBACH_SEARCH_BOUND + 1)
 
 
+def test_goldbach_triples_refuses_a_long_listing_before_it_starts(monkeypatch):
+    import ramseychoice.numtheory as numtheory
+
+    assert len(goldbach_triples(20_001)) == 87_358
+    assert next(iter_goldbach_triples(20_003)) == (3, 3, 19_997)  # the lazy walk keeps 2^63
+    monkeypatch.setattr(numtheory, "_walk_goldbach_triples", None)  # a walk would fail with TypeError
+    with pytest.raises(BoundExceeded, match="^n = 20003 exceeds the triple search bound 20001$"):
+        goldbach_triples(20_003)
+
+
 def test_goldbach_sweep_never_empty():
     # ternary Goldbach has no odd exceptions above 5 in this range; the first
     # triple is enough to show it, and EmptyResult would fail the test

@@ -1,18 +1,17 @@
 """The record contract of the ten result types.
 
 Every record is slotted and compares, hashes and prints by value in the
-dataclass formats; all but ScanReport are frozen.  RecipeTrace,
-Classification and ScanRow are built as an open twin whose class is then
-set to the record, and Decomposition fills its slots through the slot
-descriptors; the records the library builds must still behave as the
-others do.  The enums they carry read .value as a plain attribute and must
-still behave as enum members do.
+dataclass formats; all but ScanReport are frozen.  Every record is built
+as its open twin, whose class is then set to the record; the records the
+library builds must still behave as the others do.  The enums they carry
+read .value as a plain attribute and must still behave as enum members do.
 """
 
 import copy
 import json
 import pickle
 from dataclasses import FrozenInstanceError
+from types import MemberDescriptorType
 
 import pytest
 from hypothesis import example, given, seed
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 import ramseychoice
 import ramseychoice.certificates as certificates
 import ramseychoice.decomposition as decomposition
+import ramseychoice.records as records
 from ramseychoice import (
     AdmissibleSumSet,
     Classification,
@@ -43,7 +43,6 @@ from ramseychoice import (
     run_scan,
 )
 from ramseychoice.rc24 import FOUR_SET, score
-from ramseychoice.records import Open
 
 _SEL = {(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 2): 1, (2, 3): 2, (1, 3): 3}
 
@@ -221,7 +220,7 @@ def test_the_per_pair_records_the_library_builds_keep_the_record_contract():
         assert {r.recipe for r in rows} >= {"PrimeDivisorCase", "OddCase", "EvenGapCase", None}
         built += [(ScanRow, r) for r in rows]
     for kind, a in built:
-        assert type(a) is kind and a.__class__ is kind and not isinstance(a, Open)
+        assert type(a) is kind and a.__class__ is kind and not isinstance(a, kind._open)
         b = by_keyword(a)
         assert type(b) is kind and repr(a) == repr(b)
         assert_equal_by_value(a, b)
@@ -293,9 +292,47 @@ def test_an_untold_trace_behaves_as_a_told_one(recipe):
     assert hash(untold()) == hash(told) and repr(untold()) == repr(told)
 
 
+def record_classes(kind=records.Record):
+    """Every subclass of kind, at any depth, twins included."""
+    for sub in kind.__subclasses__():
+        yield sub
+        yield from record_classes(sub)
+
+
 def test_no_open_twin_is_exported():
-    exported = [getattr(ramseychoice, name) for name in ramseychoice.__all__]
-    assert [x for x in exported if isinstance(x, type) and issubclass(x, Open)] == [ScanReport]
+    exported = {getattr(ramseychoice, name) for name in ramseychoice.__all__}
+    classes = list(record_classes())
+    twins = {cls._open for cls in classes if cls.__slots__}
+    assert len(twins) == 10 and not twins & exported
+    for cls in set(classes) - twins:  # each twin adds no field and holds its record's slots
+        twin = cls._open
+        assert twin.__bases__ == (cls,) and twin.__slots__ == () and twin.__name__ == f"_Open{cls.__name__}"
+        assert all(type(twin.__dict__[name]) is MemberDescriptorType for name in cls.__slots__)
+        assert twin.__setattr__ is object.__setattr__ and twin.__delattr__ is object.__delattr__
+
+
+# Pickles an earlier version of the package wrote: the bytes of
+# pickle.dumps(Decomposition.from_runs((3,), (3,)), 4) and of AdmissibleSumSet(9, 585) at protocols 4 and 2.
+OLD_PICKLES = {
+    b"\x80\x04\x95e\x00\x00\x00\x00\x00\x00\x00\x8c\x14ramseychoice.records\x94\x8c\x08_rebuilt\x94\x93\x94"
+    b"\x8c\x1aramseychoice.decomposition\x94\x8c\rDecomposition\x94\x93\x94(K\x03\x85\x94h\x06K\tNNt\x94"
+    b"\x86\x94R\x94.": Decomposition.from_runs((3,), (3,)),
+    b"\x80\x04\x95b\x00\x00\x00\x00\x00\x00\x00\x8c\x14ramseychoice.records\x94\x8c\x08_rebuilt\x94\x93\x94"
+    b"\x8c\x1aramseychoice.decomposition\x94\x8c\x10AdmissibleSumSet\x94\x93\x94K\tMI\x02\x86\x94\x86\x94R\x94.":
+    AdmissibleSumSet(9, 585),
+    b"\x80\x02cramseychoice.records\n_rebuilt\nq\x00cramseychoice.decomposition\nAdmissibleSumSet\nq\x01K\tMI\x02"
+    b"\x86q\x02\x86q\x03Rq\x04.": AdmissibleSumSet(9, 585),
+}
+
+
+@pytest.mark.parametrize("old", OLD_PICKLES, ids=["Decomposition-4", "AdmissibleSumSet-4", "AdmissibleSumSet-2"])
+def test_old_pickles_load_to_equal_records(old):
+    record = OLD_PICKLES[old]
+    loaded = pickle.loads(old)
+    assert pickle.dumps(loaded, old[1]) == old  # before repr, which fills Decomposition's _parts
+    assert type(loaded) is type(record) and loaded == record and repr(loaded) == repr(record)
+    with pytest.raises(FrozenInstanceError):
+        loaded.total = 0
 
 
 @seed(2000)
