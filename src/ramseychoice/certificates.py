@@ -1,16 +1,17 @@
 """Constructive blocking certificates, one recipe per proof case.
 
-Every recipe has the signature recipe_*(m, n) -> RecipeTrace | None.  A
-recipe replays its proof once: it takes the case the proof picks (one
-Goldbach triple, one prime), proposes the decompositions of that case in
-proof order, and asks blocks of each.  It returns the first trace that
-blocks m, or None when (m, n) is not its case.  A wrong guess can therefore
-cost completeness but never soundness.  Where the theorem guarantees
-blocking (greater, prime divisor, prime power, Fermat shift, the even-gap
-split p + (n - p) and its odd-case fallback, both dense splits) the
-proposal goes through RecipeTrace.verified, which raises instead of
-declining: a failure there is a bug, not a decline.  Together the recipes
-cover every non-provable pair with n >= 2.
+build_certificate is the proof's case tree: it sends each non-provable pair
+to one recipe, recipe_*(m, n) -> RecipeTrace, a leaf of the tree whose
+docstring states what the tree guarantees it.  A recipe replays its proof
+once: it takes the case's one Goldbach triple or prime, proposes the
+decompositions of that case in proof order, and asks blocks of each.  Only
+recipe_prime_divisor returns None: its walk over n's primes is the tree's
+test whether some prime of n does not divide m.  Where the theorem
+guarantees blocking (greater, prime divisor, prime power, Fermat shift, the
+even-gap split p + (n - p) and its odd-case fallback, both dense splits)
+the proposal goes through RecipeTrace.verified, which raises: a failure
+there is a bug.  Together the leaves cover every non-provable pair with
+n >= 2.
 
 The greater and prime-divisor recipes, most of the pairs of a scan, hand
 the trace a narrator instead of lines (_greater_lines, _prime_divisor_lines),
@@ -183,10 +184,8 @@ def _greater_lines(trace: RecipeTrace) -> tuple[str, ...]:
     return (f"m = {trace.m} exceeds n = {trace.n}; single part blocks",)
 
 
-def recipe_greater(m: int, n: int) -> RecipeTrace | None:
-    """m > n: the single part {n} admits only sums up to n < m."""
-    if not (m > n >= 2):
-        return None
+def recipe_greater(m: int, n: int) -> RecipeTrace:
+    """m > n >= 2: the single part {n} admits only sums up to n < m."""
     return RecipeTrace.verified(m, n, _GREATER, _decomposition((n,)), _greater_lines)
 
 
@@ -199,7 +198,8 @@ def recipe_prime_divisor(m: int, n: int) -> RecipeTrace | None:
     """Some prime p divides n but not m: split n into n/p copies of p.
 
     p is the smallest such prime.  n's primes come by trial division, once
-    per n and no further than this p (_walk(prime_factors, n)).
+    per n and no further than this p (_walk(prime_factors, n)).  The one
+    leaf that returns None: when every prime of n divides m, the tree goes on.
     """
     p = _walk(prime_factors, n).first(_does_not_divide, m)
     if p is None:
@@ -207,32 +207,17 @@ def recipe_prime_divisor(m: int, n: int) -> RecipeTrace | None:
     return RecipeTrace.verified(m, n, _PRIME_DIVISOR, _run(p, n // p), _prime_divisor_lines)
 
 
-def _prime_power_exponent(m: int, n: int) -> int | None:
-    k, power = 0, 1
-    while power < n:
-        power *= m
-        k += 1
-    return k if power == n and k >= 2 else None
+def recipe_prime_power(m: int, n: int) -> RecipeTrace:
+    """m = 2 and n = 2^k with k >= 3: split off the Bertrand prime 3 in (2, 4).
 
-
-def recipe_prime_power(m: int, n: int) -> RecipeTrace | None:
-    """m prime and n = m^k: split off a prime p with m < p < 2m.
-
-    Both parts p and n - p then admit no contribution equal to m.  The split
-    needs n - p >= 2, which excludes exactly the pair (2, 4): that implication
-    really is provable, so the decline is correct, not a gap.
+    Both parts 3 and n - 3 then admit no contribution equal to m.  The split
+    needs n - 3 >= 2, which excludes exactly the pair (2, 4): that
+    implication really is provable.
     """
-    if not is_prime(m):
-        return None
-    k = _prime_power_exponent(m, n)
-    if k is None:
-        return None
-    p = bertrand_prime(m)
-    if n - p < 2:
-        return None
+    k = n.bit_length() - 1
     return RecipeTrace.verified(
-        m, n, _PRIME_POWER, Decomposition((p, n - p)),
-        [f"n = {m}^{k}", f"bertrand prime {p} in ({m}, {2 * m})", f"split {n} = {p} + {n - p}"],
+        m, n, _PRIME_POWER, Decomposition((3, n - 3)),
+        [f"n = 2^{k}", "bertrand prime 3 in (2, 4)", f"split {n} = 3 + {n - 3}"],
     )
 
 
@@ -249,8 +234,8 @@ def _odd_proposals(n: int):
             yield _decomposition((b + c, a)), (head, line)
 
 
-def recipe_odd(m: int, n: int) -> RecipeTrace | None:
-    """Odd n >= 7: the first Goldbach triple (p1, p2, p3), all odd if possible.
+def recipe_odd(m: int, n: int) -> RecipeTrace:
+    """Odd n >= 7 and m < n: the first Goldbach triple (p1, p2, p3), all odd if possible.
 
     Branches in proof order: the triple; for (p, p, p) the split (3p - 2) + 2;
     the single part {n}; the regroups (pj + pk) + pi with pk < pi, pk | pi + pj.
@@ -261,27 +246,23 @@ def recipe_odd(m: int, n: int) -> RecipeTrace | None:
     other prime b = c, which would force pi | a.  Nothing blocks m = n or 0.
     The proposals come from _walk(_odd_proposals, n), walked once per n and
     each built when some pair first needs it; each is tested against m here.
+    A walk that blocks nothing is a bug and raises RuntimeError.
     """
-    if n % 2 == 0 or n < 7:
-        return None
     proposal = _walk(_odd_proposals, n).first(_blocks_proposal, m)
-    return None if proposal is None else _new_trace(RecipeTrace, m, n, _ODD, *proposal)
+    if proposal is None:
+        raise RuntimeError(f"no proposal for {n} blocks m = {m}; recipe {_ODD.value} is buggy")
+    return _new_trace(RecipeTrace, m, n, _ODD, *proposal)
 
 
-def recipe_fermat_shift(m: int, n: int) -> RecipeTrace | None:
+def recipe_fermat_shift(m: int, n: int) -> RecipeTrace:
     """Even m > 2 with n = m + 2^k and 2^k + 1 prime: split (m - 1) + (2^k + 1).
 
     The prime part forces any nonzero contribution to be all of 2^k + 1, and
     the remainder m - 2^k - 1 is coprime to m - 1 because gcd(2^k, m - 1) = 1
     for even m.
     """
-    gap = n - m
-    if m % 2 != 0 or m <= 2 or gap < 2 or gap & (gap - 1) != 0:
-        return None
-    q = gap + 1
-    if not is_prime(q):
-        return None
-    k = gap.bit_length() - 1
+    q = n - m + 1
+    k = (q - 1).bit_length() - 1
     return RecipeTrace.verified(
         m, n, _FERMAT_SHIFT, Decomposition((m - 1, q)),
         [f"n - m = 2^{k}", f"2^{k} + 1 = {q} is prime", f"split {n} = {m - 1} + {q}"],
@@ -302,26 +283,22 @@ def _gap_proposals(n: int):
         yield Decomposition((p, p1, p2, p3)), f"split {n} = {p} + {p1} + {p2} + {p3}"
 
 
-def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
+def recipe_even_gap(m: int, n: int) -> RecipeTrace:
     """Even m < n with an odd prime strictly between them (and below n - 1).
 
     Only the largest such prime p is tried: for m >= 2 it always verifies.
-    p is the largest odd prime <= n - 3 (_gap_prime, once per n); when it
-    is not above m, no odd prime lies between them and the recipe declines.
+    p is the largest odd prime <= n - 3 (_gap_prime, once per n), and the
+    tree sends here only pairs with p > m.
     p > m contributes 0.  If n - p is 3 or 5, the split p + (n - p) blocks
     the even m.  Otherwise p plus each Goldbach triple of n - p is tried, and
     the first blocks any m > n - p.  If none blocks, m < n - p (m is even,
-    n - p odd), and recipe_odd(m, n - p) never declines, so its certificate
+    n - p odd), and recipe_odd(m, n - p) always answers, so its certificate
     with p appended blocks m.  For n - p < 1600 only (m, n - p) = (2, 7),
     (4, 7) and (10, 13) get there, as (4, 2^39) does.  Every proposal but
     that last one depends on n alone: _walk(_gap_proposals, n) walks the
     triples once per n, and all m of a column share their decompositions.
     """
-    if m % 2 != 0 or n % 2 != 0:
-        return None
     p = _gap_prime(n)
-    if p is None or p <= m:
-        return None
     head = f"prime {p} between m = {m} and n = {n}"
     if n - p in (3, 5):
         return RecipeTrace.verified(
@@ -337,13 +314,14 @@ def recipe_even_gap(m: int, n: int) -> RecipeTrace | None:
     )
 
 
-def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
-    """Even pair with n/2 <= m < n - 4: the dense cascade.
+def recipe_even_dense(m: int, n: int) -> RecipeTrace:
+    """Even m, n with n/2 <= m < n - 4 and the prime p just above n/2 below m.
 
-    Take the prime p just above n/2; when p < m, try the direct split
-    p + (n - p) if m - p is an odd prime, and otherwise the four-part split
-    p plus the first Goldbach triple of n - p.  The n - m > 4 guard keeps
-    n - p >= 7, the smallest odd target iter_goldbach_triples accepts.
+    The tree sends here no pair whose m - p is an odd prime dividing n - p
+    (see build_certificate).  If m - p is an odd prime, try the direct split
+    p + (n - p), and otherwise the four-part split p plus the first Goldbach
+    triple of n - p.  m < n - 4 keeps n - p >= 7, the smallest odd target
+    iter_goldbach_triples accepts.
 
     The direct split blocks m unless the prime m - p divides n - p: n - p
     < n/2 <= m, so p must contribute and n - p supply m - p, which needs a
@@ -351,31 +329,10 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
     contribute and the triple supply the odd m - p, here 1 or composite; but
     each odd sub-sum of the first triple (all odd, or (2, 2, 3) for n - p = 7)
     is a prime or n - p, and m - p = n - p would mean m = n.
-
-    Cases this recipe declines, because dispatch never sends them here:
-    - a gap n - m that is a power of two with 2^k + 1 prime (2, 4, 16, ...)
-      is the Fermat shift case, which runs earlier and always succeeds;
-    - p = n - 1 happens only for n <= 6, below the guard;
-    - p >= m makes p an odd prime in (m, n - 1), and with one of those the
-      even-gap recipe never declines (see its proof);
-    - when m - p is an odd prime dividing n - p the direct split admits m
-      and the recipe declines, but no pair reaches it in that state.  By
-      Nagura's theorem (a prime lies in (x, 6x/5) for x >= 25; J. Nagura,
-      Proc. Japan Acad. 28, 1952): (m - p) | (n - p) with n != m forces
-      n - p >= 2(m - p), so p >= 2m - n; p < 0.6n, so m < 0.8n; then
-      (m, 1.2m) holds a prime below 0.96n <= n - 3 once n >= 75, and
-      recipe_even_gap answers first.  For n < 75, a scan of every even pair
-      in that state finds such a prime too.
     """
-    if m % 2 != 0 or n % 2 != 0 or not (n // 2 <= m < n - 4):
-        return None
     p = bertrand_prime(n // 2)
-    if p >= m:
-        return None
     narrative = [f"prime {p} just above n/2 = {n // 2}"]
     if m - p > 2 and is_prime(m - p):
-        if (n - p) % (m - p) == 0:  # the direct split admits m; see the last case below
-            return None
         narrative += [f"m - p = {m - p} is an odd prime", f"direct split {n} = {p} + {n - p}"]
         return RecipeTrace.verified(m, n, _EVEN_DENSE, _decomposition((p, n - p)), narrative)
     narrative.append(f"m - p = {m - p} is not an odd prime; four-part splits")
@@ -384,8 +341,8 @@ def recipe_even_dense(m: int, n: int) -> RecipeTrace | None:
     return RecipeTrace.verified(m, n, _EVEN_DENSE, _decomposition((p, p1, p2, p3)), narrative)
 
 
-# Dispatch follows the order in which the cases eliminate pairs: a larger m,
-# then odd n, then a missing prime divisor, and finally the all-even cases.
+# The leaves in the tree's order.  No library code reads this tuple: perfbench's
+# tracer rebinds it under --trace 1, and ROADMAP item 7 removes it.
 _DISPATCH = (
     recipe_greater,
     recipe_odd,
@@ -400,15 +357,28 @@ _DISPATCH = (
 def build_certificate(m: int, n: int) -> RecipeTrace:
     """Produce a verified blocking certificate for a non-provable pair.
 
-    m > n goes to the greater case.  Otherwise the recipes run in the fixed
-    dispatch order, less those that never fire for n's parity (the greater
-    case, and the odd case for even n), and the first that returns a trace
-    wins.  A non-positive m or n raises ValueError, as in classify_detailed,
-    and a provable pair PreconditionViolated.  n = 1 has no decomposition,
-    so it raises CertificateSearchFailed.  Every recipe but the greater case
-    tests primes of n's size, so m < n with n above is_prime's 2^63 raises
-    BoundExceeded before any recipe runs.  If every recipe declines, that is
-    a bug and RuntimeError is raised.
+    A non-positive m or n raises ValueError, as in classify_detailed, and a
+    provable pair PreconditionViolated.  m > n is the greater case, but n = 1
+    has no decomposition (CertificateSearchFailed).  Every other leaf tests
+    primes of n's size, so m < n with n above is_prime's 2^63 raises
+    BoundExceeded.  For m < n the proof's case tree picks one leaf:
+    - odd n >= 7 is the odd case;
+    - a prime of n that does not divide m is the prime-divisor case; it
+      takes every odd m, and every m below the prime n of 3 or 5;
+    - so m and n are even and every prime of n divides m.  m = 2 forces
+      n = 2^k with k >= 3, as (2, 4) is provable: the prime power;
+    - a gap n - m = 2^k with 2^k + 1 prime is the Fermat shift (m >= 4);
+    - an odd prime in (m, n - 1), that is _gap_prime(n) > m, is the even gap;
+    - every other pair is the even-dense case, with p the prime just above
+      n/2.  There n/2 <= m, as a Bertrand prime in (m, 2m) would lie in
+      (m, n - 1); m < n - 4, as the gaps 2 and 4 are Fermat shifts; p < m,
+      or the odd p would lie in (m, n - 1) (p = n - 1 only for n <= 6).
+      Nor is m - p an odd prime dividing n - p: by Nagura's theorem (a
+      prime lies in (x, 6x/5) for x >= 25; J. Nagura, Proc. Japan Acad. 28,
+      1952), (m - p) | (n - p) with n != m forces n - p >= 2(m - p), so
+      p >= 2m - n; p < 0.6n, so m < 0.8n; then (m, 1.2m) holds a prime
+      below 0.96n <= n - 3 once n >= 75, an even gap.  For n < 75 a scan of
+      every even pair in that state finds such a prime too.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need positive m and n, got ({m}, {n})")
@@ -420,11 +390,15 @@ def build_certificate(m: int, n: int) -> RecipeTrace:
         raise PreconditionViolated(f"({m}, {n}) is provable; no blocking certificate exists")
     if n > _MAX_INPUT:
         raise BoundExceeded(f"n = {n} exceeds the primality test's bound 2^63")
-    skipped = recipe_odd if n % 2 == 0 else None
-    for recipe in _DISPATCH:
-        if recipe is recipe_greater or recipe is skipped:
-            continue
-        trace = recipe(m, n)
-        if trace is not None:
-            return trace
-    raise RuntimeError(f"every recipe declined ({m}, {n}); dispatch is buggy")
+    if n % 2 and n >= 7:
+        return recipe_odd(m, n)
+    if (trace := recipe_prime_divisor(m, n)) is not None:
+        return trace
+    if m == 2:
+        return recipe_prime_power(m, n)
+    gap = n - m
+    if gap & (gap - 1) == 0 and is_prime(gap + 1):
+        return recipe_fermat_shift(m, n)
+    if _gap_prime(n) > m:
+        return recipe_even_gap(m, n)
+    return recipe_even_dense(m, n)

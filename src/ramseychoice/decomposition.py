@@ -30,7 +30,8 @@ COLUMN_BOUND = 300
 # Widest sum table a decomposition keeps (8 KiB), far above every m of a scan.
 KEPT_TABLE_BITS = 2**16
 
-# Most parts Decomposition.parts lists: classify 3 20000000 (10^7 copies of 2) still prints.
+# Most parts Decomposition.parts lists, and most sums AdmissibleSumSet.values lists:
+# classify 3 20000000 (10^7 copies of 2) still prints.
 LISTED_PARTS_BOUND = 10**7
 
 # Largest (number of parts) * total admissible_sums builds; admits classify 4 1000000 --json.
@@ -132,6 +133,10 @@ class AdmissibleSumSet(Record):
         return 0 <= s <= self.total and bool(self.bits >> s & 1)
 
     def values(self) -> list[int]:
+        """The admitted sums in increasing order, refused above LISTED_PARTS_BOUND of them."""
+        count = self.bits.bit_count()
+        if count > LISTED_PARTS_BOUND:
+            raise BoundExceeded(f"{count} sums exceed the listing bound {LISTED_PARTS_BOUND}")
         return set_bits(self.bits)
 
 

@@ -1,5 +1,9 @@
+import bisect
 import hashlib
+import importlib.util
+import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,6 @@ from ramseychoice.cli import main
 from ramseychoice.decomposition import (
     Decomposition,
     blocks,
-    classify,
     find_blocking_decomposition,
     provable_by_theorem,
 )
@@ -70,8 +73,6 @@ def test_trace_json_verified_reports_both_checks():
 def test_recipe_greater():
     assert recipe_greater(5, 3).decomposition.parts == (3,)
     assert recipe_greater(17, 2).decomposition.parts == (2,)
-    assert recipe_greater(3, 5) is None
-    assert recipe_greater(4, 4) is None
 
 
 def test_recipe_prime_divisor():
@@ -99,11 +100,6 @@ def test_recipe_prime_power():
     assert recipe_prime_power(2, 8).decomposition.parts == (5, 3)
     assert recipe_prime_power(2, 16).decomposition.parts == (13, 3)
     assert recipe_prime_power(2, 32).decomposition.parts == (29, 3)
-    assert recipe_prime_power(3, 9).decomposition.parts == (5, 4)
-    # the (2, 4) corner has no room after the Bertrand prime
-    assert recipe_prime_power(2, 4) is None
-    assert recipe_prime_power(2, 12) is None
-    assert recipe_prime_power(4, 8) is None
 
 
 def test_recipe_odd_branches():
@@ -119,8 +115,6 @@ def test_recipe_odd_branches():
     assert recipe_odd(4, 7).decomposition.parts == (7,)
     # regrouped (p2 + p1) + p3 of the triple (3, 5, 7)
     assert recipe_odd(3, 15).decomposition.parts == (10, 5)
-    assert recipe_odd(4, 10) is None
-    assert recipe_odd(2, 5) is None
 
 
 def test_recipe_odd_needs_one_triple():
@@ -130,7 +124,6 @@ def test_recipe_odd_needs_one_triple():
             tr = recipe_odd(m, n)
             assert tr is not None, (m, n)
             assert sum(line.startswith("goldbach triple") for line in tr.narrative) == 1
-        assert recipe_odd(n, n) is None
 
 
 def test_recipe_fermat_shift():
@@ -138,10 +131,6 @@ def test_recipe_fermat_shift():
     assert recipe_fermat_shift(6, 8).decomposition.parts == (5, 3)
     assert recipe_fermat_shift(16, 32).decomposition.parts == (17, 15)
     assert recipe_fermat_shift(28, 32).decomposition.parts == (27, 5)
-    assert recipe_fermat_shift(3, 9) is None  # odd m
-    assert recipe_fermat_shift(2, 4) is None  # m - 1 below 2
-    assert recipe_fermat_shift(6, 12) is None  # gap 6 is not a power of two
-    assert recipe_fermat_shift(24, 56) is None  # gap 32, but 33 is composite
 
 
 def test_recipe_even_gap():
@@ -151,8 +140,6 @@ def test_recipe_even_gap():
     assert recipe_even_gap(6, 12).decomposition.parts == (7, 5)
     assert recipe_even_gap(8, 128).decomposition.parts == (113, 5, 5, 5)
     assert recipe_even_gap(10, 1250).decomposition.parts == (1237, 13)
-    assert recipe_even_gap(2, 4) is None  # no odd prime in (2, 3)
-    assert recipe_even_gap(3, 10) is None  # odd m
 
 
 def test_even_gap_fallback_census():
@@ -193,11 +180,12 @@ def test_even_gap_fallback_fires_at_four_and_two_to_the_39(capsys):
 
 
 def test_recipe_even_gap_needs_one_prime():
-    # the proof in recipe_even_gap: the largest odd prime in (m, n - 1) verifies
+    # the proof in recipe_even_gap: the largest odd prime in (m, n - 1)
+    # verifies; with no such prime the tree never picks the even gap
     for n in range(4, 301, 2):
         for m in range(2, n, 2):
             if not any(is_prime(p) for p in range(m + 1, n - 1)):
-                assert recipe_even_gap(m, n) is None, (m, n)
+                assert provable_by_theorem(m, n) or build_certificate(m, n).recipe is not Recipe.EVEN_GAP, (m, n)
                 continue
             tr = recipe_even_gap(m, n)
             assert tr is not None, (m, n)
@@ -223,42 +211,49 @@ def test_recipe_even_dense():
     assert recipe_even_dense(116, 128).decomposition.parts == (67, 53, 5, 3)
     # the all-odd first triple of n - p = 9, not (2, 2, 5)
     assert recipe_even_dense(12, 20).decomposition.parts == (11, 3, 3, 3)
-    # the prime above n/2 is not below m
-    assert recipe_even_dense(8, 14) is None
-    assert recipe_even_dense(10, 16) is None
-    # the direct split admits m: 20 = 17 + 3 with 3 dividing n - p
-    assert recipe_even_dense(20, 26) is None
-    assert recipe_even_dense(20, 32) is None
-    # gap n - m of at most 4
-    assert recipe_even_dense(6, 8) is None
-    assert recipe_even_dense(8, 12) is None
-    assert recipe_even_dense(4, 10) is None  # m below n/2
-    assert recipe_even_dense(5, 8) is None  # odd m
-    assert recipe_even_dense(8, 8) is None
 
 
 def test_dense_outputs_block_wherever_defined():
-    for n in range(6, 65, 2):
+    # every pair the old dispatch sent to the dense case, called directly
+    checked = 0
+    for n in range(6, 301, 2):
         for m in range(2, n, 2):
-            tr = recipe_even_dense(m, n)
-            if tr is None:
-                continue
-            assert tr.decomposition.total == n
-            assert blocks(tr.decomposition, m), (m, n)
+            if not provable_by_theorem(m, n) and _old_case(m, n) is Recipe.EVEN_DENSE:
+                tr = recipe_even_dense(m, n)
+                assert tr.decomposition.total == n
+                assert blocks(tr.decomposition, m), (m, n)
+                checked += 1
+    assert checked == 8
+
+
+LEAVES = {
+    Recipe.GREATER: recipe_greater,
+    Recipe.ODD: recipe_odd,
+    Recipe.PRIME_DIVISOR: recipe_prime_divisor,
+    Recipe.PRIME_POWER: recipe_prime_power,
+    Recipe.FERMAT_SHIFT: recipe_fermat_shift,
+    Recipe.EVEN_GAP: recipe_even_gap,
+    Recipe.EVEN_DENSE: recipe_even_dense,
+}
 
 
 def test_every_recipe_returns_none_or_a_blocking_trace():
-    # recipes decline through their return value, on any pair at all
-    pairs = [(m, n) for m in range(1, 121) for n in range(1, 121)]
+    # each leaf, called on every pair the old dispatch sent to it, answers
+    # with a blocking trace; the prime divisor, the one leaf that returns
+    # None, does so on every pair sent past it
+    pairs = [(m, n) for m in range(1, 121) for n in range(2, 121) if not provable_by_theorem(m, n)]
     assert (8, 12) in pairs
-    for recipe in _DISPATCH:
-        for m, n in pairs:
-            tr = recipe(m, n)
-            if tr is None:
-                continue
-            assert (tr.m, tr.n) == (m, n)
-            assert sum(tr.decomposition.parts) == n, (recipe.__name__, m, n)
-            assert blocks(tr.decomposition, m), (recipe.__name__, m, n)
+    reached = set()
+    for m, n in pairs:
+        case = _old_case(m, n)
+        tr = LEAVES[case](m, n)
+        assert (tr.m, tr.n, tr.recipe) == (m, n, case)
+        assert sum(tr.decomposition.parts) == n, (case, m, n)
+        assert blocks(tr.decomposition, m), (case, m, n)
+        if case not in (Recipe.GREATER, Recipe.ODD, Recipe.PRIME_DIVISOR):
+            assert recipe_prime_divisor(m, n) is None, (m, n)
+        reached.add(case)
+    assert reached == set(LEAVES)
 
 
 def test_dispatch_frozen_choices():
@@ -309,21 +304,23 @@ def test_build_certificate_rejects_provable_and_bad_pairs(capsys, caplog):
     assert caplog.records == []
 
 
-def test_a_decline_by_every_recipe_is_a_bug(monkeypatch):
-    from ramseychoice import certificates as ct
-
-    monkeypatch.setattr(ct, "_DISPATCH", ())
-    with pytest.raises(RuntimeError, match=r"\(3, 7\)"):
-        ct.build_certificate(3, 7)
-    with pytest.raises(RuntimeError, match=r"\(3, 7\)"):
-        classify(3, 7)
+def test_an_odd_walk_that_blocks_nothing_is_a_bug(cold_caches):
+    # recipe_odd never declines: a walk of n's proposals that blocks nothing
+    # (only m = n, which the tree never sends) raises and names the recipe
+    with pytest.raises(RuntimeError, match="^no proposal for 9 blocks m = 9; recipe OddCase is buggy$"):
+        recipe_odd(9, 9)
+    assert recipe_odd(3, 9).decomposition.parts == (7, 2)
 
 
 def test_a_pair_past_the_primality_bound_is_refused_before_dispatch(monkeypatch):
     from ramseychoice import certificates as ct
 
-    # with no recipe left, reaching dispatch would raise RuntimeError
-    monkeypatch.setattr(ct, "_DISPATCH", ())
+    # every leaf raises, so reaching the case tree would raise AssertionError
+    def leaf(m, n):
+        raise AssertionError(f"a leaf ran on ({m}, {n})")
+
+    for recipe in LEAVES.values():
+        monkeypatch.setattr(ct, recipe.__name__, leaf)
     with pytest.raises(BoundExceeded, match=r"^n = 36893488147419103232 exceeds"):
         ct.build_certificate(5, 2**65)
 
@@ -394,22 +391,88 @@ def test_an_even_gap_column_shares_its_decompositions_and_finds_its_prime_once(c
         assert cm._gap_prime.cache_info().misses == 1, n
 
 
-def _reference_certificate(m, n):
-    """The first trace of the full dispatch tuple, every recipe tried in order."""
-    from ramseychoice import certificates as ct
+def _gap_prime(n):
+    """The largest odd prime <= n - 3, or None."""
+    return next((q for q in range(n - 3, 2, -1) if q % 2 and is_prime(q)), None)
 
-    return next(tr for tr in (recipe(m, n) for recipe in ct._DISPATCH) if tr is not None)
+
+def _old_case(m, n):
+    """The recipe the old dispatch picked: the first whose guards (m, n) passes,
+    greater, odd, prime divisor, prime power, Fermat shift, even gap, dense."""
+    if m > n >= 2:
+        return Recipe.GREATER
+    if n % 2 and n >= 7:
+        return Recipe.ODD
+    if any(m % q for q in prime_factors(n)):
+        return Recipe.PRIME_DIVISOR
+    if is_prime(m) and n > m and set(prime_factors(n)) == {m} and n - bertrand_prime(m) >= 2:
+        return Recipe.PRIME_POWER
+    gap = n - m
+    if m % 2 == 0 and m > 2 and gap >= 2 and gap & (gap - 1) == 0 and is_prime(gap + 1):
+        return Recipe.FERMAT_SHIFT
+    p = _gap_prime(n)
+    if m % 2 == 0 and n % 2 == 0 and p is not None and p > m:
+        return Recipe.EVEN_GAP
+    if m % 2 == 0 and n % 2 == 0 and n // 2 <= m < n - 4:
+        p = bertrand_prime(n // 2)
+        if p < m and not (m - p > 2 and is_prime(m - p) and (n - p) % (m - p) == 0):
+            return Recipe.EVEN_DENSE
+    raise AssertionError(f"the old dispatch declined ({m}, {n})")
 
 
 def test_dispatch_by_n_picks_the_first_trace_of_the_full_dispatch(cold_caches):
-    # skipping the recipes that never fire for n's parity, and reading n's
-    # per-column plans, changes no winner: from cold caches, then warm
+    # the case tree picks the recipe the old dispatch's guards picked, from
+    # cold caches, then warm; BOX_DIGEST pins the parts and narratives
     pairs = [(m, n) for n in range(2, 121) for m in range(1, 121) if not provable_by_theorem(m, n)]
     for _ in range(2):
         for m, n in pairs:
-            got, want = build_certificate(m, n), _reference_certificate(m, n)
-            assert (got.recipe, got.decomposition.parts, got.narrative) == (
-                want.recipe, want.decomposition.parts, want.narrative), (m, n)
+            assert build_certificate(m, n).recipe is _old_case(m, n), (m, n)
+
+
+def test_the_dense_leaf_gets_only_the_pairs_its_proof_covers():
+    # beyond the n <= 300 digest, by arithmetic: for every even n <= 20,000
+    # and every m < n that every prime of n divides (the pairs the prime
+    # divisor passes on), m = 2 means a power of two, and a pair that passes
+    # the Fermat shift and the even gap is in no state of the dense case's
+    # deleted declines
+    primes = primes_up_to(20000)
+    prime_set = set(primes)
+    dense = []
+    for n in range(4, 20001, 2):
+        radical = math.prod(prime_factors(n))
+        for m in range(radical, n, radical):
+            if m == 2:
+                assert n & (n - 1) == 0, n
+                continue
+            gap = n - m
+            if gap & (gap - 1) == 0 and gap + 1 in prime_set:
+                continue
+            if primes[bisect.bisect_right(primes, n - 3) - 1] > m:
+                continue
+            p = bertrand_prime(n // 2)
+            assert n // 2 <= m < n - 4 and p < m, (m, n)
+            assert not (m - p > 2 and m - p in prime_set and (n - p) % (m - p) == 0), (m, n)
+            dense.append((m, n))
+    assert len(dense) == 52
+    assert all(build_certificate(m, n).recipe is Recipe.EVEN_DENSE for m, n in dense)
+
+
+def test_perfbench_pins_name_library_functions():
+    # perfbench's tracer wraps library functions by name and rebuilds
+    # _DISPATCH from its leaves' names, so a rename or deletion fails here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # it imports only the standard library
+    pinned = [(layer, name) for layer, names in tracing.TRACED.items() for name in names]
+    pinned += [tuple(qualified.split(".")) for qualified in tracing.COUNTED]
+    for layer, name in pinned:
+        assert hasattr(importlib.import_module(f"ramseychoice.{layer}"), name), f"{layer}.{name}"
+    certificates = importlib.import_module("ramseychoice.certificates")
+    assert _DISPATCH == (recipe_greater, recipe_odd, recipe_prime_divisor, recipe_prime_power,
+                         recipe_fermat_shift, recipe_even_gap, recipe_even_dense)
+    for leaf in _DISPATCH:
+        assert getattr(certificates, leaf.__name__) is leaf, leaf.__name__
 
 
 def test_n_is_trial_divided_no_further_than_the_prime_that_answers():

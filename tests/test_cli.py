@@ -824,6 +824,16 @@ def test_classify_json_refuses_a_table_too_wide_for_memory(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, sums", [
+    ("classify 400000000 300000000 --json", 220000001),
+    ("classify 1859372830077994 206931888 --json --oracle", 145470385),
+])
+def test_classify_json_refuses_a_sum_listing_over_the_bound(argv, sums):
+    # the greater case's certificate {n} admits more sums than the listing
+    # bound: they are counted and refused before one is listed
+    assert run_limited(*argv.split()) == (3, "", f"error: {sums} sums exceed the listing bound 10000000\n")
+
+
 def test_classify_refuses_a_fold_too_wide_for_memory(capsys, monkeypatch):
     import ramseychoice.decomposition as decomposition
 

@@ -359,6 +359,19 @@ def test_values_on_a_sparse_wide_table():
     assert AdmissibleSumSet(10**8, 1 | 1 << 10**8).values() == [0, 10**8]
 
 
+def test_values_counts_the_sums_before_it_lists_any(monkeypatch):
+    import ramseychoice.decomposition as dm
+
+    # the bound counts sums, not width: a sparse table 9 * 10^6 bits wide is
+    # listed up to 8 sums and refused at 9, each read before set_bits runs
+    monkeypatch.setattr(dm, "LISTED_PARTS_BOUND", 8)
+    assert AdmissibleSumSet(9 * 10**6, sum(1 << s * 10**6 for s in range(8))).values() == [
+        s * 10**6 for s in range(8)]
+    monkeypatch.setattr(dm, "set_bits", None)  # a listing would fail with TypeError
+    with pytest.raises(BoundExceeded, match="^9 sums exceed the listing bound 8$"):
+        AdmissibleSumSet(9 * 10**6, sum(1 << s * 10**6 for s in range(9))).values()
+
+
 def set_bits(bits):
     """Reference for AdmissibleSumSet.values: peel off the lowest set bit, one at a time."""
     found = []
