@@ -12,11 +12,12 @@ the single sporadic pair (2, 4).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
 from itertools import groupby
-from operator import attrgetter, mul
+from operator import attrgetter, mul, neg
 
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
 from .numtheory import _prime_factors_up_to, primes_up_to
@@ -24,7 +25,8 @@ from .records import Record, _rebuilt
 
 # The oracle's reach: classify_detailed(oracle=True) checks every pair with n <=
 # COLUMN_BOUND and skips larger n; find_blocking_decomposition refuses them for m <= n.
-# Columns up to 300 take about 2 s, and the cost grows about fourfold per 50 beyond.
+# Columns up to 300 take about 0.4 s on a 2-vCPU VM, and the cost grows about
+# threefold per 50 beyond.
 COLUMN_BOUND = 300
 
 # Widest sum table a decomposition keeps (8 KiB), far above every m of a scan.
@@ -309,39 +311,60 @@ def iter_decompositions(n: int) -> Iterator[Decomposition]:
 
 
 # The oracle's column table, grown on demand by _blockable: entry n holds the
-# subset-minimal admissible-sum masks over the decompositions of n, and the
-# bits m <= n that one of them lacks.
-_COLUMNS: list[tuple[list[int], int]] = [([1], 0)]
+# subset-minimal admissible-sum masks over the decompositions of n, the bits
+# m <= n that one of them lacks, and each mask's smallest part (its lowest
+# nonzero bit; 0 for column 0's empty sum), the masks in non-increasing order
+# of it.  The smallest part is the prime that links a mask to its parent.
+_COLUMNS: list[tuple[list[int], int, list[int]]] = [([1], 0, [0])]
 
 
 def _blockable(n: int) -> int:
     """Bits m <= n that some decomposition of n blocks: the oracle's column n.
 
-    Column n's masks are the minimal ones among S | S << p for each prime
-    part p <= n and each mask S of column n - p.  A composite part p with a
-    prime q adds 0 and every multiple of q up to p, a superset of what p/q
-    parts q add, so it never yields a minimal mask.  The sumset is monotone
-    in S, so a non-minimal S yields only supersets of what a minimal one
-    yields, and m is blocked by some decomposition exactly when some minimal
-    mask lacks bit m.  Columns are built in order up to n, once per process;
-    an n above COLUMN_BOUND raises BoundExceeded before any is built.
+    Column n's masks are the minimal admissible-sum masks over the
+    decompositions of n.  A composite part p with a prime q adds 0 and every
+    multiple of q up to p, a superset of what p/q parts q add, so minimal
+    masks come from prime parts, which add 0 or p, and m is blocked by some
+    decomposition exactly when some minimal mask lacks bit m.
+
+    Each minimal mask T is built from its smallest part p, the lowest nonzero
+    bit of T: take primes A with sums T, remove one copy of p = min(A), and
+    shrink the sums of the rest to a minimal mask S of column n - p.  S has
+    no part below p, S | S << p lies inside T, and so equals it, T being
+    minimal.  So the candidates are S | S << p for each prime p <= n/2 and
+    each mask S of column n - p with smallest part >= p, a prefix of that
+    column, plus {0, n} when n is prime.  p is walked down from the largest:
+    a mask inside a candidate with smallest part p has none below p, so the
+    masks kept before it are all it must be checked against, and a kept mask
+    never holds a later candidate, which has bit p or more bits.  Columns are
+    built in order up to n, once per process; an n above COLUMN_BOUND raises
+    BoundExceeded before any is built, and a negative n raises ValueError.
     """
+    if n < 0:
+        raise ValueError(f"the oracle's column n must be non-negative, got {n}")
     if n < len(_COLUMNS):
         return _COLUMNS[n][1]
     if n > COLUMN_BOUND:
         raise BoundExceeded(f"the oracle's column n = {n} exceeds the column bound {COLUMN_BOUND}")
+    primes = primes_up_to(n)
     for k in range(len(_COLUMNS), n + 1):
-        candidates = set()
-        for p in primes_up_to(k):
-            candidates.update(base | base << p for base in _COLUMNS[k - p][0])
-        minimal = []
-        for mask in sorted(candidates, key=int.bit_count):  # a subset never has more bits
-            if all(kept & mask != kept for kept in minimal):
-                minimal.append(mask)
+        minimal, smallest = ([1 | 1 << k], [k]) if k in primes else ([], [])
+        for p in reversed(primes[: bisect_right(primes, k // 2)]):
+            bases, parts = _COLUMNS[k - p][0], _COLUMNS[k - p][2]
+            prefix = bisect_right(parts, -p, key=neg)  # the bases with smallest part >= p
+            # a subset never has more bits, and equal-sized masks are never nested;
+            # the plain loop costs about two thirds of all() over a generator
+            for mask in sorted({base | base << p for base in bases[:prefix]}, key=int.bit_count):
+                for kept in minimal:
+                    if kept & mask == kept:
+                        break
+                else:
+                    minimal.append(mask)
+                    smallest.append(p)
         full, bits = (1 << k + 1) - 1, 0
         for mask in minimal:
             bits |= ~mask & full
-        _COLUMNS.append((minimal, bits))
+        _COLUMNS.append((minimal, bits, smallest))
     return _COLUMNS[n][1]
 
 
@@ -349,9 +372,13 @@ def oracle_blocks(m: int, n: int) -> bool:
     """True when some decomposition of n blocks m: m > n, or bit m of column n.
 
     This is the oracle's verdict; it builds the columns up to n but no
-    decomposition.
+    decomposition, and reads a built column without a call.  A negative n
+    raises ValueError.
     """
-    return m > n or bool(_blockable(n) >> m & 1)
+    if 0 <= n < len(_COLUMNS):
+        return m > n or bool(_COLUMNS[n][1] >> m & 1)
+    # an unbuilt column: m > n needs none, and _blockable refuses a negative n
+    return m > n >= 0 or bool(_blockable(n) >> m & 1)
 
 
 def oracle_disagreement(m: int, n: int, certified: bool) -> str | None:

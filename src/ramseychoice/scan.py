@@ -198,7 +198,7 @@ def scan_work(max_m: int, max_n: int) -> int:
     """Estimated work of a scan: its pairs times the cost of the widest one.
 
     With oracle=True a scan also builds the oracle's columns up to
-    min(max_n, COLUMN_BOUND) once per process, at most about 2 s, which this
+    min(max_n, COLUMN_BOUND) once per process, at most about 0.5 s, which this
     estimate leaves out.
     """
     return (max_m - 1) * (max_n - 1) * (SCAN_PAIR_COST + max_n)

@@ -463,6 +463,65 @@ def test_blockable_columns_match_the_theorem():
             assert unblockable == provable_by_theorem(m, n), (m, n)
 
 
+def reference_columns(limit):
+    """Independent builder: the all-primes rule, column k's masks the minimal
+    ones among S | S << p for every prime p <= k and every mask S of column
+    k - p, with no smallest-part argument; returns (masks, bits) per column."""
+    primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, p))]
+    columns = [({1}, 0)]
+    for k in range(1, limit + 1):
+        candidates = {
+            base | base << p for p in primes if p <= k for base in columns[k - p][0]
+        }
+        minimal, bits = [], 0
+        for mask in sorted(candidates, key=int.bit_count):
+            if all(kept & mask != kept for kept in minimal):
+                minimal.append(mask)
+                bits |= ~mask & (1 << k + 1) - 1
+        columns.append((set(minimal), bits))
+    return columns
+
+
+def test_blockable_columns_match_the_all_primes_rule():
+    reference = reference_columns(120)
+    assert _blockable(120) == reference[120][1]
+    for n in range(121):
+        assert (set(_COLUMNS[n][0]), _COLUMNS[n][1]) == reference[n], n
+
+
+def test_every_mask_is_built_from_its_smallest_part():
+    _blockable(100)
+    assert _COLUMNS[0] == ([1], 0, [0])
+    for n in range(1, 101):
+        masks, _, smallest = _COLUMNS[n]
+        assert len(smallest) == len(masks) and smallest == sorted(smallest, reverse=True), n
+        for mask, p in zip(masks, smallest):
+            parts = mask & ~1
+            assert p == (parts & -parts).bit_length() - 1, (n, mask)
+            # the parent: a mask of column n - p with no part below p ({0} when p = n)
+            bases, _, parents = _COLUMNS[n - p]
+            assert any(
+                base | base << p == mask and (q >= p or n == p)
+                for base, q in zip(bases, parents)
+            ), (n, mask)
+
+
+def test_a_negative_column_is_refused_before_and_after_columns_are_built(monkeypatch):
+    import ramseychoice.decomposition as dm
+
+    monkeypatch.setattr(dm, "_COLUMNS", [([1], 0, [0])])
+    for built in (1, 11):
+        assert len(dm._COLUMNS) == built
+        with pytest.raises(ValueError, match=r"^the oracle's column n must be non-negative, got -1$"):
+            dm._blockable(-1)
+        with pytest.raises(ValueError):
+            dm.oracle_blocks(1, -1)
+        with pytest.raises(ValueError):
+            dm.oracle_blocks(0, -11)
+        assert dm._blockable(10) == reference_columns(10)[10][1]
+    assert len(dm._COLUMNS) == 11
+
+
 def test_column_bound_refuses_before_any_column_is_built(capsys):
     built = len(_COLUMNS)
     # COLUMN_BOUND is the oracle's reach: a larger n skips the check and builds no column
