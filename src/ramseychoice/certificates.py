@@ -197,8 +197,10 @@ def _prime_divisor_lines(trace: RecipeTrace) -> tuple[str, ...]:
 def recipe_prime_divisor(m: int, n: int) -> RecipeTrace | None:
     """Some prime p divides n but not m: split n into n/p copies of p.
 
-    p is the smallest such prime.  n's primes come by trial division, once
-    per n and no further than this p (_walk(prime_factors, n)).  The one
+    p is the smallest such prime.  n's primes come from prime_factors, once
+    per n and no further than this p (_walk(prime_factors, n)): a p below
+    128 ends the trial division there, and only a larger one factors n's
+    cofactor, by is_prime and rho.  The one
     leaf that returns None: when every prime of n divides m, the tree goes on.
     """
     p = _walk(prime_factors, n).first(_does_not_divide, m)

@@ -16,11 +16,11 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, takewhile
 from operator import attrgetter, mul, neg
 
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
-from .numtheory import _prime_factors_up_to, primes_up_to
+from .numtheory import _MAX_INPUT, _prime_factors_up_to, is_prime, prime_factors, primes_up_to
 from .records import Record, _rebuilt
 
 # The oracle's reach: classify_detailed(oracle=True) checks every pair with n <=
@@ -182,8 +182,18 @@ def allowed_contributions(part: int) -> frozenset[int]:
 
 @lru_cache(maxsize=1024)
 def _part_primes(part: int, reach: int) -> tuple[int, ...]:
-    """part's primes up to reach: its contributions up to reach are their multiples."""
-    return tuple(_prime_factors_up_to(part, reach))
+    """part's primes up to reach: its contributions up to reach are their multiples.
+
+    A part in is_prime's range is its own prime when is_prime says so (the
+    Goldbach and gap-prime searches have usually asked already), and else
+    has prime_factors' primes, read no further than reach.  Only a part
+    above 2^63 is trial-divided, and no further than reach.
+    """
+    if part > _MAX_INPUT:
+        return tuple(_prime_factors_up_to(part, reach))
+    if is_prime(part):
+        return (part,) if part <= reach else ()
+    return tuple(takewhile(reach.__ge__, prime_factors(part)))
 
 
 def _progression(sums: int, q: int, k: int) -> int:

@@ -3,8 +3,9 @@
 Everything here is deterministic: primality runs the fewest strong-pseudoprime
 bases of a fixed battery that are proven exact for its input, and the prime
 searches scan candidate ranges directly instead of sampling.  Nothing a
-certificate recipe calls sieves: factors come from trial division and
-Goldbach triples from is_prime, one candidate at a time.
+certificate recipe calls sieves: factors come from trial division by the
+primes below 128, then is_prime and Pollard-Brent rho with fixed constants,
+and Goldbach triples from is_prime, one candidate at a time.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ _MR_ROUNDS = tuple(
 )
 
 _MAX_INPUT = 2**63
+
+# prime_factors trial-divides below this bound, and gives the rest to rho.
+_TRIAL_BOUND = 128
+
+# Differences whose product rho reduces with one gcd.
+_RHO_BATCH = 64
 
 # Ceiling for verify_goldbach; a lazy search goes to is_prime's 2^63.
 GOLDBACH_SEARCH_BOUND = 1_000_000
@@ -85,12 +92,34 @@ def is_prime(x: int) -> bool:
 
 
 def prime_factors(n: int) -> Iterator[int]:
-    """Distinct prime factors of n >= 1, ascending, by trial division."""
-    return _prime_factors_up_to(n, n)
+    """Distinct prime factors of 1 <= n <= 2**63, ascending, lazily.
+
+    Trial division finds the primes below _TRIAL_BOUND; the cofactor's
+    primes come from is_prime and Pollard's rho with Brent's cycle finding
+    (Pollard, BIT 15, 1975; Brent, BIT 20, 1980), only once a caller reads
+    past the small ones.  n is checked on call: below 1 or above is_prime's
+    2^63 raises ValueError.
+    """
+    if n < 1 or n > _MAX_INPUT:
+        raise ValueError(f"prime_factors supports 1 <= n <= 2**63, got {n}")
+    return _walk_prime_factors(n)
+
+
+def _walk_prime_factors(n: int) -> Iterator[int]:
+    n = yield from _trial_division(n, _TRIAL_BOUND)
+    if n > 1:
+        yield from sorted(_cofactor_primes(n))
 
 
 def _prime_factors_up_to(n: int, limit: int) -> Iterator[int]:
-    # Trial division that also stops at limit: O(min(limit, sqrt(n))) steps for any n.
+    # n's primes up to limit, in O(min(limit, sqrt(n))) steps for any n
+    n = yield from _trial_division(n, limit)
+    if 1 < n <= limit:  # a rest this small has no prime up to its square root: it is prime
+        yield n
+
+
+def _trial_division(n: int, limit: int):
+    # Yields n's primes f <= limit while f * f <= n, and returns n without them.
     f = 2
     while f <= limit and f * f <= n:
         if n % f == 0:
@@ -98,8 +127,48 @@ def _prime_factors_up_to(n: int, limit: int) -> Iterator[int]:
             while n % f == 0:
                 n //= f
         f += 1 if f == 2 else 2
-    if 1 < n <= limit:  # no prime below f divides n, and f * f > n (else n >= f > limit)
-        yield n
+    return n
+
+
+def _cofactor_primes(n: int) -> set[int]:
+    # n's distinct primes; n > 1 has none below _TRIAL_BOUND.
+    if is_prime(n):
+        return {n}
+    d = _rho_divisor(n)
+    return _cofactor_primes(d) | _cofactor_primes(n // d)
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n: Brent's rho on x^2 + c from x = 2.
+
+    The product of _RHO_BATCH differences shares one gcd; a batch that
+    overshoots to n replays it one difference at a time, and a walk that
+    still meets n starts over with c + 1.
+    """
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+        c += 1
 
 
 def bertrand_prime(m: int) -> int:

@@ -483,6 +483,14 @@ def test_n_is_trial_divided_no_further_than_the_prime_that_answers():
     assert tr.decomposition.runs == ((2, 2**61 - 1),)
 
 
+def test_the_prime_that_answers_may_come_from_rho():
+    # 2 divides m = 2, so the answer is the smaller prime of the cofactor
+    # 1073741827 * 1073741831, which rho splits; both primes are near 2^30
+    tr = build_certificate(2, 2 * 1073741827 * 1073741831)
+    assert tr.recipe is Recipe.PRIME_DIVISOR
+    assert tr.decomposition.runs == ((1073741827, 2147483662),)
+
+
 def test_an_even_gap_column_walks_its_triples_once(monkeypatch, cold_caches):
     # n = 2^15 has gap prime 32749 and n - p = 19: every even m of the
     # column reads one walk of the triples of 19, however many m need it

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseychoice.cli import main
@@ -22,6 +22,7 @@ from ramseychoice.decomposition import (
     Reason,
     Verdict,
     _fold,
+    _part_primes,
     admissible_sums,
     allowed_contributions,
     blocks,
@@ -40,6 +41,7 @@ from ramseychoice.errors import (
     InvalidPart,
     OracleDisagreement,
 )
+from ramseychoice.numtheory import bertrand_prime, primes_up_to
 
 
 def brute_sums(parts):
@@ -216,6 +218,26 @@ def test_fold_splits_single_contribution_runs():
         assert_fold_matches_reference((9,) * k, range(0, 6), limit=5)
         assert_fold_matches_reference((4,) * k, range(0, 4), limit=3)
         assert_fold_matches_reference((9,) * k + (4,) * k, range(0, 6), limit=5)
+
+
+# Small primes on both sides of the trial bound 128, and primes up to about
+# 2^32 that rho must split off.
+PART_PRIMES = st.one_of(st.sampled_from(primes_up_to(150)), st.integers(2, 2**31).map(bertrand_prime))
+
+
+@settings(deadline=None)  # splitting two primes near 2^31.5 takes rho up to about 0.1 s
+@given(st.lists(PART_PRIMES, min_size=1, max_size=6), st.integers(1, 2**64))
+@example([274177, 67280421310721], 300_000)  # 2^64 + 1
+@example([3] + [2] * 70, 2)
+@example([3] + [2] * 70, 10)
+@example([2**31 - 1, 2**31 - 1], 2**40)
+def test_part_primes_are_the_primes_of_the_part_up_to_reach(factors, reach):
+    # the reference is the part's known factors up to reach; above 2^63 the
+    # part is trial-divided as far as reach, so reach stays small there
+    part = math.prod(factors)
+    if part > 2**63:
+        reach = min(reach, 2**19)
+    assert _part_primes(part, reach) == tuple(sorted({q for q in factors if q <= reach}))
 
 
 # Small parts, then one small prime with a large cofactor, prime powers, and many primes.

@@ -258,3 +258,59 @@ def test_prime_factors_by_trial_division():
     assert list(prime_factors(4194301)) == [4194301]
     for n in range(1, 600):
         assert list(prime_factors(n)) == [p for p in primes_up_to(n) if n % p == 0], n
+
+
+def trial_division_factors(n):
+    # n's distinct primes by trial division to sqrt(n): the reference for prime_factors
+    primes, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return primes + [n] if n > 1 else primes
+
+
+def assert_factored(n, primes):
+    # ascending, distinct primes that rebuild n: the one answer, where trial division is too slow
+    assert primes == sorted(set(primes)), n
+    assert all(map(is_prime, primes)), n
+    rest = n
+    for p in primes:
+        assert rest % p == 0, (n, p)
+        while rest % p == 0:
+            rest //= p
+    assert rest == 1, n
+
+
+def test_prime_factors_agree_with_trial_division_below_20000():
+    for n in range(1, 20_000):
+        assert list(prime_factors(n)) == trial_division_factors(n), n
+
+
+def test_prime_factors_split_63_bit_inputs_by_rho():
+    near = [bertrand_prime(x) for x in (2**21, 2**21 + 100, 2**31, 2**31 + 100)]
+    inputs = [
+        1073741827 * 1073741831,
+        2 * 1073741827 * 1073741831,
+        561, 41041, 825265, 321197185,  # Carmichael numbers
+        2 * (2**61 - 1),
+        2**63 - 25,
+    ]
+    inputs += [p**2 for p in near] + [p**3 for p in near if p**3 <= 2**63]
+    inputs += [near[0] * near[1] * 3, near[0] * near[2], near[2] * near[3]]
+    rng = random.Random(38)
+    inputs += [rng.randrange(2**62, 2**63) for _ in range(20)]
+    for n in inputs:
+        assert_factored(n, list(prime_factors(n)))
+    assert list(prime_factors(2 * 1073741827 * 1073741831)) == [2, 1073741827, 1073741831]
+    assert list(prime_factors(2 * (2**61 - 1))) == [2, 2**61 - 1]
+    assert list(prime_factors(near[3] ** 2)) == [near[3]]
+
+
+def test_prime_factors_rejects_out_of_range_on_call():
+    for n in (0, -12, 2**63 + 1, 3 * 2**70):
+        with pytest.raises(ValueError):
+            prime_factors(n)
+    assert list(prime_factors(2**63)) == [2]
