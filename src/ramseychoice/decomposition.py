@@ -20,7 +20,7 @@ from itertools import groupby, takewhile
 from operator import attrgetter, mul, neg
 
 from .errors import BoundExceeded, InvalidPart, OracleDisagreement
-from .numtheory import _MAX_INPUT, _prime_factors_up_to, is_prime, prime_factors, primes_up_to
+from .numtheory import _MAX_INPUT, _TRIAL_BOUND, _prime_factors_up_to, is_prime, prime_factors, primes_up_to
 from .records import Record, _rebuilt
 
 # The oracle's reach: classify_detailed(oracle=True) checks every pair with n <=
@@ -185,14 +185,16 @@ def _part_primes(part: int, reach: int) -> tuple[int, ...]:
     """part's primes up to reach: its contributions up to reach are their multiples.
 
     A part in is_prime's range is its own prime when is_prime says so (the
-    Goldbach and gap-prime searches have usually asked already), and else
-    has prime_factors' primes, read no further than reach.  Only a part
-    above 2^63 is trial-divided, and no further than reach.
+    Goldbach and gap-prime searches have usually asked already).  A part
+    above 2^63, or a composite part with reach below prime_factors' trial
+    bound, is trial-divided no further than reach: rho would factor the
+    whole cofactor only to drop primes above reach.  Any other composite
+    part has prime_factors' primes, read no further than reach.
     """
-    if part > _MAX_INPUT:
-        return tuple(_prime_factors_up_to(part, reach))
-    if is_prime(part):
+    if part <= _MAX_INPUT and is_prime(part):
         return (part,) if part <= reach else ()
+    if part > _MAX_INPUT or reach < _TRIAL_BOUND:
+        return tuple(_prime_factors_up_to(part, reach))
     return tuple(takewhile(reach.__ge__, prime_factors(part)))
 
 

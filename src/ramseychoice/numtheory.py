@@ -44,9 +44,6 @@ _MAX_INPUT = 2**63
 # prime_factors trial-divides below this bound, and gives the rest to rho.
 _TRIAL_BOUND = 128
 
-# Differences whose product rho reduces with one gcd.
-_RHO_BATCH = 64
-
 # Ceiling for verify_goldbach; a lazy search goes to is_prime's 2^63.
 GOLDBACH_SEARCH_BOUND = 1_000_000
 
@@ -141,31 +138,19 @@ def _cofactor_primes(n: int) -> set[int]:
 def _rho_divisor(n: int) -> int:
     """A proper divisor of the composite n: Brent's rho on x^2 + c from x = 2.
 
-    The product of _RHO_BATCH differences shares one gcd; a batch that
-    overshoots to n replays it one difference at a time, and a walk that
-    still meets n starts over with c + 1.
+    Each step takes one gcd; a walk that meets n starts over with c + 1.
     """
     c = 1
     while True:
-        y, r, q, g = 2, 1, 1, 1
+        y, r, g = 2, 1, 1
         while g == 1:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                k += _RHO_BATCH
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
             r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
         if g != n:
             return g
         c += 1

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ramseychoice import numtheory
 from ramseychoice.cli import main
 from ramseychoice.decomposition import (
     COLUMN_BOUND,
@@ -238,6 +239,18 @@ def test_part_primes_are_the_primes_of_the_part_up_to_reach(factors, reach):
     if part > 2**63:
         reach = min(reach, 2**19)
     assert _part_primes(part, reach) == tuple(sorted({q for q in factors if q <= reach}))
+
+
+def test_a_small_reach_is_trial_divided_without_rho(monkeypatch, cold_caches):
+    # parts with a composite 63-bit cofactor of two primes near 2^30: reach 3
+    # needs two trial steps, not a rho split of the cofactor
+    def no_rho(n):
+        raise AssertionError(f"rho split {n}")
+
+    monkeypatch.setattr(numtheory, "_rho_divisor", no_rho)
+    assert _part_primes(1073741827 * 1073741831, 3) == ()
+    assert _part_primes(2 * 1073741827 * 1073741831, 3) == (2,)
+    assert _part_primes(2 * 1073741827 * 1073741831, 127) == (2,)
 
 
 # Small parts, then one small prime with a large cofactor, prime powers, and many primes.

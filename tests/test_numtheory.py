@@ -285,6 +285,8 @@ def assert_factored(n, primes):
 
 
 def test_prime_factors_agree_with_trial_division_below_20000():
+    # test_prime_factors_by_trial_division stops at 600; 20,000 passes 131^2 =
+    # 17161, the first n whose rest after the primes below 128 is composite
     for n in range(1, 20_000):
         assert list(prime_factors(n)) == trial_division_factors(n), n
 
